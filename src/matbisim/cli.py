@@ -225,14 +225,12 @@ def cmd_check(cfg: RunConfig) -> int:
     part = _load_partition(cfg.partition)
     if isinstance(model, lts_mod.Lts):
         v = part.collector_bool(model.alphabet)
-        report = lts_mod.check_lts(model, v, cfg.kind, strict_middle=cfg.strict_def3)
-        derived = lts_mod.derived_matrices(model, v, cfg.kind)
+        report, rows = lts_mod.evaluate(model, v, cfg.kind, strict_middle=cfg.strict_def3)
     else:
         v = part.collector_real()
-        report = mrc_mod.check_mrc(model, v, cfg.kind, cfg.tol)
-        derived = mrc_mod.derived_matrices(model, v, cfg.kind, atol=cfg.tol)
+        report, rows = mrc_mod.evaluate(model, v, cfg.kind, cfg.tol)
     elapsed = time.perf_counter() - started
-    checksums = {"V": _digest(v), **{name: _digest(m) for name, m in derived.items()}}
+    checksums = {"V": _digest(v), **{row[0]: _digest(row[1]) for row in rows}}
     payload = {
         "kind": cfg.kind,
         "model": str(cfg.model),

@@ -238,31 +238,82 @@ def _equality_witness(lhs: ActionMatrix, rhs: ActionMatrix) -> Witness | None:
     return Witness(i, j, alph.labels_of(lhs.mask_at(i, j)), alph.labels_of(rhs.mask_at(i, j)))
 
 
-def _check_saturated(kind: str, v: ActionMatrix, u: ActionMatrix, conditions) -> CheckReport:
-    """Verify ``V (U X) = X`` for each named condition matrix X."""
-    for name, x in conditions:
-        w = _equality_witness(v @ (u @ x), x)
-        if w is not None:
-            return CheckReport(kind, False, name, w)
-    return CheckReport(kind, True)
+def conditions(lts: Lts, kind: str, *, strict_middle: bool = False) -> Callable[[ActionMatrix], list]:
+    """The equalities of one bisimulation kind, as a map ``V -> [(name, X)]``.
+
+    Each entry states ``VUX = X``.  The strict weak middle
+    ``VUΠAΠV = ΠV`` is the one entry whose right-hand side is not its own
+    ``X``; it carries that side as a third element.  Products that do not
+    depend on the partition are computed once, when the map is built.
+    """
+    if kind == "strong":
+        return lambda v: [
+            ("VUρ = ρ", lts.terminating),
+            ("VUAV = AV", lts.visible @ v),
+            ("VUSV = SV", lts.internal @ v),
+        ]
+    if kind == "weak":
+        pi = rt_closure(lts.internal)
+        closed_visible = pi @ lts.visible @ pi
+        closed_term = pi @ lts.terminating
+
+        def weak(v: ActionMatrix) -> list:
+            pv = pi @ v
+            pav = closed_visible @ v
+            middle = ("VUΠAΠV = ΠV", pav, pv) if strict_middle else ("VUΠAΠV = ΠAΠV", pav)
+            return [("VUΠρ = Πρ", closed_term), ("VUΠV = ΠV", pv), middle]
+
+        return weak
+    if kind == "branching":
+        eye = ActionMatrix.identity(lts.alphabet, lts.num_states)
+
+        def branching(v: ActionMatrix) -> list:
+            pi_v = branching_closure(lts, v)
+            return [
+                ("VUΠ_V ρ = Π_V ρ", pi_v @ lts.terminating),
+                ("VU(I + Π_V S)V = (I + Π_V S)V", (eye + pi_v @ lts.internal) @ v),
+                ("VUΠ_V AV = Π_V AV", pi_v @ lts.visible @ v),
+            ]
+
+        return branching
+    raise ValueError(f"unknown kind {kind!r}")
 
 
-def check_strong_lts(lts: Lts, v: ActionMatrix, *, distributor: ActionMatrix | None = None) -> CheckReport:
-    """Strong bisimulation check; internal steps are treated as ordinary."""
+def evaluate(
+    lts: Lts,
+    v: ActionMatrix,
+    kind: str,
+    *,
+    strict_middle: bool = False,
+    distributor: ActionMatrix | None = None,
+) -> tuple[CheckReport, list]:
+    """Check ``v`` against one kind; also return the evaluated equalities."""
     _require_collector_for(lts, v)
     u = distributor if distributor is not None else v.transpose()
     if distributor is not None:
         _require_distributor_for(v, u)
-    return _check_saturated(
-        "strong",
-        v,
-        u,
-        (
-            ("VUρ = ρ", lts.terminating),
-            ("VUAV = AV", lts.visible @ v),
-            ("VUSV = SV", lts.internal @ v),
-        ),
-    )
+    rows = conditions(lts, kind, strict_middle=strict_middle)(v)
+    for name, x, *rhs in rows:
+        w = _equality_witness(v @ (u @ x), rhs[0] if rhs else x)
+        if w is not None:
+            return CheckReport(kind, False, name, w), rows
+    return CheckReport(kind, True), rows
+
+
+def check_lts(
+    lts: Lts,
+    v: ActionMatrix,
+    kind: str,
+    *,
+    strict_middle: bool = False,
+    distributor: ActionMatrix | None = None,
+) -> CheckReport:
+    return evaluate(lts, v, kind, strict_middle=strict_middle, distributor=distributor)[0]
+
+
+def check_strong_lts(lts: Lts, v: ActionMatrix, *, distributor: ActionMatrix | None = None) -> CheckReport:
+    """Strong bisimulation check; internal steps are treated as ordinary."""
+    return check_lts(lts, v, "strong", distributor=distributor)
 
 
 def check_weak_lts(
@@ -278,25 +329,7 @@ def check_weak_lts(
     (``VUΠAΠV = ΠAΠV``).  ``strict_middle`` switches to the literal variant
     ``VUΠAΠV = ΠV``, kept for comparison.
     """
-    _require_collector_for(lts, v)
-    u = distributor if distributor is not None else v.transpose()
-    if distributor is not None:
-        _require_distributor_for(v, u)
-    pi = rt_closure(lts.internal)
-    papiv = pi @ lts.visible @ pi @ v
-    for name, x in (("VUΠρ = Πρ", pi @ lts.terminating), ("VUΠV = ΠV", pi @ v)):
-        w = _equality_witness(v @ (u @ x), x)
-        if w is not None:
-            return CheckReport("weak", False, name, w)
-    if strict_middle:
-        w = _equality_witness(v @ (u @ papiv), pi @ v)
-        name = "VUΠAΠV = ΠV"
-    else:
-        w = _equality_witness(v @ (u @ papiv), papiv)
-        name = "VUΠAΠV = ΠAΠV"
-    if w is not None:
-        return CheckReport("weak", False, name, w)
-    return CheckReport("weak", True)
+    return check_lts(lts, v, "weak", strict_middle=strict_middle, distributor=distributor)
 
 
 def branching_closure(lts: Lts, v: ActionMatrix) -> ActionMatrix:
@@ -306,22 +339,7 @@ def branching_closure(lts: Lts, v: ActionMatrix) -> ActionMatrix:
 
 def check_branching_lts(lts: Lts, v: ActionMatrix, *, distributor: ActionMatrix | None = None) -> CheckReport:
     """Branching bisimulation check; the closure depends on the partition."""
-    _require_collector_for(lts, v)
-    u = distributor if distributor is not None else v.transpose()
-    if distributor is not None:
-        _require_distributor_for(v, u)
-    pi_v = branching_closure(lts, v)
-    eye = ActionMatrix.identity(lts.alphabet, lts.num_states)
-    return _check_saturated(
-        "branching",
-        v,
-        u,
-        (
-            ("VUΠ_V ρ = Π_V ρ", pi_v @ lts.terminating),
-            ("VU(I + Π_V S)V = (I + Π_V S)V", (eye + pi_v @ lts.internal) @ v),
-            ("VUΠ_V AV = Π_V AV", pi_v @ lts.visible @ v),
-        ),
-    )
+    return check_lts(lts, v, "branching", distributor=distributor)
 
 
 def check_strong_relational(lts: Lts, v: ActionMatrix) -> CheckReport:
@@ -362,28 +380,20 @@ def _checked(report: CheckReport) -> None:
         raise CheckFailed(report)
 
 
+def _quotient(lts: Lts, v: ActionMatrix, u: ActionMatrix) -> Lts:
+    return Lts(
+        alphabet=lts.alphabet,
+        initial=lts.initial @ v,
+        visible=u @ lts.visible @ v,
+        internal=u @ lts.internal @ v,
+        terminating=u @ lts.terminating,
+    )
+
+
 def lump_strong_lts(lts: Lts, v: ActionMatrix, *, distributor: ActionMatrix | None = None) -> Lts:
     """Quotient by a strong bisimulation; independent of the distributor."""
     _checked(check_strong_lts(lts, v, distributor=distributor))
-    u = distributor if distributor is not None else v.transpose()
-    return Lts(
-        alphabet=lts.alphabet,
-        initial=lts.initial @ v,
-        visible=u @ lts.visible @ v,
-        internal=u @ lts.internal @ v,
-        terminating=u @ lts.terminating,
-    )
-
-
-def _lump_transpose(lts: Lts, v: ActionMatrix) -> Lts:
-    u = v.transpose()
-    return Lts(
-        alphabet=lts.alphabet,
-        initial=lts.initial @ v,
-        visible=u @ lts.visible @ v,
-        internal=u @ lts.internal @ v,
-        terminating=u @ lts.terminating,
-    )
+    return _quotient(lts, v, distributor if distributor is not None else v.transpose())
 
 
 def lump_weak_lts(lts: Lts, v: ActionMatrix, *, strict_middle: bool = False) -> Lts:
@@ -393,13 +403,13 @@ def lump_weak_lts(lts: Lts, v: ActionMatrix, *, strict_middle: bool = False) -> 
     fixes the transpose.
     """
     _checked(check_weak_lts(lts, v, strict_middle=strict_middle))
-    return _lump_transpose(lts, v)
+    return _quotient(lts, v, v.transpose())
 
 
 def lump_branching_lts(lts: Lts, v: ActionMatrix) -> Lts:
     """Quotient by a branching bisimulation (transpose distributor)."""
     _checked(check_branching_lts(lts, v))
-    return _lump_transpose(lts, v)
+    return _quotient(lts, v, v.transpose())
 
 
 def tau_closure(lts: Lts) -> Lts:
@@ -486,16 +496,6 @@ def verify_branching_commutation(lts: Lts, v: ActionMatrix) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def check_lts(lts: Lts, v: ActionMatrix, kind: str, *, strict_middle: bool = False) -> CheckReport:
-    if kind == "strong":
-        return check_strong_lts(lts, v)
-    if kind == "weak":
-        return check_weak_lts(lts, v, strict_middle=strict_middle)
-    if kind == "branching":
-        return check_branching_lts(lts, v)
-    raise ValueError(f"unknown kind {kind!r}")
-
-
 def partition_checker(kind: str, *, strict_middle: bool = False) -> Callable[[Lts, Partition], CheckReport]:
     def checker(lts: Lts, p: Partition) -> CheckReport:
         return check_lts(lts, p.collector_bool(lts.alphabet), kind, strict_middle=strict_middle)
@@ -504,63 +504,11 @@ def partition_checker(kind: str, *, strict_middle: bool = False) -> Callable[[Lt
 
 
 def refinement_signatures(lts: Lts, kind: str) -> Callable[[Partition], list]:
-    """Per-state signature rows whose block-constancy is the check."""
-    if kind == "strong":
+    """Per-state rows of every ``X`` of the kind; their block-constancy is the check."""
+    table = conditions(lts, kind)
 
-        def signatures(p: Partition) -> list:
-            v = p.collector_bool(lts.alphabet)
-            av = lts.visible @ v
-            sv = lts.internal @ v
-            return [
-                (av.data[i], sv.data[i], lts.terminating.data[i][0])
-                for i in range(lts.num_states)
-            ]
+    def signatures(p: Partition) -> list:
+        xs = [x.data for _, x in table(p.collector_bool(lts.alphabet))]
+        return [tuple(x[i] for x in xs) for i in range(lts.num_states)]
 
-        return signatures
-
-    if kind == "weak":
-        pi = rt_closure(lts.internal)
-        closed_visible = pi @ lts.visible @ pi
-        closed_term = pi @ lts.terminating
-
-        def signatures(p: Partition) -> list:
-            v = p.collector_bool(lts.alphabet)
-            pv = pi @ v
-            pav = closed_visible @ v
-            return [
-                (pv.data[i], pav.data[i], closed_term.data[i][0])
-                for i in range(lts.num_states)
-            ]
-
-        return signatures
-
-    if kind == "branching":
-        eye = ActionMatrix.identity(lts.alphabet, lts.num_states)
-
-        def signatures(p: Partition) -> list:
-            v = p.collector_bool(lts.alphabet)
-            pi_v = branching_closure(lts, v)
-            taus = (eye + pi_v @ lts.internal) @ v
-            acts = pi_v @ lts.visible @ v
-            term = pi_v @ lts.terminating
-            return [
-                (taus.data[i], acts.data[i], term.data[i][0])
-                for i in range(lts.num_states)
-            ]
-
-        return signatures
-
-    raise ValueError(f"unknown kind {kind!r}")
-
-
-def derived_matrices(lts: Lts, v: ActionMatrix, kind: str) -> dict[str, ActionMatrix]:
-    """Matrices a check derives; used for report checksums."""
-    if kind == "strong":
-        return {"AV": lts.visible @ v, "SV": lts.internal @ v}
-    if kind == "weak":
-        pi = rt_closure(lts.internal)
-        return {"Π": pi, "ΠAΠV": pi @ lts.visible @ pi @ v, "Πρ": pi @ lts.terminating}
-    if kind == "branching":
-        pi_v = branching_closure(lts, v)
-        return {"Π_V": pi_v, "Π_V AV": pi_v @ lts.visible @ v, "Π_V ρ": pi_v @ lts.terminating}
-    raise ValueError(f"unknown kind {kind!r}")
+    return signatures

@@ -248,8 +248,8 @@ def _distributor_for(v: np.ndarray, distributor, atol: float) -> np.ndarray:
     return u
 
 
-def _check_saturated(kind: str, v: np.ndarray, u: np.ndarray, conditions, atol: float) -> CheckReport:
-    for name, x in conditions:
+def _check_saturated(kind: str, v: np.ndarray, u: np.ndarray, rows, atol: float) -> CheckReport:
+    for name, x in rows:
         lhs = v @ (u @ x)
         bad = first_real_mismatch(lhs, x, atol)
         if bad is not None:
@@ -258,25 +258,59 @@ def _check_saturated(kind: str, v: np.ndarray, u: np.ndarray, conditions, atol: 
     return CheckReport(kind, True)
 
 
-def check_strong_mrc(model: Mrc | MrcFast, v, atol: float = DEFAULT_ATOL, *, distributor=None) -> CheckReport:
-    """Ordinary-lumping check.
+def conditions(model: Mrc | MrcFast, kind: str, atol: float = DEFAULT_ATOL) -> Callable[[np.ndarray], list]:
+    """The equalities of one lumping kind, as a map ``V -> [(name, X)]``.
 
-    On a chain with fast transitions both generators are constrained, in the
-    same way the strong transition-system check constrains visible and
-    internal steps separately.
+    Each entry states ``VUX = X``.  Products that do not depend on the
+    partition are computed once, when the map is built.
     """
+    if kind == "strong":
+        # On a chain with fast transitions both generators are constrained,
+        # as the strong transition-system check constrains visible and
+        # internal steps separately.
+        rho = model.rho.reshape(-1, 1)
+        if isinstance(model, MrcFast):
+            return lambda v: [("VUρ = ρ", rho), ("VUQsV = QsV", model.qs @ v), ("VUQfV = QfV", model.qf @ v)]
+        return lambda v: [("VUρ = ρ", rho), ("VUQV = QV", model.q @ v)]
+    fast = as_fast_chain(model)
+    rho = fast.rho.reshape(-1, 1)
+    if kind == "weak":
+        pi = ergodic_projection(fast.qf, atol=atol).pi
+        smoothed_rho = pi @ rho
+        smoothed_slow = pi @ fast.qs @ pi
+        return lambda v: [
+            ("VUΠρ = Πρ", smoothed_rho),
+            ("VUΠV = ΠV", pi @ v),
+            ("VUΠQsΠV = ΠQsΠV", smoothed_slow @ v),
+        ]
+    if kind == "branching":
+        def branching(v: np.ndarray) -> list:
+            pi_v = ergodic_projection(adapt_diagonal(fast.qf, v), atol=atol).pi
+            return [
+                ("VUΠ_V ρ = Π_V ρ", pi_v @ rho),
+                ("VUΠ_V Qf V = Π_V Qf V", pi_v @ fast.qf @ v),
+                ("VUΠ_V Qs V = Π_V Qs V", pi_v @ fast.qs @ v),
+            ]
+
+        return branching
+    raise ValueError(f"unknown kind {kind!r}")
+
+
+def evaluate(model: Mrc | MrcFast, v, kind: str, atol: float = DEFAULT_ATOL, *, distributor=None) -> tuple[CheckReport, list]:
+    """Check ``v`` against one kind; also return the evaluated equalities."""
     v = _require_collector_for(model.num_states, v)
     u = _distributor_for(v, distributor, atol)
-    rho = model.rho.reshape(-1, 1)
-    if isinstance(model, MrcFast):
-        conditions = (
-            ("VUρ = ρ", rho),
-            ("VUQsV = QsV", model.qs @ v),
-            ("VUQfV = QfV", model.qf @ v),
-        )
-    else:
-        conditions = (("VUρ = ρ", rho), ("VUQV = QV", model.q @ v))
-    return _check_saturated("strong", v, u, conditions, atol)
+    rows = conditions(model, kind, atol)(v)
+    return _check_saturated(kind, v, u, rows, atol), rows
+
+
+def check_mrc(model: Mrc | MrcFast, v, kind: str, atol: float = DEFAULT_ATOL, *, distributor=None) -> CheckReport:
+    return evaluate(model, v, kind, atol, distributor=distributor)[0]
+
+
+def check_strong_mrc(model: Mrc | MrcFast, v, atol: float = DEFAULT_ATOL, *, distributor=None) -> CheckReport:
+    """Ordinary-lumping check."""
+    return check_mrc(model, v, "strong", atol, distributor=distributor)
 
 
 def lump_strong_mrc(model: Mrc | MrcFast, v, atol: float = DEFAULT_ATOL, *, distributor=None):
@@ -378,16 +412,7 @@ def ergodic_projection(qf, *, atol: float = DEFAULT_ATOL, edge_tol: float = EDGE
 
 def check_weak_mrc(model: Mrc | MrcFast, v, atol: float = DEFAULT_ATOL) -> CheckReport:
     """Weak check: conditions on the projection-smoothed chain."""
-    fast = as_fast_chain(model)
-    v = _require_collector_for(fast.num_states, v)
-    u = canonical_distributor_real(v)
-    pi = ergodic_projection(fast.qf, atol=atol).pi
-    conditions = (
-        ("VUΠρ = Πρ", pi @ fast.rho.reshape(-1, 1)),
-        ("VUΠV = ΠV", pi @ v),
-        ("VUΠQsΠV = ΠQsΠV", pi @ fast.qs @ pi @ v),
-    )
-    return _check_saturated("weak", v, u, conditions, atol)
+    return check_mrc(model, v, "weak", atol)
 
 
 def tau_distributor_residuals(model: Mrc | MrcFast, v, w, *, atol: float = DEFAULT_ATOL) -> dict[str, float]:
@@ -416,6 +441,33 @@ def tau_distributor_residuals(model: Mrc | MrcFast, v, w, *, atol: float = DEFAU
     return out
 
 
+def _certified(model: Mrc | MrcFast, v, w, atol: float) -> tuple[MrcFast, np.ndarray, np.ndarray]:
+    """Check weak, take the supplied ``w`` or the candidate ``(UΠV)^-1 UΠ``,
+    and certify it; returns the fast chain, the collector and ``w``."""
+    fast = as_fast_chain(model)
+    report = check_weak_mrc(fast, v, atol)
+    if not report.passed:
+        raise CheckFailed(report)
+    v = _require_collector_for(fast.num_states, v)
+    origin = "supplied"
+    if w is None:
+        origin = "candidate"
+        u = canonical_distributor_real(v)
+        pi = ergodic_projection(fast.qf, atol=atol).pi
+        try:
+            w = solve_linear(u @ pi @ v, u @ pi)
+        except SingularMatrixError as exc:
+            raise DistributorError(
+                "class-level projection UΠV is singular to tolerance; supply an external distributor"
+            ) from exc
+    w = real_matrix(w)
+    residuals = tau_distributor_residuals(fast, v, w, atol=atol)
+    name, worst = max(residuals.items(), key=lambda kv: kv[1])
+    if worst > atol:
+        raise DistributorError(f"{origin} distributor failed certification: {name} residual {worst:g}")
+    return fast, v, w
+
+
 def default_tau_distributor(model: Mrc | MrcFast, v, atol: float = DEFAULT_ATOL) -> np.ndarray:
     """Distributor candidate ``(UΠV)^-1 UΠ`` with mandatory certification.
 
@@ -424,41 +476,12 @@ def default_tau_distributor(model: Mrc | MrcFast, v, atol: float = DEFAULT_ATOL)
     certification identity misses; callers may then supply an external
     distributor instead.
     """
-    fast = as_fast_chain(model)
-    report = check_weak_mrc(fast, v, atol)
-    if not report.passed:
-        raise CheckFailed(report)
-    v = _require_collector_for(fast.num_states, v)
-    u = canonical_distributor_real(v)
-    pi = ergodic_projection(fast.qf, atol=atol).pi
-    try:
-        w = solve_linear(u @ pi @ v, u @ pi)
-    except SingularMatrixError as exc:
-        raise DistributorError(
-            "class-level projection UΠV is singular to tolerance; supply an external distributor"
-        ) from exc
-    residuals = tau_distributor_residuals(fast, v, w, atol=atol)
-    name, worst = max(residuals.items(), key=lambda kv: kv[1])
-    if worst > atol:
-        raise DistributorError(f"candidate distributor failed certification: {name} residual {worst:g}")
-    return w
+    return _certified(model, v, None, atol)[2]
 
 
 def lump_weak_mrc(model: Mrc | MrcFast, v, w=None, *, atol: float = DEFAULT_ATOL) -> MrcFast:
     """Quotient chain under weak lumping with a certified distributor."""
-    fast = as_fast_chain(model)
-    report = check_weak_mrc(fast, v, atol)
-    if not report.passed:
-        raise CheckFailed(report)
-    v = _require_collector_for(fast.num_states, v)
-    if w is None:
-        w = default_tau_distributor(fast, v, atol)
-    else:
-        w = real_matrix(w)
-        residuals = tau_distributor_residuals(fast, v, w, atol=atol)
-        name, worst = max(residuals.items(), key=lambda kv: kv[1])
-        if worst > atol:
-            raise DistributorError(f"supplied distributor failed certification: {name} residual {worst:g}")
+    fast, v, w = _certified(model, v, w, atol)
     try:
         qs_hat = validate_generator(w @ fast.qs @ v, atol=atol)
         qf_hat = validate_generator(w @ fast.qf @ v, atol=atol)
@@ -525,12 +548,12 @@ def check_strong_discontinuous(limit: LimitChain, v, atol: float = DEFAULT_ATOL)
     """
     v = _require_collector_for(limit.num_states, v)
     u = canonical_distributor_real(v)
-    conditions = (
+    rows = (
         ("VUΠρ = Πρ", limit.pi @ limit.rho.reshape(-1, 1)),
         ("VUΠV = ΠV", limit.pi @ v),
         ("VU(ΠQsΠ)V = (ΠQsΠ)V", limit.slow @ v),
     )
-    return _check_saturated("strong-discontinuous", v, u, conditions, atol)
+    return _check_saturated("strong-discontinuous", v, u, rows, atol)
 
 
 def verify_limit_commutation(
@@ -549,20 +572,8 @@ def verify_limit_commutation(
     chain (both class-level).  Requires a passing weak check and a
     certified distributor.
     """
-    fast = as_fast_chain(model)
     tol = 10.0 * atol if tolerance is None else tolerance
-    report = check_weak_mrc(fast, v, atol)
-    if not report.passed:
-        raise CheckFailed(report)
-    v = _require_collector_for(fast.num_states, v)
-    if w is None:
-        w = default_tau_distributor(fast, v, atol)
-    else:
-        w = real_matrix(w)
-        residuals = tau_distributor_residuals(fast, v, w, atol=atol)
-        name, worst = max(residuals.items(), key=lambda kv: kv[1])
-        if worst > atol:
-            raise DistributorError(f"supplied distributor failed certification: {name} residual {worst:g}")
+    fast, v, w = _certified(model, v, w, atol)
     limit = limit_chain(fast, atol=atol)
     qf_hat = validate_generator(w @ fast.qf @ v, atol=atol)
     proj_hat = ergodic_projection(qf_hat, atol=atol).pi
@@ -603,16 +614,7 @@ def adapt_diagonal(qf, v) -> np.ndarray:
 def check_branching_mrc(model: Mrc | MrcFast, v, atol: float = DEFAULT_ATOL) -> CheckReport:
     """Branching check: the smoothing projection only follows in-class fast
     steps, so it depends on the candidate partition."""
-    fast = as_fast_chain(model)
-    v = _require_collector_for(fast.num_states, v)
-    u = canonical_distributor_real(v)
-    pi_v = ergodic_projection(adapt_diagonal(fast.qf, v), atol=atol).pi
-    conditions = (
-        ("VUΠ_V ρ = Π_V ρ", pi_v @ fast.rho.reshape(-1, 1)),
-        ("VUΠ_V Qf V = Π_V Qf V", pi_v @ fast.qf @ v),
-        ("VUΠ_V Qs V = Π_V Qs V", pi_v @ fast.qs @ v),
-    )
-    return _check_saturated("branching", v, u, conditions, atol)
+    return check_mrc(model, v, "branching", atol)
 
 
 # ---------------------------------------------------------------------------
@@ -752,16 +754,6 @@ def parse_distributor(text: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def check_mrc(model: Mrc | MrcFast, v, kind: str, atol: float = DEFAULT_ATOL) -> CheckReport:
-    if kind == "strong":
-        return check_strong_mrc(model, v, atol)
-    if kind == "weak":
-        return check_weak_mrc(model, v, atol)
-    if kind == "branching":
-        return check_branching_mrc(model, v, atol)
-    raise ValueError(f"unknown kind {kind!r}")
-
-
 def partition_checker(kind: str, *, atol: float = DEFAULT_ATOL) -> Callable[[Mrc | MrcFast, Partition], CheckReport]:
     def checker(model, p: Partition) -> CheckReport:
         return check_mrc(model, p.collector_real(), kind, atol)
@@ -792,54 +784,12 @@ def _cluster_keys(p: Partition, rows: np.ndarray, atol: float) -> list:
 
 
 def refinement_signatures(model: Mrc | MrcFast, kind: str, *, atol: float = DEFAULT_ATOL) -> Callable[[Partition], list]:
-    """Per-state signature rows whose block-constancy is the check."""
-    fast = as_fast_chain(model)
-    rho_col = fast.rho.reshape(-1, 1)
+    """Per-state rows of every ``X`` of the kind, clustered to tolerance
+    inside each block; their block-constancy is the check."""
+    table = conditions(model, kind, atol)
 
-    if kind == "strong":
+    def signatures(p: Partition) -> list:
+        rows = np.hstack([x for _, x in table(p.collector_real())])
+        return _cluster_keys(p, rows, atol)
 
-        def signatures(p: Partition) -> list:
-            v = p.collector_real()
-            rows = np.hstack([fast.qs @ v, fast.qf @ v, rho_col])
-            return _cluster_keys(p, rows, atol)
-
-        return signatures
-
-    if kind == "weak":
-        pi = ergodic_projection(fast.qf, atol=atol).pi
-        smoothed_slow = pi @ fast.qs @ pi
-        smoothed_rho = pi @ rho_col
-
-        def signatures(p: Partition) -> list:
-            v = p.collector_real()
-            rows = np.hstack([pi @ v, smoothed_slow @ v, smoothed_rho])
-            return _cluster_keys(p, rows, atol)
-
-        return signatures
-
-    if kind == "branching":
-
-        def signatures(p: Partition) -> list:
-            v = p.collector_real()
-            pi_v = ergodic_projection(adapt_diagonal(fast.qf, v), atol=atol).pi
-            rows = np.hstack([pi_v @ fast.qf @ v, pi_v @ fast.qs @ v, pi_v @ rho_col])
-            return _cluster_keys(p, rows, atol)
-
-        return signatures
-
-    raise ValueError(f"unknown kind {kind!r}")
-
-
-def derived_matrices(model: Mrc | MrcFast, v, kind: str, *, atol: float = DEFAULT_ATOL) -> dict[str, np.ndarray]:
-    """Matrices a check derives; used for report checksums."""
-    fast = as_fast_chain(model)
-    v = np.asarray(v, dtype=float)
-    if kind == "strong":
-        return {"QsV": fast.qs @ v, "QfV": fast.qf @ v}
-    if kind == "weak":
-        pi = ergodic_projection(fast.qf, atol=atol).pi
-        return {"Π": pi, "ΠQsΠV": pi @ fast.qs @ pi @ v, "Πρ": pi @ fast.rho.reshape(-1, 1)}
-    if kind == "branching":
-        pi_v = ergodic_projection(adapt_diagonal(fast.qf, v), atol=atol).pi
-        return {"Π_V": pi_v, "Π_V QsV": pi_v @ fast.qs @ v, "Π_V QfV": pi_v @ fast.qf @ v}
-    raise ValueError(f"unknown kind {kind!r}")
+    return signatures

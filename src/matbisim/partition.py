@@ -348,7 +348,8 @@ def coarsest_partition(
     signature refinement.  Branching on reward chains has no unique
     coarsest solution in general, so small instances fall back to the
     exhaustive lattice search; larger ones return the refinement fixpoint,
-    which passes its own check but may not have the fewest blocks.
+    which passes its own check but may not have the fewest blocks.  A
+    fixpoint that fails its own check raises :class:`CheckFailed`.
 
     A custom ``checker`` switches to the exhaustive search so that the
     result is defined by the checker alone.
@@ -378,5 +379,5 @@ def coarsest_partition(
     result = refinement_fixpoint(n, signature_fn)
     report = checker(model, result)
     if not report.passed:
-        raise RuntimeError(f"refinement produced a non-passing partition ({report.violated})")
+        raise CheckFailed(report)
     return result

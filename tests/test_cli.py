@@ -211,3 +211,34 @@ def test_probe_json_counterexample_rechecks(tmp_path, capsys):
 
 def test_tolerance_flag_must_be_positive(capsys):
     assert run("check", FOUR, "--partition", FOUR_IDENT, "--kind", "strong", "--tol", "-1") == 2
+
+
+def test_refine_fixpoint_failing_its_own_check_is_a_clean_error(tmp_path, capsys):
+    # rewards chained within tolerance: the clustered fixpoint keeps one block
+    # whose spread exceeds the tolerance, so its own re-check fails
+    chain = tmp_path / "chain.mrc"
+    chain.write_text("mrc 4\ninit 0:1\nreward 0 0.9e-9 1.8e-9 2.7e-9\n")
+    assert run("refine", chain, "--kind", "strong") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: strong check failed on 'VUρ = ρ'"]
+
+
+CHECKSUM_NAMES = {
+    (FOUR, "strong"): {"VUρ = ρ", "VUAV = AV", "VUSV = SV"},
+    (FOUR, "weak"): {"VUΠρ = Πρ", "VUΠV = ΠV", "VUΠAΠV = ΠAΠV"},
+    (FOUR, "branching"): {"VUΠ_V ρ = Π_V ρ", "VU(I + Π_V S)V = (I + Π_V S)V", "VUΠ_V AV = Π_V AV"},
+    (WITNESS, "strong"): {"VUρ = ρ", "VUQsV = QsV", "VUQfV = QfV"},
+    (WITNESS, "weak"): {"VUΠρ = Πρ", "VUΠV = ΠV", "VUΠQsΠV = ΠQsΠV"},
+    (WITNESS, "branching"): {"VUΠ_V ρ = Π_V ρ", "VUΠ_V Qf V = Π_V Qf V", "VUΠ_V Qs V = Π_V Qs V"},
+}
+
+
+def test_check_json_checksums_name_each_equality(capsys):
+    partitions = {FOUR: FOUR_MERGE, WITNESS: WITNESS_PART}
+    for (model, kind), names in CHECKSUM_NAMES.items():
+        code = run("check", model, "--partition", partitions[model], "--kind", kind, "--json")
+        payload = json.loads(capsys.readouterr().out)
+        assert code == (0 if payload["verdict"] == "pass" else 1)
+        assert set(payload["checksums"]) == {"V"} | names, (model.name, kind)
+        assert payload["violated"] in names | {None}
