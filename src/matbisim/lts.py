@@ -300,20 +300,13 @@ def evaluate(
     return CheckReport(kind, True), rows
 
 
-def check_lts(
-    lts: Lts,
-    v: ActionMatrix,
-    kind: str,
-    *,
-    strict_middle: bool = False,
-    distributor: ActionMatrix | None = None,
-) -> CheckReport:
-    return evaluate(lts, v, kind, strict_middle=strict_middle, distributor=distributor)[0]
+def check_lts(lts: Lts, v: ActionMatrix, kind: str, *, strict_middle: bool = False) -> CheckReport:
+    return evaluate(lts, v, kind, strict_middle=strict_middle)[0]
 
 
 def check_strong_lts(lts: Lts, v: ActionMatrix, *, distributor: ActionMatrix | None = None) -> CheckReport:
     """Strong bisimulation check; internal steps are treated as ordinary."""
-    return check_lts(lts, v, "strong", distributor=distributor)
+    return evaluate(lts, v, "strong", distributor=distributor)[0]
 
 
 def check_weak_lts(
@@ -329,7 +322,7 @@ def check_weak_lts(
     (``VUΠAΠV = ΠAΠV``).  ``strict_middle`` switches to the literal variant
     ``VUΠAΠV = ΠV``, kept for comparison.
     """
-    return check_lts(lts, v, "weak", strict_middle=strict_middle, distributor=distributor)
+    return evaluate(lts, v, "weak", strict_middle=strict_middle, distributor=distributor)[0]
 
 
 def branching_closure(lts: Lts, v: ActionMatrix) -> ActionMatrix:
@@ -339,7 +332,7 @@ def branching_closure(lts: Lts, v: ActionMatrix) -> ActionMatrix:
 
 def check_branching_lts(lts: Lts, v: ActionMatrix, *, distributor: ActionMatrix | None = None) -> CheckReport:
     """Branching bisimulation check; the closure depends on the partition."""
-    return check_lts(lts, v, "branching", distributor=distributor)
+    return evaluate(lts, v, "branching", distributor=distributor)[0]
 
 
 def check_strong_relational(lts: Lts, v: ActionMatrix) -> CheckReport:

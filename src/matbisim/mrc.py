@@ -304,13 +304,13 @@ def evaluate(model: Mrc | MrcFast, v, kind: str, atol: float = DEFAULT_ATOL, *, 
     return _check_saturated(kind, v, u, rows, atol), rows
 
 
-def check_mrc(model: Mrc | MrcFast, v, kind: str, atol: float = DEFAULT_ATOL, *, distributor=None) -> CheckReport:
-    return evaluate(model, v, kind, atol, distributor=distributor)[0]
+def check_mrc(model: Mrc | MrcFast, v, kind: str, atol: float = DEFAULT_ATOL) -> CheckReport:
+    return evaluate(model, v, kind, atol)[0]
 
 
 def check_strong_mrc(model: Mrc | MrcFast, v, atol: float = DEFAULT_ATOL, *, distributor=None) -> CheckReport:
     """Ordinary-lumping check."""
-    return check_mrc(model, v, "strong", atol, distributor=distributor)
+    return evaluate(model, v, "strong", atol, distributor=distributor)[0]
 
 
 def lump_strong_mrc(model: Mrc | MrcFast, v, atol: float = DEFAULT_ATOL, *, distributor=None):
