@@ -1,10 +1,14 @@
 """Matrix algebra over an action-set semiring, plus real-matrix helpers.
 
 Boolean side: matrix entries are subsets of a fixed label alphabet, stored
-as bit masks.  Addition is entrywise union, multiplication is the
-union-of-intersections product, and ``<=`` is entrywise inclusion.
-Matrices whose entries are only the empty or the full set play the role of
-0-1 matrices (collectors, internal-step matrices, indicator vectors).
+as label planes, one boolean array per label.  Addition is entrywise union,
+multiplication is the union-of-intersections product (per label, a boolean
+matrix product, all labels in one batched real product), and ``<=`` is
+entrywise inclusion.  Matrices whose entries are only the empty or the full
+set play the role of 0-1 matrices (collectors, internal-step matrices,
+indicator vectors); all their planes are equal.  Bit masks (bit ``l`` for
+label ``l``) remain the exchange format for single entries and for
+``ActionMatrix.data``.
 
 Real side: plain numpy arrays, a finiteness-checking constructor, and a
 small pivoted solver with a deterministic singularity threshold.
@@ -145,140 +149,178 @@ def format_entry(alphabet: ActionAlphabet, mask: int) -> str:
     return "{" + ",".join(alphabet.labels_of(mask)) + "}"
 
 
-@dataclass(frozen=True)
 class ActionMatrix:
-    """Rectangular matrix with action-set entries.
+    """Rectangular matrix with action-set entries, stored as label planes.
 
-    ``data`` holds one bit mask per entry.  Values are immutable; every
+    ``planes`` is a read-only ``(k, rows, cols)`` boolean array, one plane per
+    label of the alphabet: ``planes[l, i, j]`` says whether label ``l`` is in
+    entry ``(i, j)``.  The semiring operations are entrywise array operations
+    on the planes, and the product is one batched matrix product of all
+    planes.  ``data`` is a derived view: one bit mask per entry, bit ``l``
+    for label ``l``, as a tuple of row tuples.  Values are immutable; every
     operation returns a fresh matrix.
     """
 
-    alphabet: ActionAlphabet
-    data: tuple[tuple[int, ...], ...]
+    __slots__ = ("alphabet", "planes")
 
-    def __post_init__(self):
-        data = tuple(tuple(row) for row in self.data)
-        object.__setattr__(self, "data", data)
-        if not data or not data[0]:
+    def __init__(self, alphabet: ActionAlphabet, data: Sequence[Sequence[int]]):
+        rows = tuple(tuple(row) for row in data)
+        if not rows or not rows[0]:
             raise MatrixShapeError("matrices must have at least one row and column")
-        width = len(data[0])
-        full = self.alphabet.full_mask
-        for row in data:
+        width = len(rows[0])
+        full = alphabet.full_mask
+        for row in rows:
             if len(row) != width:
                 raise MatrixShapeError("ragged rows")
             for mask in row:
                 if not 0 <= mask <= full:
                     raise ValueError("entry mask out of range for alphabet")
+        masks = np.array(rows, dtype=object)
+        planes = np.array([(masks >> label) & 1 for label in range(alphabet.size)], dtype=bool)
+        self._init(alphabet, planes.reshape(alphabet.size, len(rows), width))
+
+    def _init(self, alphabet: ActionAlphabet, planes: np.ndarray) -> None:
+        planes.flags.writeable = False
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "planes", planes)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ActionMatrix is immutable")
+
+    def __reduce__(self):
+        return ActionMatrix, (self.alphabet, self.data)
 
     # -- constructors -------------------------------------------------
 
     @classmethod
+    def _wrap(cls, alphabet: ActionAlphabet, planes: np.ndarray) -> "ActionMatrix":
+        """Adopt a fresh boolean array of the right shape without checks."""
+        m = object.__new__(cls)
+        m._init(alphabet, planes)
+        return m
+
+    @classmethod
+    def from_planes(cls, alphabet: ActionAlphabet, planes) -> "ActionMatrix":
+        """Build from a ``(k, rows, cols)`` array of label planes (copied)."""
+        planes = np.array(planes, dtype=bool)
+        if planes.ndim != 3 or planes.shape[0] != alphabet.size:
+            raise MatrixShapeError(f"need one plane per label, got shape {planes.shape}")
+        if not planes.shape[1] or not planes.shape[2]:
+            raise MatrixShapeError("matrices must have at least one row and column")
+        return cls._wrap(alphabet, planes)
+
+    @classmethod
     def zeros(cls, alphabet: ActionAlphabet, rows: int, cols: int) -> "ActionMatrix":
-        return cls(alphabet, tuple((0,) * cols for _ in range(rows)))
+        return cls.from_bits(alphabet, np.zeros((rows, cols), dtype=bool))
 
     @classmethod
     def full(cls, alphabet: ActionAlphabet, rows: int, cols: int) -> "ActionMatrix":
-        one = alphabet.full_mask
-        return cls(alphabet, tuple((one,) * cols for _ in range(rows)))
+        return cls.from_bits(alphabet, np.ones((rows, cols), dtype=bool))
 
     @classmethod
     def identity(cls, alphabet: ActionAlphabet, n: int) -> "ActionMatrix":
-        one = alphabet.full_mask
-        return cls(alphabet, tuple(tuple(one if i == j else 0 for j in range(n)) for i in range(n)))
+        return cls.from_bits(alphabet, np.eye(n, dtype=bool))
 
     @classmethod
     def from_sets(cls, alphabet: ActionAlphabet, entries: Sequence[Sequence[Iterable[str]]]) -> "ActionMatrix":
         return cls(alphabet, tuple(tuple(alphabet.mask_of(cell) for cell in row) for row in entries))
 
     @classmethod
-    def from_bits(cls, alphabet: ActionAlphabet, bits: Sequence[Sequence[int]]) -> "ActionMatrix":
+    def from_bits(cls, alphabet: ActionAlphabet, bits) -> "ActionMatrix":
         """Build a 0-1 matrix: truthy cells become the full set."""
-        one = alphabet.full_mask
-        return cls(alphabet, tuple(tuple(one if cell else 0 for cell in row) for row in bits))
+        bits = np.asarray(bits, dtype=bool)
+        if bits.ndim != 2:
+            raise MatrixShapeError("a 0-1 matrix needs rows of equal length")
+        return cls.from_planes(alphabet, np.broadcast_to(bits, (alphabet.size, *bits.shape)))
 
     # -- shape ---------------------------------------------------------
 
     @property
     def rows(self) -> int:
-        return len(self.data)
+        return self.planes.shape[1]
 
     @property
     def cols(self) -> int:
-        return len(self.data[0])
+        return self.planes.shape[2]
 
     @property
     def shape(self) -> tuple[int, int]:
-        return len(self.data), len(self.data[0])
+        return self.planes.shape[1:]
 
     def _check_alphabet(self, other: "ActionMatrix") -> None:
         if self.alphabet != other.alphabet:
             raise MatrixShapeError("matrices over different alphabets")
 
+    def _check_same_shape(self, other: "ActionMatrix", what: str) -> None:
+        self._check_alphabet(other)
+        if self.shape != other.shape:
+            raise MatrixShapeError(f"cannot {what} {self.shape} and {other.shape}")
+
     # -- entry access ----------------------------------------------------
 
+    @property
+    def data(self) -> tuple[tuple[int, ...], ...]:
+        """Bit-mask view: entry ``(i, j)`` has bit ``l`` iff label ``l`` is in it."""
+        masks = np.zeros(self.shape, dtype=object)
+        for label, plane in enumerate(self.planes):
+            masks[plane] += 1 << label
+        return tuple(map(tuple, masks.tolist()))
+
     def mask_at(self, i: int, j: int) -> int:
-        return self.data[i][j]
+        return sum(1 << int(label) for label in np.flatnonzero(self.planes[:, i, j]))
 
     def entry(self, i: int, j: int) -> ActionSet:
-        return ActionSet(self.alphabet, self.data[i][j])
+        return ActionSet(self.alphabet, self.mask_at(i, j))
+
+    def support(self) -> np.ndarray:
+        """``(rows, cols)`` boolean array of the nonempty entries."""
+        return self.planes.any(axis=0)
 
     # -- semiring operations ----------------------------------------------
 
     def __add__(self, other: "ActionMatrix") -> "ActionMatrix":
-        self._check_alphabet(other)
-        if self.shape != other.shape:
-            raise MatrixShapeError(f"cannot add {self.shape} and {other.shape}")
-        data = tuple(
-            tuple(a | b for a, b in zip(ra, rb)) for ra, rb in zip(self.data, other.data)
-        )
-        return ActionMatrix(self.alphabet, data)
+        self._check_same_shape(other, "add")
+        return ActionMatrix._wrap(self.alphabet, self.planes | other.planes)
 
     def __matmul__(self, other: "ActionMatrix") -> "ActionMatrix":
+        """Union of intersections: per label, a boolean product, computed for
+        all labels at once as one batched real product, then thresholded."""
         self._check_alphabet(other)
         if self.cols != other.rows:
             raise MatrixShapeError(f"cannot multiply {self.shape} by {other.shape}")
-        bcols = tuple(zip(*other.data))
-        out = []
-        for row in self.data:
-            out_row = []
-            for col in bcols:
-                acc = 0
-                for a, b in zip(row, col):
-                    x = a & b
-                    if x:
-                        acc |= x
-                out_row.append(acc)
-            out.append(tuple(out_row))
-        return ActionMatrix(self.alphabet, tuple(out))
+        counts = np.matmul(self.planes.astype(np.float32), other.planes.astype(np.float32))
+        return ActionMatrix._wrap(self.alphabet, counts > 0)
 
     def meet(self, other: "ActionMatrix") -> "ActionMatrix":
         """Entrywise intersection."""
-        self._check_alphabet(other)
-        if self.shape != other.shape:
-            raise MatrixShapeError(f"cannot meet {self.shape} and {other.shape}")
-        data = tuple(
-            tuple(a & b for a, b in zip(ra, rb)) for ra, rb in zip(self.data, other.data)
-        )
-        return ActionMatrix(self.alphabet, data)
+        self._check_same_shape(other, "meet")
+        return ActionMatrix._wrap(self.alphabet, self.planes & other.planes)
 
     def transpose(self) -> "ActionMatrix":
-        return ActionMatrix(self.alphabet, tuple(zip(*self.data)))
+        return ActionMatrix._wrap(self.alphabet, self.planes.transpose(0, 2, 1))
 
     def __le__(self, other: "ActionMatrix") -> bool:
         """Entrywise inclusion."""
-        self._check_alphabet(other)
-        if self.shape != other.shape:
-            raise MatrixShapeError(f"cannot compare {self.shape} and {other.shape}")
-        return all(
-            a | b == b for ra, rb in zip(self.data, other.data) for a, b in zip(ra, rb)
-        )
+        self._check_same_shape(other, "compare")
+        return not (self.planes & ~other.planes).any()
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ActionMatrix):
+            return NotImplemented
+        return self.alphabet == other.alphabet and np.array_equal(self.planes, other.planes)
+
+    def __hash__(self) -> int:
+        return hash((self.alphabet, self.planes.shape, self.planes.tobytes()))
 
     def is_zero_one(self) -> bool:
-        full = self.alphabet.full_mask
-        return all(mask == 0 or mask == full for row in self.data for mask in row)
+        """Every entry is empty or full: all label planes agree."""
+        return bool((self.planes == self.planes[:1]).all())
 
     def is_zero(self) -> bool:
-        return all(mask == 0 for row in self.data for mask in row)
+        return not self.planes.any()
+
+    def __repr__(self):
+        return f"ActionMatrix(alphabet={self.alphabet!r}, data={self.data!r})"
 
     def __str__(self):
         rendered = [[format_entry(self.alphabet, m) for m in row] for row in self.data]
@@ -288,45 +330,30 @@ class ActionMatrix:
 
 def first_difference(a: ActionMatrix, b: ActionMatrix) -> tuple[int, int] | None:
     """Row-major coordinates of the first differing entry, if any."""
-    if a.shape != b.shape:
-        raise MatrixShapeError(f"cannot compare {a.shape} and {b.shape}")
-    for i, (ra, rb) in enumerate(zip(a.data, b.data)):
-        for j, (x, y) in enumerate(zip(ra, rb)):
-            if x != y:
-                return i, j
-    return None
+    a._check_same_shape(b, "compare")
+    differing = np.flatnonzero((a.planes != b.planes).any(axis=0))
+    if not differing.size:
+        return None
+    return divmod(int(differing[0]), a.cols)
 
 
 def rt_closure(m: ActionMatrix) -> ActionMatrix:
     """Least reflexive-transitive 0-1 matrix above ``m``.
 
-    Computed as a Warshall fixpoint on row bit sets; the infinite power sum
-    stabilizes after at most n steps, which this realizes in O(n^2) word
-    operations.
+    Squares ``I + m`` until it stops growing; the infinite power sum
+    stabilizes after at most n steps, so this takes about log2(n) products.
     """
     if m.rows != m.cols:
         raise MatrixShapeError("closure needs a square matrix")
     if not m.is_zero_one():
         raise ValueError("closure is defined for 0-1 matrices only")
-    n = m.rows
-    reach = []
-    for i, row in enumerate(m.data):
-        bits = 1 << i
-        for j, mask in enumerate(row):
-            if mask:
-                bits |= 1 << j
-        reach.append(bits)
-    for k in range(n):
-        bit = 1 << k
-        rk = reach[k]
-        for i in range(n):
-            if reach[i] & bit:
-                reach[i] |= rk
-    one = m.alphabet.full_mask
-    data = tuple(
-        tuple(one if reach[i] >> j & 1 else 0 for j in range(n)) for i in range(n)
-    )
-    return ActionMatrix(m.alphabet, data)
+    reach = m.support() | np.eye(m.rows, dtype=bool)
+    while True:
+        step = reach.astype(np.float32)
+        grown = (step @ step) > 0
+        if np.array_equal(grown, reach):
+            return ActionMatrix.from_bits(m.alphabet, reach)
+        reach = grown
 
 
 # ---------------------------------------------------------------------------

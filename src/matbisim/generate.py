@@ -47,23 +47,27 @@ def random_lts(
         n = rng.randint(1, max_states)
     if alphabet is None:
         alphabet = random_alphabet(rng)
-    one = alphabet.full_mask
     visible = [[0] * n for _ in range(n)]
-    internal = [[0] * n for _ in range(n)]
+    internal = np.zeros((n, n), dtype=bool)
     for i in range(n):
         for j in range(n):
             if rng.random() < p_visible:
-                visible[i][j] = rng.randrange(1, one + 1)
+                visible[i][j] = rng.randrange(1, alphabet.full_mask + 1)
             if rng.random() < p_internal:
-                internal[i][j] = one
-    term = tuple((one,) if rng.random() < p_term else (0,) for _ in range(n))
-    init = rng.randrange(n)
+                internal[i, j] = True
+    term = [[rng.random() < p_term] for _ in range(n)]
+    return _lts(alphabet, rng.randrange(n), ActionMatrix(alphabet, visible), internal, term)
+
+
+def _lts(alphabet: ActionAlphabet, init: int, visible: ActionMatrix, internal, term) -> Lts:
+    """System from its initial state, visible matrix and 0-1 internal and
+    termination arrays."""
     return Lts(
         alphabet=alphabet,
-        initial=ActionMatrix(alphabet, (tuple(one if i == init else 0 for i in range(n)),)),
-        visible=ActionMatrix(alphabet, tuple(tuple(r) for r in visible)),
-        internal=ActionMatrix(alphabet, tuple(tuple(r) for r in internal)),
-        terminating=ActionMatrix(alphabet, term),
+        initial=ActionMatrix.from_bits(alphabet, [np.arange(visible.rows) == init]),
+        visible=visible,
+        internal=ActionMatrix.from_bits(alphabet, internal),
+        terminating=ActionMatrix.from_bits(alphabet, term),
     )
 
 
@@ -99,34 +103,24 @@ def duplicate_states_lts(rng: random.Random, base: Lts, *, p_clone: float = 0.5)
         groups.append(list(range(total, total + c)))
         total += c
 
-    alphabet = base.alphabet
-    one = alphabet.full_mask
+    base_visible = base.visible.data
+    base_internal = base.internal.support()
     visible = [[0] * total for _ in range(total)]
-    internal = [[0] * total for _ in range(total)]
+    internal = np.zeros((total, total), dtype=bool)
     for s in range(n0):
         for t in range(n0):
-            vmask = base.visible.mask_at(s, t)
-            imask = base.internal.mask_at(s, t)
+            vmask = base_visible[s][t]
             for x in groups[s]:
                 if vmask:
                     for y, part in zip(groups[t], _spread_mask(rng, vmask, len(groups[t]))):
                         visible[x][y] |= part
-                if imask:
+                if base_internal[s, t]:
                     chosen = [y for y in groups[t] if rng.random() < 0.5] or [rng.choice(groups[t])]
-                    for y in chosen:
-                        internal[x][y] = one
-    term = [0] * total
-    for s in range(n0):
-        for x in groups[s]:
-            term[x] = base.terminating.mask_at(s, 0)
+                    internal[x, chosen] = True
+    origin = [s for s in range(n0) for _ in groups[s]]
+    term = base.terminating.support()[origin]
     init = groups[base.initial_state][0]
-    expanded = Lts(
-        alphabet=alphabet,
-        initial=ActionMatrix(alphabet, (tuple(one if i == init else 0 for i in range(total)),)),
-        visible=ActionMatrix(alphabet, tuple(tuple(r) for r in visible)),
-        internal=ActionMatrix(alphabet, tuple(tuple(r) for r in internal)),
-        terminating=ActionMatrix(alphabet, tuple((t,) for t in term)),
-    )
+    expanded = _lts(base.alphabet, init, ActionMatrix(base.alphabet, visible), internal, term)
     return expanded, Partition(total, tuple(tuple(g) for g in groups))
 
 
@@ -139,19 +133,11 @@ def plant_internal_feeder(rng: random.Random, base: Lts) -> tuple[Lts, Partition
     n = base.num_states
     target = rng.randrange(n)
     alphabet = base.alphabet
-    one = alphabet.full_mask
-    visible = [list(row) + [0] for row in base.visible.data] + [[0] * (n + 1)]
-    internal = [list(row) + [0] for row in base.internal.data] + [[0] * (n + 1)]
-    internal[n][target] = one
-    term = [row[0] for row in base.terminating.data] + [0]
-    init = base.initial_state
-    grown = Lts(
-        alphabet=alphabet,
-        initial=ActionMatrix(alphabet, (tuple(one if i == init else 0 for i in range(n + 1)),)),
-        visible=ActionMatrix(alphabet, tuple(tuple(r) for r in visible)),
-        internal=ActionMatrix(alphabet, tuple(tuple(r) for r in internal)),
-        terminating=ActionMatrix(alphabet, tuple((t,) for t in term)),
-    )
+    visible = ActionMatrix.from_planes(alphabet, np.pad(base.visible.planes, ((0, 0), (0, 1), (0, 1))))
+    internal = np.pad(base.internal.support(), ((0, 1), (0, 1)))
+    internal[n, target] = True
+    term = np.pad(base.terminating.support(), ((0, 1), (0, 0)))
+    grown = _lts(alphabet, base.initial_state, visible, internal, term)
     blocks = [(s,) for s in range(n) if s != target] + [(target, n)]
     return grown, Partition(n + 1, tuple(blocks))
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .algebra import (
     TAU_LABEL,
     ActionAlphabet,
@@ -57,7 +59,7 @@ class Lts:
         for m, what in ((self.initial, "initial"), (self.internal, "internal"), (self.terminating, "termination")):
             if not m.is_zero_one():
                 raise ValueError(f"{what} matrix must be 0-1")
-        if sum(1 for m in self.initial.data[0] if m) != 1:
+        if np.count_nonzero(self.initial.support()) != 1:
             raise ValueError("initial vector must have exactly one nonzero entry")
 
     @property
@@ -66,38 +68,30 @@ class Lts:
 
     @property
     def initial_state(self) -> int:
-        return next(i for i, m in enumerate(self.initial.data[0]) if m)
+        return int(np.flatnonzero(self.initial.support())[0])
 
 
 def combined_labels(lts: Lts) -> tuple[tuple[frozenset[str], ...], ...]:
     """One label-set table holding visible and internal steps together."""
-    out = []
-    for i in range(lts.num_states):
-        row = []
-        for j in range(lts.num_states):
-            labels = set(lts.alphabet.labels_of(lts.visible.mask_at(i, j)))
-            if lts.internal.mask_at(i, j):
-                labels.add(TAU_LABEL)
-            row.append(frozenset(labels))
-        out.append(tuple(row))
-    return tuple(out)
+    names = lts.alphabet.names + (TAU_LABEL,)
+    return tuple(
+        tuple(frozenset(names[label] for label in np.flatnonzero(cell)) for cell in row)
+        for row in _cells(lts)
+    )
+
+
+def _cells(lts: Lts) -> np.ndarray:
+    """``(n, n, k + 1)`` label flags per transition; the last one is ``tau``."""
+    return np.concatenate([lts.visible.planes, lts.internal.support()[None]]).transpose(1, 2, 0)
 
 
 def split_labels(alphabet: ActionAlphabet, table: Sequence[Sequence[frozenset[str]]]) -> tuple[ActionMatrix, ActionMatrix]:
     """Inverse of :func:`combined_labels`: split a label table into
     (visible, internal).  The split is unique because the internal label is
     reserved."""
-    visible = []
-    internal = []
-    for row in table:
-        vrow = []
-        irow = []
-        for cell in row:
-            irow.append(alphabet.full_mask if TAU_LABEL in cell else 0)
-            vrow.append(alphabet.mask_of(lab for lab in cell if lab != TAU_LABEL))
-        visible.append(tuple(vrow))
-        internal.append(tuple(irow))
-    return ActionMatrix(alphabet, tuple(visible)), ActionMatrix(alphabet, tuple(internal))
+    visible = [[alphabet.mask_of(lab for lab in cell if lab != TAU_LABEL) for cell in row] for row in table]
+    internal = [[TAU_LABEL in cell for cell in row] for row in table]
+    return ActionMatrix(alphabet, visible), ActionMatrix.from_bits(alphabet, internal)
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +144,8 @@ def parse_lts(text: str) -> Lts:
     init = state(h2[1], ln2)
     term = {state(t, ln3) for t in h3[1:]}
 
-    visible = [[0] * n for _ in range(n)]
-    internal = [[0] * n for _ in range(n)]
+    visible = np.zeros((alphabet.size, n, n), dtype=bool)
+    internal = np.zeros((n, n), dtype=bool)
     for lineno, tokens in lines[4:]:
         if len(tokens) != 3:
             raise ModelFormatError(f"line {lineno}: expected '<src> <label> <dst>'")
@@ -159,19 +153,18 @@ def parse_lts(text: str) -> Lts:
         dst = state(tokens[2], lineno)
         label = tokens[1]
         if label == TAU_LABEL:
-            internal[src][dst] = alphabet.full_mask
+            internal[src, dst] = True
         elif label in alphabet:
-            visible[src][dst] |= 1 << alphabet.index(label)
+            visible[alphabet.index(label), src, dst] = True
         else:
             raise ModelFormatError(f"line {lineno}: unknown label {label!r}")
 
-    one = alphabet.full_mask
     return Lts(
         alphabet=alphabet,
-        initial=ActionMatrix(alphabet, (tuple(one if i == init else 0 for i in range(n)),)),
-        visible=ActionMatrix(alphabet, tuple(tuple(r) for r in visible)),
-        internal=ActionMatrix(alphabet, tuple(tuple(r) for r in internal)),
-        terminating=ActionMatrix(alphabet, tuple((one,) if i in term else (0,) for i in range(n))),
+        initial=ActionMatrix.from_bits(alphabet, [[i == init for i in range(n)]]),
+        visible=ActionMatrix.from_planes(alphabet, visible),
+        internal=ActionMatrix.from_bits(alphabet, internal),
+        terminating=ActionMatrix.from_bits(alphabet, [[i in term] for i in range(n)]),
     )
 
 
@@ -182,21 +175,11 @@ def format_lts(lts: Lts) -> str:
         f"lts {n}",
         "alphabet " + " ".join(lts.alphabet.names),
         f"init {lts.initial_state}",
-        ("term " + " ".join(str(i) for i in range(n) if lts.terminating.mask_at(i, 0))).rstrip(),
+        ("term " + " ".join(str(i) for i in np.flatnonzero(lts.terminating.support()))).rstrip(),
     ]
-    n_labels = lts.alphabet.size
-    edges = []
-    for i in range(n):
-        for j in range(n):
-            mask = lts.visible.mask_at(i, j)
-            for b in range(n_labels):
-                if mask >> b & 1:
-                    edges.append((i, j, b))
-            if lts.internal.mask_at(i, j):
-                edges.append((i, j, n_labels))
-    for i, j, b in sorted(edges):
-        label = TAU_LABEL if b == n_labels else lts.alphabet.names[b]
-        lines.append(f"{i} {label} {j}")
+    names = lts.alphabet.names + (TAU_LABEL,)
+    for i, j, b in np.argwhere(_cells(lts)).tolist():
+        lines.append(f"{i} {names[b]} {j}")
     return "\n".join(lines) + "\n"
 
 
@@ -218,15 +201,8 @@ def _require_distributor_for(v: ActionMatrix, u: ActionMatrix) -> None:
         raise ValueError("distributor shape must be the collector's transpose shape")
     if u @ v != ActionMatrix.identity(v.alphabet, v.cols):
         raise ValueError("UV = I fails: not a distributor")
-    if any(not any(row) or _or_row(row) != v.alphabet.full_mask for row in u.data):
+    if not u.planes.any(axis=2).all():
         raise ValueError("U1 = 1 fails: not a distributor")
-
-
-def _or_row(row: tuple[int, ...]) -> int:
-    acc = 0
-    for m in row:
-        acc |= m
-    return acc
 
 
 def _equality_witness(lhs: ActionMatrix, rhs: ActionMatrix) -> Witness | None:
@@ -293,11 +269,16 @@ def evaluate(
     if distributor is not None:
         _require_distributor_for(v, u)
     rows = conditions(lts, kind, strict_middle=strict_middle)(v)
+    return check_rows(kind, v, u, rows), rows
+
+
+def check_rows(kind: str, v: ActionMatrix, u: ActionMatrix, rows) -> CheckReport:
+    """Verdict on evaluated equalities: the first ``VUX = X`` that fails."""
     for name, x, *rhs in rows:
         w = _equality_witness(v @ (u @ x), rhs[0] if rhs else x)
         if w is not None:
-            return CheckReport(kind, False, name, w), rows
-    return CheckReport(kind, True), rows
+            return CheckReport(kind, False, name, w)
+    return CheckReport(kind, True)
 
 
 def check_lts(lts: Lts, v: ActionMatrix, kind: str, *, strict_middle: bool = False) -> CheckReport:
@@ -354,13 +335,9 @@ def check_strong_relational(lts: Lts, v: ActionMatrix) -> CheckReport:
 
 
 def _first_inclusion_failure(lhs: ActionMatrix, rhs: ActionMatrix) -> Witness:
-    for i in range(lhs.rows):
-        for j in range(lhs.cols):
-            a, b = lhs.mask_at(i, j), rhs.mask_at(i, j)
-            if a | b != b:
-                alph = lhs.alphabet
-                return Witness(i, j, alph.labels_of(a), alph.labels_of(b))
-    raise AssertionError("no inclusion failure found")
+    i, j = divmod(int(np.flatnonzero((lhs.planes & ~rhs.planes).any(axis=0))[0]), lhs.cols)
+    alph = lhs.alphabet
+    return Witness(i, j, alph.labels_of(lhs.mask_at(i, j)), alph.labels_of(rhs.mask_at(i, j)))
 
 
 # ---------------------------------------------------------------------------
@@ -489,19 +466,12 @@ def verify_branching_commutation(lts: Lts, v: ActionMatrix) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def partition_checker(kind: str, *, strict_middle: bool = False) -> Callable[[Lts, Partition], CheckReport]:
-    def checker(lts: Lts, p: Partition) -> CheckReport:
-        return check_lts(lts, p.collector_bool(lts.alphabet), kind, strict_middle=strict_middle)
-
-    return checker
-
-
 def refinement_signatures(lts: Lts, kind: str) -> Callable[[Partition], list]:
     """Per-state rows of every ``X`` of the kind; their block-constancy is the check."""
     table = conditions(lts, kind)
 
     def signatures(p: Partition) -> list:
-        xs = [x.data for _, x in table(p.collector_bool(lts.alphabet))]
-        return [tuple(x[i] for x in xs) for i in range(lts.num_states)]
+        xs = np.concatenate([x.planes for _, x in table(p.collector_bool(lts.alphabet))], axis=2)
+        return [row.tobytes() for row in xs.transpose(1, 0, 2)]
 
     return signatures

@@ -11,8 +11,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .algebra import (
     DEFAULT_ATOL,
@@ -248,7 +246,8 @@ def _distributor_for(v: np.ndarray, distributor, atol: float) -> np.ndarray:
     return u
 
 
-def _check_saturated(kind: str, v: np.ndarray, u: np.ndarray, rows, atol: float) -> CheckReport:
+def check_rows(kind: str, v: np.ndarray, u: np.ndarray, rows, atol: float) -> CheckReport:
+    """Verdict on evaluated equalities: the first ``VUX = X`` that misses ``atol``."""
     for name, x in rows:
         lhs = v @ (u @ x)
         bad = first_real_mismatch(lhs, x, atol)
@@ -273,17 +272,11 @@ def conditions(model: Mrc | MrcFast, kind: str, atol: float = DEFAULT_ATOL) -> C
             return lambda v: [("VUρ = ρ", rho), ("VUQsV = QsV", model.qs @ v), ("VUQfV = QfV", model.qf @ v)]
         return lambda v: [("VUρ = ρ", rho), ("VUQV = QV", model.q @ v)]
     fast = as_fast_chain(model)
-    rho = fast.rho.reshape(-1, 1)
     if kind == "weak":
-        pi = ergodic_projection(fast.qf, atol=atol).pi
-        smoothed_rho = pi @ rho
-        smoothed_slow = pi @ fast.qs @ pi
-        return lambda v: [
-            ("VUΠρ = Πρ", smoothed_rho),
-            ("VUΠV = ΠV", pi @ v),
-            ("VUΠQsΠV = ΠQsΠV", smoothed_slow @ v),
-        ]
+        return _weak_conditions(fast, ergodic_projection(fast.qf, atol=atol).pi)
     if kind == "branching":
+        rho = fast.rho.reshape(-1, 1)
+
         def branching(v: np.ndarray) -> list:
             pi_v = ergodic_projection(adapt_diagonal(fast.qf, v), atol=atol).pi
             return [
@@ -296,12 +289,22 @@ def conditions(model: Mrc | MrcFast, kind: str, atol: float = DEFAULT_ATOL) -> C
     raise ValueError(f"unknown kind {kind!r}")
 
 
+def _weak_conditions(fast: MrcFast, pi: np.ndarray) -> Callable[[np.ndarray], list]:
+    smoothed_rho = pi @ fast.rho.reshape(-1, 1)
+    smoothed_slow = pi @ fast.qs @ pi
+    return lambda v: [
+        ("VUΠρ = Πρ", smoothed_rho),
+        ("VUΠV = ΠV", pi @ v),
+        ("VUΠQsΠV = ΠQsΠV", smoothed_slow @ v),
+    ]
+
+
 def evaluate(model: Mrc | MrcFast, v, kind: str, atol: float = DEFAULT_ATOL, *, distributor=None) -> tuple[CheckReport, list]:
     """Check ``v`` against one kind; also return the evaluated equalities."""
     v = _require_collector_for(model.num_states, v)
     u = _distributor_for(v, distributor, atol)
     rows = conditions(model, kind, atol)(v)
-    return _check_saturated(kind, v, u, rows, atol), rows
+    return check_rows(kind, v, u, rows, atol), rows
 
 
 def check_mrc(model: Mrc | MrcFast, v, kind: str, atol: float = DEFAULT_ATOL) -> CheckReport:
@@ -356,6 +359,10 @@ def ergodic_projection(qf, *, atol: float = DEFAULT_ATOL, edge_tol: float = EDGE
     below ``edge_tol`` do not count as edges, which keeps numerically-zero
     generators (such as certified lumped fast parts) structurally still.
     """
+    # SciPy is loaded on first use, so transition-system work never loads it.
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
     q = validate_generator(qf, atol=atol)
     n = q.shape[0]
     adj = q > edge_tol
@@ -423,10 +430,15 @@ def tau_distributor_residuals(model: Mrc | MrcFast, v, w, *, atol: float = DEFAU
     """
     fast = as_fast_chain(model)
     v = _require_collector_for(fast.num_states, v)
+    return _residuals(fast, v, w, ergodic_projection(fast.qf, atol=atol).pi, atol)[0]
+
+
+def _residuals(fast: MrcFast, v: np.ndarray, w, pi: np.ndarray, atol: float) -> tuple[dict[str, float], np.ndarray | None]:
+    """The residuals given ``Π``; also ``proj(WQfV)``, or None when ``WQfV``
+    is not a generator."""
     w = real_matrix(w)
     if w.shape != (v.shape[1], v.shape[0]):
         raise ValueError("distributor shape must be collector transposed")
-    pi = ergodic_projection(fast.qf, atol=atol).pi
     pvw = pi @ v @ w
     out = {
         "W1 = 1": float(np.max(np.abs(w.sum(axis=1) - 1.0))),
@@ -434,26 +446,32 @@ def tau_distributor_residuals(model: Mrc | MrcFast, v, w, *, atol: float = DEFAU
         "ΠVW = ΠVWΠ": max_abs_diff(pvw, pvw @ pi),
     }
     try:
-        proj_hat = ergodic_projection(w @ fast.qf @ v, atol=atol).pi
-        out["proj(WQfV) = WΠV"] = max_abs_diff(proj_hat, w @ pi @ v)
+        proj_hat = ergodic_projection(w @ fast.qf @ v, atol=atol)
+        out["proj(WQfV) = WΠV"] = max_abs_diff(proj_hat.pi, w @ pi @ v)
     except GeneratorError:
+        proj_hat = None
         out["proj(WQfV) = WΠV"] = math.inf
-    return out
+    return out, proj_hat
 
 
-def _certified(model: Mrc | MrcFast, v, w, atol: float) -> tuple[MrcFast, np.ndarray, np.ndarray]:
+def _certified(model: Mrc | MrcFast, v, w, atol: float):
     """Check weak, take the supplied ``w`` or the candidate ``(UΠV)^-1 UΠ``,
-    and certify it; returns the fast chain, the collector and ``w``."""
+    and certify it.
+
+    Returns the fast chain, the collector, ``w``, the projection of ``Qf``
+    and the projection of ``WQfV``; each projection is computed once.
+    """
     fast = as_fast_chain(model)
-    report = check_weak_mrc(fast, v, atol)
+    v = _require_collector_for(fast.num_states, v)
+    u = canonical_distributor_real(v)
+    proj = ergodic_projection(fast.qf, atol=atol)
+    pi = proj.pi
+    report = check_rows("weak", v, u, _weak_conditions(fast, pi)(v), atol)
     if not report.passed:
         raise CheckFailed(report)
-    v = _require_collector_for(fast.num_states, v)
     origin = "supplied"
     if w is None:
         origin = "candidate"
-        u = canonical_distributor_real(v)
-        pi = ergodic_projection(fast.qf, atol=atol).pi
         try:
             w = solve_linear(u @ pi @ v, u @ pi)
         except SingularMatrixError as exc:
@@ -461,11 +479,11 @@ def _certified(model: Mrc | MrcFast, v, w, atol: float) -> tuple[MrcFast, np.nda
                 "class-level projection UΠV is singular to tolerance; supply an external distributor"
             ) from exc
     w = real_matrix(w)
-    residuals = tau_distributor_residuals(fast, v, w, atol=atol)
+    residuals, proj_hat = _residuals(fast, v, w, pi, atol)
     name, worst = max(residuals.items(), key=lambda kv: kv[1])
     if worst > atol:
         raise DistributorError(f"{origin} distributor failed certification: {name} residual {worst:g}")
-    return fast, v, w
+    return fast, v, w, proj, proj_hat
 
 
 def default_tau_distributor(model: Mrc | MrcFast, v, atol: float = DEFAULT_ATOL) -> np.ndarray:
@@ -481,7 +499,7 @@ def default_tau_distributor(model: Mrc | MrcFast, v, atol: float = DEFAULT_ATOL)
 
 def lump_weak_mrc(model: Mrc | MrcFast, v, w=None, *, atol: float = DEFAULT_ATOL) -> MrcFast:
     """Quotient chain under weak lumping with a certified distributor."""
-    fast, v, w = _certified(model, v, w, atol)
+    fast, v, w, _, _ = _certified(model, v, w, atol)
     try:
         qs_hat = validate_generator(w @ fast.qs @ v, atol=atol)
         qf_hat = validate_generator(w @ fast.qf @ v, atol=atol)
@@ -525,7 +543,10 @@ def limit_chain(model: Mrc | MrcFast, *, atol: float = DEFAULT_ATOL) -> LimitCha
     here.
     """
     fast = as_fast_chain(model)
-    proj = ergodic_projection(fast.qf, atol=atol)
+    return _limit_chain(fast, ergodic_projection(fast.qf, atol=atol), atol)
+
+
+def _limit_chain(fast: MrcFast, proj: ErgodicProjection, atol: float) -> LimitChain:
     slow = proj.pi @ fast.qs @ proj.pi
     classes = proj.recurrent_classes
     agg = np.empty((len(classes), len(classes)))
@@ -553,7 +574,7 @@ def check_strong_discontinuous(limit: LimitChain, v, atol: float = DEFAULT_ATOL)
         ("VUΠV = ΠV", limit.pi @ v),
         ("VU(ΠQsΠ)V = (ΠQsΠ)V", limit.slow @ v),
     )
-    return _check_saturated("strong-discontinuous", v, u, rows, atol)
+    return check_rows("strong-discontinuous", v, u, rows, atol)
 
 
 def verify_limit_commutation(
@@ -573,10 +594,9 @@ def verify_limit_commutation(
     certified distributor.
     """
     tol = 10.0 * atol if tolerance is None else tolerance
-    fast, v, w = _certified(model, v, w, atol)
-    limit = limit_chain(fast, atol=atol)
-    qf_hat = validate_generator(w @ fast.qf @ v, atol=atol)
-    proj_hat = ergodic_projection(qf_hat, atol=atol).pi
+    fast, v, w, proj, proj_hat = _certified(model, v, w, atol)
+    limit = _limit_chain(fast, proj, atol)
+    proj_hat = proj_hat.pi
     g_hat = proj_hat @ (w @ fast.qs @ v) @ proj_hat
     for t in times:
         if t < 0:
@@ -752,13 +772,6 @@ def parse_distributor(text: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Hooks for the coarsest-partition engine
 # ---------------------------------------------------------------------------
-
-
-def partition_checker(kind: str, *, atol: float = DEFAULT_ATOL) -> Callable[[Mrc | MrcFast, Partition], CheckReport]:
-    def checker(model, p: Partition) -> CheckReport:
-        return check_mrc(model, p.collector_real(), kind, atol)
-
-    return checker
 
 
 def _cluster_keys(p: Partition, rows: np.ndarray, atol: float) -> list:

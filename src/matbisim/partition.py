@@ -122,13 +122,7 @@ class Partition:
 
     def collector_bool(self, alphabet: ActionAlphabet) -> ActionMatrix:
         """n x N collector over the given alphabet (0-1 entries)."""
-        one = alphabet.full_mask
-        assign = self.assignment
-        data = tuple(
-            tuple(one if assign[i] == k else 0 for k in range(self.num_blocks))
-            for i in range(self.n)
-        )
-        return ActionMatrix(alphabet, data)
+        return ActionMatrix.from_bits(alphabet, np.arange(self.num_blocks) == np.array(self.assignment)[:, None])
 
     def collector_real(self) -> np.ndarray:
         v = np.zeros((self.n, self.num_blocks))
@@ -154,18 +148,10 @@ def split_by_keys(p: Partition, keys: Sequence) -> Partition:
 
 
 def is_bool_collector(v: ActionMatrix) -> bool:
-    if not v.is_zero_one():
+    if v.alphabet.size == 0 or not v.is_zero_one():
         return False
-    full = v.alphabet.full_mask
-    if full == 0:
-        return False
-    cols_hit = [False] * v.cols
-    for row in v.data:
-        ones = [j for j, m in enumerate(row) if m]
-        if len(ones) != 1:
-            return False
-        cols_hit[ones[0]] = True
-    return all(cols_hit)
+    ones = v.support()
+    return bool((ones.sum(axis=1) == 1).all() and ones.any(axis=0).all())
 
 
 def require_bool_collector(v: ActionMatrix) -> None:
@@ -193,7 +179,7 @@ def collector_to_partition(v) -> Partition:
     """Recover the partition encoded by a collector (boolean or real)."""
     if isinstance(v, ActionMatrix):
         require_bool_collector(v)
-        labels = [next(j for j, m in enumerate(row) if m) for row in v.data]
+        labels = v.support().argmax(axis=1).tolist()
     else:
         arr = np.asarray(v, dtype=float)
         require_real_collector(arr)
@@ -323,15 +309,37 @@ def brute_force_coarsest(model, checker: Callable, *, max_states: int = MAX_ORAC
 
 
 def standard_checker(model, kind: str, *, atol: float = DEFAULT_ATOL, strict_middle: bool = False) -> Callable:
-    """Checker callable ``(model, partition) -> CheckReport`` for a kind."""
+    """Checker callable ``(model, partition) -> CheckReport`` for a kind.
+
+    The kind's table of equalities is built once, for ``model``; the checker
+    accepts that model only.
+    """
     from . import lts as _lts
     from . import mrc as _mrc
 
     if isinstance(model, _lts.Lts):
-        return _lts.partition_checker(kind, strict_middle=strict_middle)
-    if isinstance(model, (_mrc.Mrc, _mrc.MrcFast)):
-        return _mrc.partition_checker(kind, atol=atol)
-    raise TypeError(f"unsupported model type {type(model).__name__}")
+        table = _lts.conditions(model, kind, strict_middle=strict_middle)
+
+        def check(p: Partition) -> CheckReport:
+            v = p.collector_bool(model.alphabet)
+            return _lts.check_rows(kind, v, v.transpose(), table(v))
+
+    elif isinstance(model, (_mrc.Mrc, _mrc.MrcFast)):
+        table = _mrc.conditions(model, kind, atol)
+
+        def check(p: Partition) -> CheckReport:
+            v = p.collector_real()
+            return _mrc.check_rows(kind, v, canonical_distributor_real(v), table(v), atol)
+
+    else:
+        raise TypeError(f"unsupported model type {type(model).__name__}")
+
+    def checker(m, p: Partition) -> CheckReport:
+        if m is not model:
+            raise ValueError("checker was built for another model")
+        return check(p)
+
+    return checker
 
 
 def coarsest_partition(

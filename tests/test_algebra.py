@@ -222,6 +222,86 @@ def test_first_difference():
     assert first_difference(m, n) == (1, 1)
 
 
+# -- reference semantics: entries as plain label sets ------------------------
+#
+# Each operation is restated on lists of frozensets of label indices and the
+# two must agree entry for entry.  The 70-label alphabet needs masks wider
+# than 64 bits.
+
+WIDE = [ActionAlphabet(tuple(f"l{i}" for i in range(k))) for k in (1, 3, 70)]
+shapes = st.integers(min_value=1, max_value=6)
+
+
+@st.composite
+def label_sets(draw, alphabet, rows, cols, zero_one=False):
+    everything = frozenset(range(alphabet.size))
+    if zero_one:
+        cell = st.sampled_from((frozenset(), everything))
+    else:
+        cell = st.frozensets(st.integers(min_value=0, max_value=alphabet.size - 1))
+    return [[draw(cell) for _ in range(cols)] for _ in range(rows)]
+
+
+def as_matrix(alphabet, sets):
+    return ActionMatrix.from_sets(alphabet, [[[alphabet.names[l] for l in cell] for cell in row] for row in sets])
+
+
+def masks(sets):
+    return tuple(tuple(sum(1 << l for l in cell) for cell in row) for row in sets)
+
+
+def ref_product(a, b):
+    return [
+        [frozenset().union(*(a[i][m] & b[m][j] for m in range(len(b)))) for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
+
+
+def ref_closure(s, everything):
+    n = len(s)
+    reach = [[i == j or bool(s[i][j]) for j in range(n)] for i in range(n)]
+    for m in range(n):
+        for i in range(n):
+            for j in range(n):
+                reach[i][j] = reach[i][j] or (reach[i][m] and reach[m][j])
+    return [[everything if x else frozenset() for x in row] for row in reach]
+
+
+def ref_first_difference(a, b):
+    return next(((i, j) for i in range(len(a)) for j in range(len(a[0])) if a[i][j] != b[i][j]), None)
+
+
+@pytest.mark.parametrize("alphabet", WIDE, ids=lambda a: f"{a.size}-labels")
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_operations_match_label_set_reference(alphabet, data):
+    r, m, c = data.draw(shapes), data.draw(shapes), data.draw(shapes)
+    a = data.draw(label_sets(alphabet, r, m))
+    b = data.draw(label_sets(alphabet, r, m))
+    d = data.draw(label_sets(alphabet, m, c))
+    i, j = data.draw(st.integers(0, r - 1)), data.draw(st.integers(0, m - 1))
+    smaller = [[cell if (x, y) != (i, j) else frozenset() for y, cell in enumerate(row)] for x, row in enumerate(a)]
+    ma, mb, md, ms = (as_matrix(alphabet, x) for x in (a, b, d, smaller))
+
+    assert ma.data == masks(a)
+    assert ActionMatrix(alphabet, ma.data) == ma
+    assert all(ma.mask_at(x, y) == masks(a)[x][y] for x in range(r) for y in range(m))
+    assert (ma @ md).data == masks(ref_product(a, d))
+    assert (ma + mb).data == masks([[p | q for p, q in zip(ra, rb)] for ra, rb in zip(a, b)])
+    assert ma.meet(mb).data == masks([[p & q for p, q in zip(ra, rb)] for ra, rb in zip(a, b)])
+    assert ma.transpose().data == masks([list(col) for col in zip(*a)])
+    for x, sx, y, sy in ((ma, a, mb, b), (ms, smaller, ma, a), (ma, a, ms, smaller)):
+        assert (x <= y) == all(p <= q for rp, rq in zip(sx, sy) for p, q in zip(rp, rq))
+        assert (x == y) == (sx == sy)
+        assert first_difference(x, y) == ref_first_difference(sx, sy)
+    assert hash(ma) == hash(as_matrix(alphabet, a))
+
+    n = data.draw(shapes)
+    s = data.draw(label_sets(alphabet, n, n, zero_one=True))
+    everything = frozenset(range(alphabet.size))
+    assert rt_closure(as_matrix(alphabet, s)).data == masks(ref_closure(s, everything))
+
+
 # -- real solver ---------------------------------------------------------------
 
 

@@ -242,3 +242,50 @@ def test_check_json_checksums_name_each_equality(capsys):
         assert code == (0 if payload["verdict"] == "pass" else 1)
         assert set(payload["checksums"]) == {"V"} | names, (model.name, kind)
         assert payload["violated"] in names | {None}
+
+
+# Checksums and witnesses of the boolean checks, recorded before the label
+# planes replaced mask tuples as storage.  Any change of storage or product
+# must leave every digest of V and of each X where it is.
+_A = ("65bb79a6daf9468c", "58c861fa0fbf9ccc")  # ρ and AV on four_state
+_WITNESS_2_2 = {"row": 2, "col": 2, "lhs": ["b", "c"], "rhs": ["b"], "residual": None}
+PINNED_CHECKS = {
+    (FOUR, FOUR_IDENT, "strong"): (None, None, {
+        "V": "cba6ebd04d47d4d3", "VUρ = ρ": _A[0], "VUAV = AV": _A[1], "VUSV = SV": "a07ba06ce229ca12"}),
+    (FOUR, FOUR_IDENT, "weak"): (None, None, {
+        "V": "cba6ebd04d47d4d3", "VUΠρ = Πρ": _A[0], "VUΠV = ΠV": "cba6ebd04d47d4d3",
+        "VUΠAΠV = ΠAΠV": _A[1]}),
+    (FOUR, FOUR_IDENT, "branching"): (None, None, {
+        "V": "cba6ebd04d47d4d3", "VUΠ_V ρ = Π_V ρ": _A[0],
+        "VU(I + Π_V S)V = (I + Π_V S)V": "cba6ebd04d47d4d3", "VUΠ_V AV = Π_V AV": _A[1]}),
+    (FOUR, FOUR_MERGE, "strong"): ("VUAV = AV", _WITNESS_2_2, {
+        "V": "8b30b1c0f31df50d", "VUρ = ρ": _A[0], "VUAV = AV": "4a83f444d2481c3f",
+        "VUSV = SV": "ab297bb22decfa7d"}),
+    (FOUR, FOUR_MERGE, "weak"): ("VUΠAΠV = ΠAΠV", _WITNESS_2_2, {
+        "V": "8b30b1c0f31df50d", "VUΠρ = Πρ": _A[0], "VUΠV = ΠV": "8b30b1c0f31df50d",
+        "VUΠAΠV = ΠAΠV": "4a83f444d2481c3f"}),
+    (FOUR, FOUR_MERGE, "branching"): ("VUΠ_V AV = Π_V AV", _WITNESS_2_2, {
+        "V": "8b30b1c0f31df50d", "VUΠ_V ρ = Π_V ρ": _A[0],
+        "VU(I + Π_V S)V = (I + Π_V S)V": "8b30b1c0f31df50d", "VUΠ_V AV = Π_V AV": "4a83f444d2481c3f"}),
+    (TAU, TAU_MERGED, "strong"): (
+        "VUρ = ρ", {"row": 0, "col": 0, "lhs": ["a"], "rhs": [], "residual": None}, {
+            "V": "5cf7e17f3a025e7e", "VUρ = ρ": "32e3b74658d8870a", "VUAV = AV": "c27bfc530027dcc8",
+            "VUSV = SV": "cfca89a9d179c34d"}),
+    (TAU, TAU_MERGED, "weak"): (None, None, {
+        "V": "5cf7e17f3a025e7e", "VUΠρ = Πρ": "5cf7e17f3a025e7e", "VUΠV = ΠV": "5cf7e17f3a025e7e",
+        "VUΠAΠV = ΠAΠV": "c27bfc530027dcc8"}),
+    (TAU, TAU_MERGED, "branching"): (None, None, {
+        "V": "5cf7e17f3a025e7e", "VUΠ_V ρ = Π_V ρ": "5cf7e17f3a025e7e",
+        "VU(I + Π_V S)V = (I + Π_V S)V": "5cf7e17f3a025e7e", "VUΠ_V AV = Π_V AV": "c27bfc530027dcc8"}),
+}
+
+
+def test_check_json_checksums_and_witnesses_are_pinned(capsys):
+    for (model, part, kind), (violated, witness, checksums) in PINNED_CHECKS.items():
+        code = run("check", model, "--partition", part, "--kind", kind, "--json")
+        payload = json.loads(capsys.readouterr().out)
+        where = (model.name, part.name, kind)
+        assert code == (0 if violated is None else 1), where
+        assert payload["violated"] == violated, where
+        assert payload["witness"] == witness, where
+        assert payload["checksums"] == checksums, where

@@ -478,3 +478,24 @@ def test_parse_distributor():
         parse_distributor("dist 2 2\n1 0\n")
     with pytest.raises(ModelFormatError):
         parse_distributor("dist 1 2\n1 0 0\n")
+
+
+def test_weak_lump_and_diagram_project_twice(monkeypatch, rng):
+    # once for Π = proj(Qf) and once for proj(WQfV), however many steps use them
+    import matbisim.mrc as mrc_mod
+    from matbisim.mrc import verify_limit_commutation
+
+    calls = []
+    real = mrc_mod.ergodic_projection
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mrc_mod, "ergodic_projection", counted)
+    chain, part = generate.fast_funnel_chain(rng)
+    lump_weak_mrc(chain, part.collector_real())
+    assert len(calls) == 2
+    calls.clear()
+    assert verify_limit_commutation(chain, part.collector_real(), tolerance=1e-7)
+    assert len(calls) == 2

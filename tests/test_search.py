@@ -135,3 +135,35 @@ def test_oracle_state_bound():
     chain = Mrc(np.full(13, 1.0 / 13.0), np.zeros((13, 13)), np.zeros(13))
     with pytest.raises(ValueError, match="state bound"):
         brute_force_coarsest(chain, standard_checker(chain, "strong"))
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_oracle_builds_the_kind_table_once_per_model(monkeypatch):
+    import random
+
+    from matbisim import lts, mrc
+
+    closures = _counting(monkeypatch, lts, "rt_closure")
+    sys_ = generate.random_lts(random.Random(5), n=7)
+    checker = standard_checker(sys_, "weak")
+    brute_force_coarsest(sys_, checker)
+    assert len(closures) == 1
+
+    projections = _counting(monkeypatch, mrc, "ergodic_projection")
+    chain = generate.random_mrc_fast(random.Random(5), n=6)
+    brute_force_coarsest(chain, standard_checker(chain, "weak"))
+    assert len(projections) == 1
+
+    with pytest.raises(ValueError):
+        checker(generate.random_lts(random.Random(6), n=7), Partition.identity(7))
