@@ -290,6 +290,7 @@ def conditions(model: Mrc | MrcFast, kind: str, atol: float = DEFAULT_ATOL) -> C
 
 
 def _weak_conditions(fast: MrcFast, pi: np.ndarray) -> Callable[[np.ndarray], list]:
+    """The weak table, given ``Π = proj(Qf)``."""
     smoothed_rho = pi @ fast.rho.reshape(-1, 1)
     smoothed_slow = pi @ fast.qs @ pi
     return lambda v: [
@@ -446,15 +447,17 @@ def _residuals(fast: MrcFast, v: np.ndarray, w, pi: np.ndarray, atol: float) -> 
         "ΠVW = ΠVWΠ": max_abs_diff(pvw, pvw @ pi),
     }
     try:
-        proj_hat = ergodic_projection(w @ fast.qf @ v, atol=atol)
-        out["proj(WQfV) = WΠV"] = max_abs_diff(proj_hat.pi, w @ pi @ v)
+        proj_hat = ergodic_projection(w @ fast.qf @ v, atol=atol).pi
+        out["proj(WQfV) = WΠV"] = max_abs_diff(proj_hat, w @ pi @ v)
     except GeneratorError:
         proj_hat = None
         out["proj(WQfV) = WΠV"] = math.inf
     return out, proj_hat
 
 
-def _certified(model: Mrc | MrcFast, v, w, atol: float):
+def _certified(
+    model: Mrc | MrcFast, v, w, atol: float
+) -> tuple[MrcFast, np.ndarray, np.ndarray, ErgodicProjection, np.ndarray]:
     """Check weak, take the supplied ``w`` or the candidate ``(UΠV)^-1 UΠ``,
     and certify it.
 
@@ -596,7 +599,6 @@ def verify_limit_commutation(
     tol = 10.0 * atol if tolerance is None else tolerance
     fast, v, w, proj, proj_hat = _certified(model, v, w, atol)
     limit = _limit_chain(fast, proj, atol)
-    proj_hat = proj_hat.pi
     g_hat = proj_hat @ (w @ fast.qs @ v) @ proj_hat
     for t in times:
         if t < 0:
