@@ -376,10 +376,6 @@ def max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
         raise MatrixShapeError(f"cannot compare shapes {a.shape} and {b.shape}")
     return float(np.max(np.abs(a - b))) if a.size else 0.0
 
-def allclose_abs(a, b, atol: float = DEFAULT_ATOL) -> bool:
-    """Absolute-tolerance comparison; relative error is deliberately ignored."""
-    return max_abs_diff(a, b) <= atol
-
 
 def first_real_mismatch(lhs, rhs, atol: float = DEFAULT_ATOL):
     """First row-major entry where |lhs - rhs| exceeds atol, or None.

@@ -8,46 +8,26 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import generate, lts as lts_mod, mrc as mrc_mod
 from .algebra import ActionMatrix, DEFAULT_ATOL
-from .mrc import DistributorError, GeneratorError, MrcFast
+from .family import FAMILIES, family_of
+from .mrc import DistributorError, GeneratorError
 from .partition import (
     CheckFailed,
     CheckReport,
     ModelFormatError,
     Partition,
-    brute_force_coarsest,
-    coarsest_partition,
+    Search,
     format_partition,
     parse_partition,
-    standard_checker,
     content_lines,
 )
 
 SCHEMA_VERSION = 1
-
-
-@dataclass
-class RunConfig:
-    command: str
-    tol: float = DEFAULT_ATOL
-    json_output: bool = False
-    seed: int = 0
-    strict_def3: bool = False
-    model: Path | None = None
-    partition: Path | None = None
-    kind: str = "strong"
-    times: tuple[float, ...] = (0.0, 1.0)
-    oracle: bool = False
-    output: Path | None = None
-    distributor: Path | None = None
-    count: int = 1000
-    max_states: int = 5
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -106,24 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    cfg.tol = args.tol
-    cfg.json_output = args.json
-    cfg.seed = args.seed
-    cfg.strict_def3 = args.strict_def3
-    for name in ("model", "partition", "kind", "oracle", "output", "distributor", "count", "max_states"):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    if getattr(args, "times", None) is not None:
-        cfg.times = tuple(args.times)
-    if cfg.tol <= 0:
-        raise ValueError("tolerance must be positive")
-    if any(t < 0 for t in cfg.times):
-        raise ValueError("times must be nonnegative")
-    return cfg
-
-
 # ---------------------------------------------------------------------------
 # Shared helpers
 # ---------------------------------------------------------------------------
@@ -135,11 +97,9 @@ def _load_model(path: Path, tol: float):
     if not lines:
         raise ModelFormatError(f"{path}: empty model file")
     head = lines[0][1][0]
-    if head == "lts":
-        return lts_mod.parse_lts(text)
-    if head == "mrc":
-        return mrc_mod.parse_mrc(text, atol=tol)
-    raise ModelFormatError(f"{path}: unknown model header {head!r}")
+    if head not in FAMILIES:
+        raise ModelFormatError(f"{path}: unknown model header {head!r}")
+    return FAMILIES[head].parse_model(text, atol=tol)
 
 
 def _load_partition(path: Path) -> Partition:
@@ -164,8 +124,8 @@ def _render_value(value) -> str:
     return f"{value:.12g}"
 
 
-def _emit(cfg: RunConfig, text_lines: list[str], payload: dict) -> None:
-    if cfg.json_output:
+def _emit(cfg: argparse.Namespace, text_lines: list[str], payload: dict) -> None:
+    if cfg.json:
         print(json.dumps({"schema": SCHEMA_VERSION, "command": cfg.command, **payload}, ensure_ascii=False))
     else:
         for line in text_lines:
@@ -198,15 +158,13 @@ def _report_lines(report: CheckReport, heading: str) -> list[str]:
 
 
 def _format_model(model) -> str:
-    if isinstance(model, lts_mod.Lts):
-        return lts_mod.format_lts(model)
-    return mrc_mod.format_mrc(model)
+    return family_of(model).format_model(model)
 
 
-def _write_or_print(cfg: RunConfig, text: str, payload_key: str) -> None:
+def _write_or_print(cfg: argparse.Namespace, text: str, payload_key: str) -> None:
     if cfg.output is not None:
         cfg.output.write_text(text)
-        if not cfg.json_output:
+        if not cfg.json:
             print(f"wrote {cfg.output}")
         else:
             _emit(cfg, [], {payload_key: text, "output": str(cfg.output)})
@@ -219,16 +177,13 @@ def _write_or_print(cfg: RunConfig, text: str, payload_key: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_check(cfg: RunConfig) -> int:
+def cmd_check(cfg: argparse.Namespace) -> int:
     started = time.perf_counter()
     model = _load_model(cfg.model, cfg.tol)
+    family = family_of(model)
     part = _load_partition(cfg.partition)
-    if isinstance(model, lts_mod.Lts):
-        v = part.collector_bool(model.alphabet)
-        report, rows = lts_mod.evaluate(model, v, cfg.kind, strict_middle=cfg.strict_def3)
-    else:
-        v = part.collector_real()
-        report, rows = mrc_mod.evaluate(model, v, cfg.kind, cfg.tol)
+    v = family.collector(model, part)
+    report, rows = family.evaluate(model, v, cfg.kind, atol=cfg.tol, strict_middle=cfg.strict_def3)
     elapsed = time.perf_counter() - started
     checksums = {"V": _digest(v), **{row[0]: _digest(row[1]) for row in rows}}
     payload = {
@@ -244,23 +199,19 @@ def cmd_check(cfg: RunConfig) -> int:
     return 0 if report.passed else 1
 
 
-def cmd_refine(cfg: RunConfig) -> int:
+def cmd_refine(cfg: argparse.Namespace) -> int:
     model = _load_model(cfg.model, cfg.tol)
-    part = coarsest_partition(model, cfg.kind, atol=cfg.tol, strict_middle=cfg.strict_def3)
-    agrees = None
-    oracle_blocks = None
-    if cfg.oracle:
-        checker = standard_checker(model, cfg.kind, atol=cfg.tol, strict_middle=cfg.strict_def3)
-        oracle = brute_force_coarsest(model, checker)
-        oracle_blocks = [list(b) for b in oracle.blocks]
-        agrees = oracle == part
+    search = Search(model, cfg.kind, atol=cfg.tol, strict_middle=cfg.strict_def3)
+    part = search.coarsest()
+    oracle = search.oracle if cfg.oracle else None
+    agrees = None if oracle is None else oracle == part
     text = format_partition(part)
     payload = {
         "kind": cfg.kind,
         "model": str(cfg.model),
         "partition": [list(b) for b in part.blocks],
         "blocks": part.num_blocks,
-        "oracle": oracle_blocks,
+        "oracle": None if oracle is None else [list(b) for b in oracle.blocks],
         "oracle_agrees": agrees,
     }
     lines = [text.rstrip("\n")]
@@ -273,52 +224,31 @@ def cmd_refine(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_lump(cfg: RunConfig) -> int:
+def cmd_lump(cfg: argparse.Namespace) -> int:
     model = _load_model(cfg.model, cfg.tol)
-    part = _load_partition(cfg.partition)
-    if isinstance(model, lts_mod.Lts):
-        v = part.collector_bool(model.alphabet)
-        if cfg.kind == "strong":
-            lumped = lts_mod.lump_strong_lts(model, v)
-        elif cfg.kind == "weak":
-            lumped = lts_mod.lump_weak_lts(model, v, strict_middle=cfg.strict_def3)
-        else:
-            lumped = lts_mod.lump_branching_lts(model, v)
-    else:
-        if cfg.kind == "branching":
-            raise ValueError("no branching quotient is defined for reward chains")
-        v = part.collector_real()
-        if cfg.kind == "strong":
-            lumped = mrc_mod.lump_strong_mrc(model, v, cfg.tol)
-        else:
-            w = mrc_mod.parse_distributor(cfg.distributor.read_text()) if cfg.distributor else None
-            lumped = mrc_mod.lump_weak_mrc(model, v, w, atol=cfg.tol)
+    family = family_of(model)
+    v = family.collector(model, _load_partition(cfg.partition))
+    # an explicit distributor changes only the weak quotient
+    w = family.read_distributor(cfg.distributor) if cfg.distributor and cfg.kind == "weak" else None
+    lumped = family.lump(model, v, cfg.kind, atol=cfg.tol, strict_middle=cfg.strict_def3, distributor=w)
     text = _format_model(lumped)
-    _load_model_text_revalidate(text, cfg.tol)
+    family.parse_model(text, atol=cfg.tol)  # the written quotient must read back
     _write_or_print(cfg, text, "model")
     return 0
 
 
-def _load_model_text_revalidate(text: str, tol: float) -> None:
-    head = content_lines(text)[0][1][0]
-    if head == "lts":
-        lts_mod.parse_lts(text)
-    else:
-        mrc_mod.parse_mrc(text, atol=tol)
-
-
-def cmd_closure(cfg: RunConfig) -> int:
+def cmd_closure(cfg: argparse.Namespace) -> int:
     model = _load_model(cfg.model, cfg.tol)
-    if not isinstance(model, lts_mod.Lts):
+    if family_of(model) is not lts_mod:
         raise ValueError("closure applies to transition systems only")
     text = lts_mod.format_lts(lts_mod.tau_closure(model))
     _write_or_print(cfg, text, "model")
     return 0
 
 
-def cmd_project(cfg: RunConfig) -> int:
+def cmd_project(cfg: argparse.Namespace) -> int:
     model = _load_model(cfg.model, cfg.tol)
-    if isinstance(model, lts_mod.Lts):
+    if family_of(model) is not mrc_mod:
         raise ValueError("projection applies to reward chains only")
     fast = mrc_mod.as_fast_chain(model)
     proj = mrc_mod.ergodic_projection(fast.qf, atol=cfg.tol)
@@ -335,19 +265,17 @@ def cmd_project(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_reward(cfg: RunConfig) -> int:
+def cmd_reward(cfg: argparse.Namespace) -> int:
     model = _load_model(cfg.model, cfg.tol)
-    if isinstance(model, lts_mod.Lts):
+    if family_of(model) is not mrc_mod:
         raise ValueError("reward applies to reward chains only")
-    limit = None
-    if isinstance(model, MrcFast) and np.any(model.qf != 0.0):
-        limit = mrc_mod.limit_chain(model, atol=cfg.tol)
-    values = []
-    for t in cfg.times:
-        if limit is None:
-            values.append(mrc_mod.total_reward(mrc_mod.as_plain_chain(model), t))
-        else:
-            values.append(float(model.sigma @ limit.transition(t) @ model.rho))
+    fast = mrc_mod.as_fast_chain(model)
+    limit = mrc_mod.limit_chain(fast, atol=cfg.tol) if np.any(fast.qf != 0.0) else None
+    if limit is None:
+        plain = mrc_mod.as_plain_chain(model)
+        values = [mrc_mod.total_reward(plain, t) for t in cfg.times]
+    else:
+        values = [float(model.sigma @ limit.transition(t) @ model.rho) for t in cfg.times]
     lines = [f"R({t:g}) = {v:.12g}" for t, v in zip(cfg.times, values)]
     if limit is not None:
         lines.insert(0, "fast transitions present: reporting the limit-chain reward")
@@ -361,28 +289,26 @@ def cmd_reward(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_diagram(cfg: RunConfig) -> int:
+def cmd_diagram(cfg: argparse.Namespace) -> int:
     model = _load_model(cfg.model, cfg.tol)
-    part = _load_partition(cfg.partition)
-    if isinstance(model, lts_mod.Lts):
-        v = part.collector_bool(model.alphabet)
-        if cfg.kind == "weak":
-            ok = lts_mod.verify_weak_commutation(model, v)
-        else:
-            ok = lts_mod.verify_branching_commutation(model, v)
+    family = family_of(model)
+    v = family.collector(model, _load_partition(cfg.partition))
+    if family is lts_mod:
+        verify = lts_mod.verify_weak_commutation if cfg.kind == "weak" else lts_mod.verify_branching_commutation
+        ok = verify(model, v)
         detail = {"identities": "lumping commutes with internal closure"}
     else:
         if cfg.kind != "weak":
             raise ValueError("no branching commutation statement is available for reward chains")
-        w = mrc_mod.parse_distributor(cfg.distributor.read_text()) if cfg.distributor else None
-        ok = mrc_mod.verify_limit_commutation(model, part.collector_real(), w, cfg.times, atol=cfg.tol)
+        w = mrc_mod.read_distributor(cfg.distributor) if cfg.distributor else None
+        ok = mrc_mod.verify_limit_commutation(model, v, w, cfg.times, atol=cfg.tol)
         detail = {"times": list(cfg.times)}
     payload = {"kind": cfg.kind, "model": str(cfg.model), "verdict": "pass" if ok else "fail", **detail}
     _emit(cfg, [f"diagram {cfg.kind} on {cfg.model}: {'PASS' if ok else 'FAIL'}"], payload)
     return 0 if ok else 1
 
 
-def cmd_probe(cfg: RunConfig) -> int:
+def cmd_probe(cfg: argparse.Namespace) -> int:
     result = generate.probe_branching_weak(cfg.seed, cfg.count, max_states=cfg.max_states, atol=cfg.tol)
     if result.counterexample is None:
         lines = [f"no counterexample in {result.instances} instances (seed {cfg.seed})"]
@@ -431,11 +357,14 @@ _HANDLERS = {
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        cfg = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = _config(args)
+        if cfg.tol <= 0:
+            raise ValueError("tolerance must be positive")
+        if any(t < 0 for t in getattr(cfg, "times", ())):
+            raise ValueError("times must be nonnegative")
         return _HANDLERS[cfg.command](cfg)
     except CheckFailed as exc:
         print(f"error: {exc}", file=sys.stderr)

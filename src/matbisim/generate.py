@@ -19,6 +19,7 @@ from .partition import (
     enumerate_partitions,
     format_partition,
     parse_partition,
+    standard_checker,
 )
 
 _LABEL_POOL = ("a", "b", "c", "d")
@@ -383,12 +384,10 @@ def probe_branching_weak(
     rng = random.Random(seed)
     for idx in range(count):
         chain = _probe_instance(rng, max_states)
+        branching = standard_checker(chain, "branching", atol=atol)
+        weak = standard_checker(chain, "weak", atol=atol)
         for p in _candidate_partitions(rng, chain.num_states):
-            v = p.collector_real()
-            if not check_branching_mrc(chain, v, atol).passed:
-                continue
-            weak = check_weak_mrc(chain, v, atol)
-            if weak.passed:
+            if not branching(chain, p).passed or weak(chain, p).passed:
                 continue
             ok, again_weak = _revalidate(chain, p, atol)
             return ProbeResult(

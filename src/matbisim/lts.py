@@ -14,6 +14,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .algebra import (
+    DEFAULT_ATOL,
     TAU_LABEL,
     ActionAlphabet,
     ActionMatrix,
@@ -25,13 +26,13 @@ from .partition import (
     CheckReport,
     ModelFormatError,
     Partition,
+    Search,
     Witness,
     content_lines,
+    parse_model_header,
+    parse_state,
     require_bool_collector,
 )
-
-KINDS = ("strong", "weak", "branching")
-
 
 @dataclass(frozen=True)
 class Lts:
@@ -111,14 +112,7 @@ def parse_lts(text: str) -> Lts:
     if len(lines) < 4:
         raise ModelFormatError("expected header lines: lts, alphabet, init, term")
     (ln0, h0), (ln1, h1), (ln2, h2), (ln3, h3) = lines[:4]
-    if h0[0] != "lts" or len(h0) != 2:
-        raise ModelFormatError(f"line {ln0}: expected 'lts <n>'")
-    try:
-        n = int(h0[1])
-    except ValueError:
-        raise ModelFormatError(f"line {ln0}: state count must be an integer") from None
-    if n < 1:
-        raise ModelFormatError(f"line {ln0}: need at least one state")
+    n = parse_model_header(h0, ln0, "lts")
     if h1[0] != "alphabet":
         raise ModelFormatError(f"line {ln1}: expected 'alphabet <labels...>'")
     try:
@@ -132,25 +126,16 @@ def parse_lts(text: str) -> Lts:
     if h3[0] != "term":
         raise ModelFormatError(f"line {ln3}: expected 'term <states...>'")
 
-    def state(token: str, lineno: int) -> int:
-        try:
-            i = int(token)
-        except ValueError:
-            raise ModelFormatError(f"line {lineno}: state index must be an integer, got {token!r}") from None
-        if not 0 <= i < n:
-            raise ModelFormatError(f"line {lineno}: state {i} out of range 0..{n - 1}")
-        return i
-
-    init = state(h2[1], ln2)
-    term = {state(t, ln3) for t in h3[1:]}
+    init = parse_state(h2[1], ln2, n)
+    term = {parse_state(t, ln3, n) for t in h3[1:]}
 
     visible = np.zeros((alphabet.size, n, n), dtype=bool)
     internal = np.zeros((n, n), dtype=bool)
     for lineno, tokens in lines[4:]:
         if len(tokens) != 3:
             raise ModelFormatError(f"line {lineno}: expected '<src> <label> <dst>'")
-        src = state(tokens[0], lineno)
-        dst = state(tokens[2], lineno)
+        src = parse_state(tokens[0], lineno, n)
+        dst = parse_state(tokens[2], lineno, n)
         label = tokens[1]
         if label == TAU_LABEL:
             internal[src, dst] = True
@@ -183,6 +168,20 @@ def format_lts(lts: Lts) -> str:
     return "\n".join(lines) + "\n"
 
 
+def parse_model(text: str, *, atol: float = DEFAULT_ATOL) -> Lts:
+    """:func:`parse_lts`; transition systems take no tolerance."""
+    return parse_lts(text)
+
+
+format_model = format_lts
+
+
+def read_distributor(path) -> None:
+    """Explicit distributor files hold real matrices for reward chains; a
+    transition-system quotient takes the transpose, so none is read."""
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Bisimulation checks
 # ---------------------------------------------------------------------------
@@ -194,6 +193,15 @@ def _require_collector_for(lts: Lts, v: ActionMatrix) -> None:
     if v.rows != lts.num_states:
         raise ValueError(f"collector has {v.rows} rows for a {lts.num_states}-state system")
     require_bool_collector(v)
+
+
+def collector(lts: Lts, p: Partition) -> ActionMatrix:
+    return p.collector_bool(lts.alphabet)
+
+
+def canonical_distributor(v: ActionMatrix) -> ActionMatrix:
+    """The transpose, a distributor of every collector."""
+    return v.transpose()
 
 
 def _require_distributor_for(v: ActionMatrix, u: ActionMatrix) -> None:
@@ -214,13 +222,16 @@ def _equality_witness(lhs: ActionMatrix, rhs: ActionMatrix) -> Witness | None:
     return Witness(i, j, alph.labels_of(lhs.mask_at(i, j)), alph.labels_of(rhs.mask_at(i, j)))
 
 
-def conditions(lts: Lts, kind: str, *, strict_middle: bool = False) -> Callable[[ActionMatrix], list]:
+def conditions(
+    lts: Lts, kind: str, *, atol: float = DEFAULT_ATOL, strict_middle: bool = False
+) -> Callable[[ActionMatrix], list]:
     """The equalities of one bisimulation kind, as a map ``V -> [(name, X)]``.
 
     Each entry states ``VUX = X``.  The strict weak middle
     ``VUΠAΠV = ΠV`` is the one entry whose right-hand side is not its own
     ``X``; it carries that side as a third element.  Products that do not
     depend on the partition are computed once, when the map is built.
+    Entries are exact, so ``atol`` is unused.
     """
     if kind == "strong":
         return lambda v: [
@@ -260,19 +271,20 @@ def evaluate(
     v: ActionMatrix,
     kind: str,
     *,
+    atol: float = DEFAULT_ATOL,
     strict_middle: bool = False,
     distributor: ActionMatrix | None = None,
 ) -> tuple[CheckReport, list]:
     """Check ``v`` against one kind; also return the evaluated equalities."""
     _require_collector_for(lts, v)
-    u = distributor if distributor is not None else v.transpose()
+    u = canonical_distributor(v) if distributor is None else distributor
     if distributor is not None:
         _require_distributor_for(v, u)
     rows = conditions(lts, kind, strict_middle=strict_middle)(v)
     return check_rows(kind, v, u, rows), rows
 
 
-def check_rows(kind: str, v: ActionMatrix, u: ActionMatrix, rows) -> CheckReport:
+def check_rows(kind: str, v: ActionMatrix, u: ActionMatrix, rows, atol: float = DEFAULT_ATOL) -> CheckReport:
     """Verdict on evaluated equalities: the first ``VUX = X`` that fails."""
     for name, x, *rhs in rows:
         w = _equality_witness(v @ (u @ x), rhs[0] if rhs else x)
@@ -350,7 +362,22 @@ def _checked(report: CheckReport) -> None:
         raise CheckFailed(report)
 
 
-def _quotient(lts: Lts, v: ActionMatrix, u: ActionMatrix) -> Lts:
+def lump(
+    lts: Lts,
+    v: ActionMatrix,
+    kind: str,
+    *,
+    atol: float = DEFAULT_ATOL,
+    strict_middle: bool = False,
+    distributor: ActionMatrix | None = None,
+) -> Lts:
+    """Quotient ``U M V`` of every matrix ``M`` by a bisimulation of the kind.
+
+    The strong quotient is independent of the distributor; the weak and
+    branching ones depend on it, and the default is the transpose.
+    """
+    _checked(evaluate(lts, v, kind, strict_middle=strict_middle, distributor=distributor)[0])
+    u = canonical_distributor(v) if distributor is None else distributor
     return Lts(
         alphabet=lts.alphabet,
         initial=lts.initial @ v,
@@ -361,25 +388,15 @@ def _quotient(lts: Lts, v: ActionMatrix, u: ActionMatrix) -> Lts:
 
 
 def lump_strong_lts(lts: Lts, v: ActionMatrix, *, distributor: ActionMatrix | None = None) -> Lts:
-    """Quotient by a strong bisimulation; independent of the distributor."""
-    _checked(check_strong_lts(lts, v, distributor=distributor))
-    return _quotient(lts, v, distributor if distributor is not None else v.transpose())
+    return lump(lts, v, "strong", distributor=distributor)
 
 
 def lump_weak_lts(lts: Lts, v: ActionMatrix, *, strict_middle: bool = False) -> Lts:
-    """Quotient by a weak bisimulation.
-
-    Unlike the strong case the result depends on the distributor; this
-    fixes the transpose.
-    """
-    _checked(check_weak_lts(lts, v, strict_middle=strict_middle))
-    return _quotient(lts, v, v.transpose())
+    return lump(lts, v, "weak", strict_middle=strict_middle)
 
 
 def lump_branching_lts(lts: Lts, v: ActionMatrix) -> Lts:
-    """Quotient by a branching bisimulation (transpose distributor)."""
-    _checked(check_branching_lts(lts, v))
-    return _quotient(lts, v, v.transpose())
+    return lump(lts, v, "branching")
 
 
 def tau_closure(lts: Lts) -> Lts:
@@ -432,13 +449,10 @@ def verify_weak_commutation(lts: Lts, v: ActionMatrix) -> bool:
     """
     _checked(check_weak_lts(lts, v))
     u = v.transpose()
-    pi = rt_closure(lts.internal)
+    closed = tau_closure(lts)
     lumped_closure = rt_closure(u @ lts.internal @ v)
-    visible_ok = (
-        lumped_closure @ (u @ lts.visible @ v) @ lumped_closure
-        == u @ (pi @ lts.visible @ pi) @ v
-    )
-    term_ok = lumped_closure @ (u @ lts.terminating) == u @ (pi @ lts.terminating)
+    visible_ok = lumped_closure @ (u @ lts.visible @ v) @ lumped_closure == u @ closed.visible @ v
+    term_ok = lumped_closure @ (u @ lts.terminating) == u @ closed.terminating
     return visible_ok and term_ok
 
 
@@ -466,12 +480,16 @@ def verify_branching_commutation(lts: Lts, v: ActionMatrix) -> bool:
 # ---------------------------------------------------------------------------
 
 
+#: Kinds whose coarsest bisimulation is unique, so refinement finds it.
+UNIQUE_COARSEST = ("strong", "weak", "branching")
+
+
+def signature_keys(p: Partition, rows, atol: float = DEFAULT_ATOL) -> list:
+    """Per-state rows of every evaluated ``X``; their block-constancy is the check."""
+    xs = np.concatenate([row[1].planes for row in rows], axis=2)
+    return [state.tobytes() for state in xs.transpose(1, 0, 2)]
+
+
 def refinement_signatures(lts: Lts, kind: str) -> Callable[[Partition], list]:
-    """Per-state rows of every ``X`` of the kind; their block-constancy is the check."""
-    table = conditions(lts, kind)
-
-    def signatures(p: Partition) -> list:
-        xs = np.concatenate([x.planes for _, x in table(p.collector_bool(lts.alphabet))], axis=2)
-        return [row.tobytes() for row in xs.transpose(1, 0, 2)]
-
-    return signatures
+    """Refinement keys of the kind's table, as a function of the partition."""
+    return Search(lts, kind).signatures

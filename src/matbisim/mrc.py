@@ -25,9 +25,12 @@ from .partition import (
     CheckReport,
     ModelFormatError,
     Partition,
+    Search,
     Witness,
     canonical_distributor_real,
     content_lines,
+    parse_model_header,
+    parse_state,
     require_real_collector,
 )
 
@@ -78,16 +81,22 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _validated_sigma(sigma, n: int, atol: float) -> np.ndarray:
-    sigma = real_matrix(sigma).reshape(-1)
+def _freeze_chain(chain, n: int, **generators: np.ndarray) -> None:
+    """Validate the initial and reward vectors of an ``n``-state chain and
+    store them and the validated generators read-only."""
+    sigma = real_matrix(chain.sigma).reshape(-1)
     if sigma.shape != (n,):
         raise ValueError(f"initial vector must have {n} entries")
-    if np.any(sigma < -atol):
+    if np.any(sigma < -DEFAULT_ATOL):
         raise ValueError("negative initial probability")
     sigma = np.clip(sigma, 0.0, None)
-    if abs(sigma.sum() - 1.0) > atol:
+    if abs(sigma.sum() - 1.0) > DEFAULT_ATOL:
         raise ValueError(f"initial probabilities sum to {sigma.sum()!r}, not 1")
-    return sigma
+    rho = real_matrix(chain.rho).reshape(-1)
+    if rho.shape != (n,):
+        raise ValueError(f"reward vector must have {n} entries")
+    for name, arr in {"sigma": sigma, **generators, "rho": rho}.items():
+        object.__setattr__(chain, name, _freeze(arr))
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,14 +109,7 @@ class Mrc:
 
     def __post_init__(self):
         q = validate_generator(self.q)
-        n = q.shape[0]
-        sigma = _validated_sigma(self.sigma, n, DEFAULT_ATOL)
-        rho = real_matrix(self.rho).reshape(-1)
-        if rho.shape != (n,):
-            raise ValueError(f"reward vector must have {n} entries")
-        object.__setattr__(self, "sigma", _freeze(sigma))
-        object.__setattr__(self, "q", _freeze(q))
-        object.__setattr__(self, "rho", _freeze(rho))
+        _freeze_chain(self, q.shape[0], q=q)
 
     @property
     def num_states(self) -> int:
@@ -130,17 +132,9 @@ class MrcFast:
     def __post_init__(self):
         qs = validate_generator(self.qs)
         qf = validate_generator(self.qf)
-        n = qs.shape[0]
-        if qf.shape != (n, n):
+        if qf.shape != qs.shape:
             raise ValueError("slow and fast generators must agree in size")
-        sigma = _validated_sigma(self.sigma, n, DEFAULT_ATOL)
-        rho = real_matrix(self.rho).reshape(-1)
-        if rho.shape != (n,):
-            raise ValueError(f"reward vector must have {n} entries")
-        object.__setattr__(self, "sigma", _freeze(sigma))
-        object.__setattr__(self, "qs", _freeze(qs))
-        object.__setattr__(self, "qf", _freeze(qf))
-        object.__setattr__(self, "rho", _freeze(rho))
+        _freeze_chain(self, qs.shape[0], qs=qs, qf=qf)
 
     @property
     def num_states(self) -> int:
@@ -233,9 +227,16 @@ def _require_collector_for(n: int, v: np.ndarray) -> np.ndarray:
     return v
 
 
+def collector(model: Mrc | MrcFast, p: Partition) -> np.ndarray:
+    return p.collector_real()
+
+
+canonical_distributor = canonical_distributor_real
+
+
 def _distributor_for(v: np.ndarray, distributor, atol: float) -> np.ndarray:
     if distributor is None:
-        return canonical_distributor_real(v)
+        return canonical_distributor(v)
     u = real_matrix(distributor)
     if u.shape != (v.shape[1], v.shape[0]):
         raise ValueError("distributor shape must be collector transposed")
@@ -246,7 +247,7 @@ def _distributor_for(v: np.ndarray, distributor, atol: float) -> np.ndarray:
     return u
 
 
-def check_rows(kind: str, v: np.ndarray, u: np.ndarray, rows, atol: float) -> CheckReport:
+def check_rows(kind: str, v: np.ndarray, u: np.ndarray, rows, atol: float = DEFAULT_ATOL) -> CheckReport:
     """Verdict on evaluated equalities: the first ``VUX = X`` that misses ``atol``."""
     for name, x in rows:
         lhs = v @ (u @ x)
@@ -257,11 +258,14 @@ def check_rows(kind: str, v: np.ndarray, u: np.ndarray, rows, atol: float) -> Ch
     return CheckReport(kind, True)
 
 
-def conditions(model: Mrc | MrcFast, kind: str, atol: float = DEFAULT_ATOL) -> Callable[[np.ndarray], list]:
+def conditions(
+    model: Mrc | MrcFast, kind: str, *, atol: float = DEFAULT_ATOL, strict_middle: bool = False
+) -> Callable[[np.ndarray], list]:
     """The equalities of one lumping kind, as a map ``V -> [(name, X)]``.
 
     Each entry states ``VUX = X``.  Products that do not depend on the
-    partition are computed once, when the map is built.
+    partition are computed once, when the map is built.  The weak middle
+    has one reading here, so ``strict_middle`` is unused.
     """
     if kind == "strong":
         # On a chain with fast transitions both generators are constrained,
@@ -300,33 +304,27 @@ def _weak_conditions(fast: MrcFast, pi: np.ndarray) -> Callable[[np.ndarray], li
     ]
 
 
-def evaluate(model: Mrc | MrcFast, v, kind: str, atol: float = DEFAULT_ATOL, *, distributor=None) -> tuple[CheckReport, list]:
+def evaluate(
+    model: Mrc | MrcFast, v, kind: str, *, atol: float = DEFAULT_ATOL, strict_middle: bool = False, distributor=None
+) -> tuple[CheckReport, list]:
     """Check ``v`` against one kind; also return the evaluated equalities."""
     v = _require_collector_for(model.num_states, v)
     u = _distributor_for(v, distributor, atol)
-    rows = conditions(model, kind, atol)(v)
+    rows = conditions(model, kind, atol=atol)(v)
     return check_rows(kind, v, u, rows, atol), rows
 
 
 def check_mrc(model: Mrc | MrcFast, v, kind: str, atol: float = DEFAULT_ATOL) -> CheckReport:
-    return evaluate(model, v, kind, atol)[0]
+    return evaluate(model, v, kind, atol=atol)[0]
 
 
 def check_strong_mrc(model: Mrc | MrcFast, v, atol: float = DEFAULT_ATOL, *, distributor=None) -> CheckReport:
     """Ordinary-lumping check."""
-    return evaluate(model, v, "strong", atol, distributor=distributor)[0]
+    return evaluate(model, v, "strong", atol=atol, distributor=distributor)[0]
 
 
 def lump_strong_mrc(model: Mrc | MrcFast, v, atol: float = DEFAULT_ATOL, *, distributor=None):
-    """Quotient chain under ordinary lumping; distributor choice is immaterial."""
-    report = check_strong_mrc(model, v, atol, distributor=distributor)
-    if not report.passed:
-        raise CheckFailed(report)
-    v = _require_collector_for(model.num_states, v)
-    u = _distributor_for(v, distributor, atol)
-    if isinstance(model, MrcFast):
-        return MrcFast(model.sigma @ v, u @ model.qs @ v, u @ model.qf @ v, u @ model.rho)
-    return Mrc(model.sigma @ v, u @ model.q @ v, u @ model.rho)
+    return lump(model, v, "strong", atol=atol, distributor=distributor)
 
 
 # ---------------------------------------------------------------------------
@@ -370,10 +368,9 @@ def ergodic_projection(qf, *, atol: float = DEFAULT_ATOL, edge_tol: float = EDGE
     np.fill_diagonal(adj, False)
     n_comp, labels = connected_components(csr_matrix(adj), directed=True, connection="strong")
     comp_states = [np.flatnonzero(labels == c) for c in range(n_comp)]
-    has_exit = [False] * n_comp
-    for i, j in zip(*np.nonzero(adj)):
-        if labels[i] != labels[j]:
-            has_exit[labels[i]] = True
+    src, dst = np.nonzero(adj)
+    has_exit = np.zeros(n_comp, dtype=bool)
+    has_exit[labels[src[labels[src] != labels[dst]]]] = True
     rec_comps = sorted(
         (c for c in range(n_comp) if not has_exit[c]), key=lambda c: int(comp_states[c][0])
     )
@@ -382,8 +379,9 @@ def ergodic_projection(qf, *, atol: float = DEFAULT_ATOL, edge_tol: float = EDGE
     transient = tuple(s for s in range(n) if s not in rec_set)
 
     pi = np.zeros((n, n))
-    stationary = []
-    for cls in recurrent:
+    # Row k holds the stationary vector of recurrent class k in its columns.
+    stationary = np.zeros((len(recurrent), n))
+    for k, cls in enumerate(recurrent):
         idx = list(cls)
         if len(idx) == 1:
             mu = np.ones(1)
@@ -395,9 +393,8 @@ def ergodic_projection(qf, *, atol: float = DEFAULT_ATOL, edge_tol: float = EDGE
             mu = solve_linear(a, b)
             mu = np.clip(mu, 0.0, None)
             mu /= mu.sum()
-        stationary.append(mu)
-        for s in idx:
-            pi[s, idx] = mu
+        stationary[k, idx] = mu
+        pi[np.ix_(idx, idx)] = mu
 
     if transient:
         tr = list(transient)
@@ -406,9 +403,8 @@ def ergodic_projection(qf, *, atol: float = DEFAULT_ATOL, edge_tol: float = EDGE
         trap = solve_linear(a_tt, b).reshape(len(tr), len(recurrent))
         trap = np.clip(trap, 0.0, None)
         trap /= trap.sum(axis=1, keepdims=True)
-        for row, s in enumerate(tr):
-            for k, cls in enumerate(recurrent):
-                pi[s, list(cls)] += trap[row, k] * stationary[k]
+        # The classes are disjoint, so each entry has one nonzero term: exact.
+        pi[tr] = trap @ stationary
 
     return ErgodicProjection(pi, recurrent, transient)
 
@@ -500,15 +496,37 @@ def default_tau_distributor(model: Mrc | MrcFast, v, atol: float = DEFAULT_ATOL)
     return _certified(model, v, None, atol)[2]
 
 
+def lump(
+    model: Mrc | MrcFast, v, kind: str, *, atol: float = DEFAULT_ATOL, strict_middle: bool = False, distributor=None
+) -> Mrc | MrcFast:
+    """Quotient chain of a lumping of the kind.
+
+    Ordinary (``"strong"``) lumping does not depend on the distributor.
+    Weak lumping takes ``distributor`` or the candidate ``(UΠV)^-1 UΠ`` and
+    certifies it.  No branching quotient is defined for reward chains.
+    """
+    if kind == "branching":
+        raise ValueError("no branching quotient is defined for reward chains")
+    if kind == "weak":
+        fast, v, w, _, _ = _certified(model, v, distributor, atol)
+        try:
+            qs_hat = validate_generator(w @ fast.qs @ v, atol=atol)
+            qf_hat = validate_generator(w @ fast.qf @ v, atol=atol)
+        except GeneratorError as exc:
+            raise DistributorError(f"lumped generator invalid: {exc}") from exc
+        return MrcFast(fast.sigma @ v, qs_hat, qf_hat, w @ fast.rho)
+    report, _ = evaluate(model, v, kind, atol=atol, distributor=distributor)
+    if not report.passed:
+        raise CheckFailed(report)
+    v = _require_collector_for(model.num_states, v)
+    u = _distributor_for(v, distributor, atol)
+    if isinstance(model, MrcFast):
+        return MrcFast(model.sigma @ v, u @ model.qs @ v, u @ model.qf @ v, u @ model.rho)
+    return Mrc(model.sigma @ v, u @ model.q @ v, u @ model.rho)
+
+
 def lump_weak_mrc(model: Mrc | MrcFast, v, w=None, *, atol: float = DEFAULT_ATOL) -> MrcFast:
-    """Quotient chain under weak lumping with a certified distributor."""
-    fast, v, w, _, _ = _certified(model, v, w, atol)
-    try:
-        qs_hat = validate_generator(w @ fast.qs @ v, atol=atol)
-        qf_hat = validate_generator(w @ fast.qf @ v, atol=atol)
-    except GeneratorError as exc:
-        raise DistributorError(f"lumped generator invalid: {exc}") from exc
-    return MrcFast(fast.sigma @ v, qs_hat, qf_hat, w @ fast.rho)
+    return lump(model, v, "weak", atol=atol, distributor=w)
 
 
 # ---------------------------------------------------------------------------
@@ -656,23 +674,7 @@ def parse_mrc(text: str, *, atol: float = DEFAULT_ATOL) -> Mrc | MrcFast:
     if len(lines) < 3:
         raise ModelFormatError("expected header lines: mrc, init, reward")
     (ln0, h0), (ln1, h1), (ln2, h2) = lines[:3]
-    if h0[0] != "mrc" or len(h0) != 2:
-        raise ModelFormatError(f"line {ln0}: expected 'mrc <n>'")
-    try:
-        n = int(h0[1])
-    except ValueError:
-        raise ModelFormatError(f"line {ln0}: state count must be an integer") from None
-    if n < 1:
-        raise ModelFormatError(f"line {ln0}: need at least one state")
-
-    def state(token: str, lineno: int) -> int:
-        try:
-            i = int(token)
-        except ValueError:
-            raise ModelFormatError(f"line {lineno}: state index must be an integer, got {token!r}") from None
-        if not 0 <= i < n:
-            raise ModelFormatError(f"line {lineno}: state {i} out of range 0..{n - 1}")
-        return i
+    n = parse_model_header(h0, ln0, "mrc")
 
     def number(token: str, lineno: int, what: str) -> float:
         try:
@@ -691,7 +693,7 @@ def parse_mrc(text: str, *, atol: float = DEFAULT_ATOL) -> Mrc | MrcFast:
         if ":" not in token:
             raise ModelFormatError(f"line {ln1}: expected '<state>:<probability>', got {token!r}")
         idx_tok, p_tok = token.split(":", 1)
-        i = state(idx_tok, ln1)
+        i = parse_state(idx_tok, ln1, n)
         if i in seen:
             raise ModelFormatError(f"line {ln1}: state {i} appears twice in init")
         seen.add(i)
@@ -712,8 +714,8 @@ def parse_mrc(text: str, *, atol: float = DEFAULT_ATOL) -> Mrc | MrcFast:
     for lineno, tokens in lines[3:]:
         if len(tokens) != 4 or tokens[0] not in ("rate", "fast"):
             raise ModelFormatError(f"line {lineno}: expected 'rate|fast <src> <dst> <value>'")
-        src = state(tokens[1], lineno)
-        dst = state(tokens[2], lineno)
+        src = parse_state(tokens[1], lineno, n)
+        dst = parse_state(tokens[2], lineno, n)
         if src == dst:
             raise ModelFormatError(f"line {lineno}: self-rates are not allowed")
         value = number(tokens[3], lineno, "rate")
@@ -739,10 +741,8 @@ def format_mrc(model: Mrc | MrcFast) -> str:
     lines.append("init " + " ".join(f"{i}:{float(model.sigma[i])!r}" for i in range(n) if model.sigma[i] != 0.0))
     lines.append("reward " + " ".join(repr(float(r)) for r in model.rho))
     for name, q in (("rate", model.qs if fast else model.q),) + ((("fast", model.qf),) if fast else ()):
-        for i in range(n):
-            for j in range(n):
-                if i != j and q[i, j] != 0.0:
-                    lines.append(f"{name} {i} {j} {float(q[i, j])!r}")
+        for i, j in np.argwhere((q != 0.0) & ~np.eye(n, dtype=bool)).tolist():
+            lines.append(f"{name} {i} {j} {float(q[i, j])!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -769,6 +769,14 @@ def parse_distributor(text: str) -> np.ndarray:
         except ValueError:
             raise ModelFormatError(f"line {lineno}: values must be numbers") from None
     return real_matrix(rows)
+
+
+parse_model = parse_mrc
+format_model = format_mrc
+
+
+def read_distributor(path) -> np.ndarray:
+    return parse_distributor(path.read_text())
 
 
 # ---------------------------------------------------------------------------
@@ -798,13 +806,16 @@ def _cluster_keys(p: Partition, rows: np.ndarray, atol: float) -> list:
     return keys
 
 
+#: Kinds whose coarsest lumping is unique, so refinement finds it.
+UNIQUE_COARSEST = ("strong", "weak")
+
+
+def signature_keys(p: Partition, rows, atol: float = DEFAULT_ATOL) -> list:
+    """Per-state rows of every evaluated ``X``, clustered to tolerance inside
+    each block; their block-constancy is the check."""
+    return _cluster_keys(p, np.hstack([x for _, x in rows]), atol)
+
+
 def refinement_signatures(model: Mrc | MrcFast, kind: str, *, atol: float = DEFAULT_ATOL) -> Callable[[Partition], list]:
-    """Per-state rows of every ``X`` of the kind, clustered to tolerance
-    inside each block; their block-constancy is the check."""
-    table = conditions(model, kind, atol)
-
-    def signatures(p: Partition) -> list:
-        rows = np.hstack([x for _, x in table(p.collector_real())])
-        return _cluster_keys(p, rows, atol)
-
-    return signatures
+    """Refinement keys of the kind's table, as a function of the partition."""
+    return Search(model, kind, atol=atol).signatures

@@ -5,6 +5,7 @@ for coarsest bisimulations (iterated refinement plus an exhaustive oracle).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -14,6 +15,8 @@ from .algebra import DEFAULT_ATOL, ActionAlphabet, ActionMatrix
 #: Bell numbers B(0)..B(12); the oracle refuses anything larger.
 BELL = (1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570, 4213597)
 MAX_ORACLE_STATES = 12
+
+KINDS = ("strong", "weak", "branching")
 
 
 class ModelFormatError(ValueError):
@@ -230,6 +233,26 @@ def _parse_int(token: str, lineno: int, what: str) -> int:
         raise ModelFormatError(f"line {lineno}: {what} must be an integer, got {token!r}") from None
 
 
+def parse_state(token: str, lineno: int, n: int) -> int:
+    i = _parse_int(token, lineno, "state index")
+    if not 0 <= i < n:
+        raise ModelFormatError(f"line {lineno}: state {i} out of range 0..{n - 1}")
+    return i
+
+
+def parse_model_header(tokens: list[str], lineno: int, header: str) -> int:
+    """State count from a model file's first line, ``<header> <n>``."""
+    if tokens[0] != header or len(tokens) != 2:
+        raise ModelFormatError(f"line {lineno}: expected '{header} <n>'")
+    try:
+        n = int(tokens[1])
+    except ValueError:
+        raise ModelFormatError(f"line {lineno}: state count must be an integer") from None
+    if n < 1:
+        raise ModelFormatError(f"line {lineno}: need at least one state")
+    return n
+
+
 def parse_partition(text: str) -> Partition:
     lines = content_lines(text)
     if not lines or lines[0][1][0] != "partition":
@@ -308,38 +331,57 @@ def brute_force_coarsest(model, checker: Callable, *, max_states: int = MAX_ORAC
     return best
 
 
+class Search:
+    """Coarsest-partition search for one model and one kind.
+
+    The model's family is looked up and the kind's table is built once,
+    here; the checker, the refinement signatures and the exhaustive oracle
+    all read that table.
+    """
+
+    def __init__(self, model, kind: str, *, atol: float = DEFAULT_ATOL, strict_middle: bool = False):
+        from .family import family_of
+
+        self.model, self.kind, self.atol = model, kind, atol
+        self.family = family_of(model)
+        self.table = self.family.conditions(model, kind, atol=atol, strict_middle=strict_middle)
+        # Without a unique coarsest solution the refinement fixpoint need not
+        # have the fewest blocks, so instances the oracle can afford use it.
+        self.exhaustive = (strict_middle and kind == "weak") or (
+            kind not in self.family.UNIQUE_COARSEST and model.num_states <= MAX_ORACLE_STATES
+        )
+
+    def checker(self, model, p: Partition) -> CheckReport:
+        if model is not self.model:
+            raise ValueError("checker was built for another model")
+        v = self.family.collector(model, p)
+        return self.family.check_rows(self.kind, v, self.family.canonical_distributor(v), self.table(v), self.atol)
+
+    def signatures(self, p: Partition) -> list:
+        return self.family.signature_keys(p, self.table(self.family.collector(self.model, p)), self.atol)
+
+    @cached_property
+    def oracle(self) -> Partition:
+        return brute_force_coarsest(self.model, self.checker)
+
+    def coarsest(self) -> Partition:
+        """See :func:`coarsest_partition`."""
+        if self.exhaustive:
+            return self.oracle
+        result = refinement_fixpoint(self.model.num_states, self.signatures)
+        report = self.checker(self.model, result)
+        if not report.passed:
+            raise CheckFailed(report)
+        return result
+
+
 def standard_checker(model, kind: str, *, atol: float = DEFAULT_ATOL, strict_middle: bool = False) -> Callable:
     """Checker callable ``(model, partition) -> CheckReport`` for a kind.
 
     The kind's table of equalities is built once, for ``model``; the checker
     accepts that model only.
     """
-    from . import lts as _lts
-    from . import mrc as _mrc
-
-    if isinstance(model, _lts.Lts):
-        table = _lts.conditions(model, kind, strict_middle=strict_middle)
-
-        def check(p: Partition) -> CheckReport:
-            v = p.collector_bool(model.alphabet)
-            return _lts.check_rows(kind, v, v.transpose(), table(v))
-
-    elif isinstance(model, (_mrc.Mrc, _mrc.MrcFast)):
-        table = _mrc.conditions(model, kind, atol)
-
-        def check(p: Partition) -> CheckReport:
-            v = p.collector_real()
-            return _mrc.check_rows(kind, v, canonical_distributor_real(v), table(v), atol)
-
-    else:
-        raise TypeError(f"unsupported model type {type(model).__name__}")
-
-    def checker(m, p: Partition) -> CheckReport:
-        if m is not model:
-            raise ValueError("checker was built for another model")
-        return check(p)
-
-    return checker
+    return Search(model, kind, atol=atol, strict_middle=strict_middle).checker
 
 
 def coarsest_partition(
@@ -352,40 +394,16 @@ def coarsest_partition(
 ) -> Partition:
     """Coarsest partition whose collector passes the bisimulation check.
 
-    Strong and weak kinds (and branching on transition systems) use
-    signature refinement.  Branching on reward chains has no unique
-    coarsest solution in general, so small instances fall back to the
-    exhaustive lattice search; larger ones return the refinement fixpoint,
-    which passes its own check but may not have the fewest blocks.  A
-    fixpoint that fails its own check raises :class:`CheckFailed`.
-
-    A custom ``checker`` switches to the exhaustive search so that the
-    result is defined by the checker alone.
+    Kinds in the family's ``UNIQUE_COARSEST`` use signature refinement.
+    Branching on reward chains has no unique coarsest solution in general,
+    so small instances fall back to the exhaustive lattice search; larger
+    ones return the refinement fixpoint, which passes its own check but may
+    not have the fewest blocks.  A fixpoint that fails its own check raises
+    :class:`CheckFailed`.  The strict weak reading and a custom ``checker``
+    use the exhaustive search, so that the result is defined by the check.
     """
-    from . import lts as _lts
-    from . import mrc as _mrc
-
-    if kind not in ("strong", "weak", "branching"):
+    if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
-    custom = checker is not None
-    if checker is None:
-        checker = standard_checker(model, kind, atol=atol, strict_middle=strict_middle)
-
-    n = model.num_states
-    if custom or (strict_middle and kind == "weak"):
+    if checker is not None:
         return brute_force_coarsest(model, checker)
-
-    if isinstance(model, _lts.Lts):
-        signature_fn = _lts.refinement_signatures(model, kind)
-    elif isinstance(model, (_mrc.Mrc, _mrc.MrcFast)):
-        if kind == "branching" and n <= MAX_ORACLE_STATES:
-            return brute_force_coarsest(model, checker)
-        signature_fn = _mrc.refinement_signatures(model, kind, atol=atol)
-    else:
-        raise TypeError(f"unsupported model type {type(model).__name__}")
-
-    result = refinement_fixpoint(n, signature_fn)
-    report = checker(model, result)
-    if not report.passed:
-        raise CheckFailed(report)
-    return result
+    return Search(model, kind, atol=atol, strict_middle=strict_middle).coarsest()

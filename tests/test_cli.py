@@ -131,6 +131,10 @@ def test_project_command(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["pi"] == [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
 
+    assert run("project", FOUR) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
 
 def test_reward_command(capsys):
     assert run("reward", REWARD, "--times", "0", "--json") == 0

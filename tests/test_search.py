@@ -167,3 +167,32 @@ def test_oracle_builds_the_kind_table_once_per_model(monkeypatch):
 
     with pytest.raises(ValueError):
         checker(generate.random_lts(random.Random(6), n=7), Partition.identity(7))
+
+
+def test_each_refine_command_builds_the_kind_table_once(monkeypatch, tmp_path, capsys):
+    import random
+
+    from matbisim import lts, mrc, partition
+    from matbisim.cli import main
+
+    def refine(model, kind, *extra):
+        path = tmp_path / "model.txt"
+        path.write_text(lts.format_lts(model) if isinstance(model, lts.Lts) else mrc.format_mrc(model))
+        code = main(["refine", str(path), "--kind", kind, *extra])
+        capsys.readouterr()
+        return code
+
+    closures = _counting(monkeypatch, lts, "rt_closure")
+    assert refine(generate.random_lts(random.Random(5), n=7), "weak", "--oracle") == 0
+    assert len(closures) == 1
+
+    projections = _counting(monkeypatch, mrc, "ergodic_projection")
+    chain, _ = generate.fast_funnel_chain(random.Random(5))
+    assert refine(chain, "weak") == 0
+    assert len(projections) == 1
+    assert refine(chain, "weak", "--oracle") == 0
+    assert len(projections) == 2
+
+    searches = _counting(monkeypatch, partition, "enumerate_partitions")
+    assert refine(generate.random_mrc_fast(random.Random(5), n=6), "branching", "--oracle") == 0
+    assert len(searches) == 1
