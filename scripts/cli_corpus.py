@@ -14,8 +14,11 @@ same lines exactly when they behave the same:
     python3 /tmp/b/scripts/cli_corpus.py > b.txt
     diff a.txt b.txt
 
-``--src`` imports ``matbisim`` from another source tree instead of the one
-next to this script.
+``--src DIR`` imports ``matbisim`` from the source tree ``DIR`` instead of
+the one next to this script.  Commits older than the script have no copy
+of it, so they are compared by running this copy against their ``src``:
+
+    python3 scripts/cli_corpus.py --src /tmp/old/src > old.txt
 """
 
 from __future__ import annotations
@@ -36,6 +39,9 @@ ROOT = Path(__file__).resolve().parents[1]
 
 KINDS = ("strong", "weak", "branching")
 
+#: Seed of the generated models; the corpus is one fixed set of runs.
+SEED = 7
+
 #: Bundled models and the bundled partitions that fit them.
 BUNDLED = {
     "four_state.lts": ["four_state_identity.partition", "four_state_merge_siblings.partition"],
@@ -55,7 +61,7 @@ def _distributor_text(u) -> str:
     return f"dist {u.shape[0]} {u.shape[1]}\n" + "\n".join(rows) + "\n"
 
 
-def write_models(work: Path, seed: int) -> list[tuple[str, list[str], str | None]]:
+def write_models(work: Path) -> list[tuple[str, list[str], str | None]]:
     """Write every model, partition and distributor file; return
     ``(model, partitions, distributor)`` names."""
     from matbisim import generate
@@ -74,7 +80,7 @@ def write_models(work: Path, seed: int) -> list[tuple[str, list[str], str | None
         (work / ident).write_text(format_partition(Partition.identity(n)))
         entries.append((model, [ident, *parts], None))
 
-    rng = random.Random(seed)
+    rng = random.Random(SEED)
     wide = ActionAlphabet(tuple(f"l{i}" for i in range(70)))
     systems = []
     systems += [(generate.random_lts(rng, max_states=6), None) for _ in range(24)]
@@ -164,7 +170,6 @@ def run_one(main, argv: list[str]) -> str:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="source tree to import matbisim from")
-    parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args()
     sys.path.insert(0, str(args.src.resolve()))
     from matbisim.cli import main as cli_main
@@ -172,7 +177,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         os.chdir(work)
-        entries = write_models(work, args.seed)
+        entries = write_models(work)
         argvs = runs(entries)
         for argv in argvs:
             for extra in ([], ["--json"]):

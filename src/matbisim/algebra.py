@@ -90,9 +90,6 @@ class ActionAlphabet:
     def action_set(self, labels: Iterable[str] = ()) -> "ActionSet":
         return ActionSet(self, self.mask_of(labels))
 
-    def full_set(self) -> "ActionSet":
-        return ActionSet(self, self.full_mask)
-
 
 @dataclass(frozen=True)
 class ActionSet:

@@ -294,8 +294,10 @@ def cmd_diagram(cfg: argparse.Namespace) -> int:
     family = family_of(model)
     v = family.collector(model, _load_partition(cfg.partition))
     if family is lts_mod:
-        verify = lts_mod.verify_weak_commutation if cfg.kind == "weak" else lts_mod.verify_branching_commutation
-        ok = verify(model, v)
+        if cfg.kind == "weak":
+            ok = lts_mod.verify_weak_commutation(model, v)
+        else:
+            ok = lts_mod.verify_branching_commutation(model, v)
         detail = {"identities": "lumping commutes with internal closure"}
     else:
         if cfg.kind != "weak":

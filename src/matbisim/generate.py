@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -91,19 +92,27 @@ def _spread_mask(rng: random.Random, mask: int, slots: int) -> list[int]:
     return parts
 
 
+def _consecutive_groups(sizes: list[int]) -> list[list[int]]:
+    """Consecutive state ranges of the given sizes, numbered from 0."""
+    starts = np.cumsum([0, *sizes]).tolist()
+    return [list(range(a, b)) for a, b in zip(starts, starts[1:])]
+
+
+def _clone_groups(rng: random.Random, n0: int, p_clone: float) -> list[list[int]]:
+    """Clone groups of one or two new states per base state; at least one
+    state is cloned."""
+    copies = [1 + (1 if rng.random() < p_clone else 0) for _ in range(n0)]
+    if sum(copies) == n0:
+        copies[rng.randrange(n0)] = 2
+    return _consecutive_groups(copies)
+
+
 def duplicate_states_lts(rng: random.Random, base: Lts, *, p_clone: float = 0.5) -> tuple[Lts, Partition]:
     """Expand states into clone groups; the group partition is a strong
     bisimulation of the result by construction."""
     n0 = base.num_states
-    copies = [1 + (1 if rng.random() < p_clone else 0) for _ in range(n0)]
-    if sum(copies) == n0:
-        copies[rng.randrange(n0)] = 2
-    groups: list[list[int]] = []
-    total = 0
-    for c in copies:
-        groups.append(list(range(total, total + c)))
-        total += c
-
+    groups = _clone_groups(rng, n0, p_clone)
+    total = groups[-1][-1] + 1
     base_visible = base.visible.data
     base_internal = base.internal.support()
     visible = [[0] * total for _ in range(total)]
@@ -173,11 +182,16 @@ def random_generator(
     p_edge: float = 0.4,
     rates: tuple[float, float] = (0.3, 3.0),
 ) -> np.ndarray:
+    return _draw_generator(rng, n, p_edge, lambda: rng.uniform(*rates))
+
+
+def _draw_generator(rng: random.Random, n: int, p_edge: float, rate) -> np.ndarray:
+    """Generator with each off-diagonal edge present with ``p_edge``, at the rate ``rate()``."""
     q = np.zeros((n, n))
     for i in range(n):
         for j in range(n):
             if i != j and rng.random() < p_edge:
-                q[i, j] = rng.uniform(*rates)
+                q[i, j] = rate()
     np.fill_diagonal(q, -q.sum(axis=1))
     return q
 
@@ -223,14 +237,8 @@ def duplicate_states_mrc(rng: random.Random, base: Mrc | MrcFast, *, p_clone: fl
     lumping of the result by construction (rates split inside classes)."""
     fast = isinstance(base, MrcFast)
     n0 = base.num_states
-    copies = [1 + (1 if rng.random() < p_clone else 0) for _ in range(n0)]
-    if sum(copies) == n0:
-        copies[rng.randrange(n0)] = 2
-    groups: list[list[int]] = []
-    total = 0
-    for c in copies:
-        groups.append(list(range(total, total + c)))
-        total += c
+    groups = _clone_groups(rng, n0, p_clone)
+    total = groups[-1][-1] + 1
 
     def expand(q0: np.ndarray) -> np.ndarray:
         q = np.zeros((total, total))
@@ -272,13 +280,8 @@ def fast_funnel_chain(rng: random.Random, *, base_states: int | None = None) -> 
     if not expanded:
         expanded = [rng.randrange(base_states)]
 
-    index: dict[int, list[int]] = {}
-    total = 0
-    for s in range(base_states):
-        size = 2 if s in expanded else 1
-        index[s] = list(range(total, total + size))
-        total += size
-
+    index = _consecutive_groups([2 if s in expanded else 1 for s in range(base_states)])
+    total = index[-1][-1] + 1
     qs = np.zeros((total, total))
     qf = np.zeros((total, total))
     sigma = np.zeros(total)
@@ -328,18 +331,9 @@ class ProbeResult:
 def _probe_instance(rng: random.Random, max_states: int) -> MrcFast:
     n = rng.choice([3, 4, 4, min(5, max_states)] if max_states >= 4 else [3])
     n = min(n, max_states)
-
-    def draw(p_edge: float) -> np.ndarray:
-        q = np.zeros((n, n))
-        for i in range(n):
-            for j in range(n):
-                if i != j and rng.random() < p_edge:
-                    q[i, j] = rng.choice(_PROBE_RATES)
-        np.fill_diagonal(q, -q.sum(axis=1))
-        return q
-
-    qs = np.zeros((n, n)) if rng.random() < 0.4 else draw(0.15)
-    qf = draw(0.22)
+    rate = partial(rng.choice, _PROBE_RATES)
+    qs = np.zeros((n, n)) if rng.random() < 0.4 else _draw_generator(rng, n, 0.15, rate)
+    qf = _draw_generator(rng, n, 0.22, rate)
     rho = np.array([rng.choice(_PROBE_REWARDS) for _ in range(n)])
     sigma = np.zeros(n)
     sigma[0] = 1.0
@@ -385,9 +379,12 @@ def probe_branching_weak(
     for idx in range(count):
         chain = _probe_instance(rng, max_states)
         branching = standard_checker(chain, "branching", atol=atol)
-        weak = standard_checker(chain, "weak", atol=atol)
+        weak = None  # built on the first candidate that passes branching
         for p in _candidate_partitions(rng, chain.num_states):
-            if not branching(chain, p).passed or weak(chain, p).passed:
+            if not branching(chain, p).passed:
+                continue
+            weak = weak or standard_checker(chain, "weak", atol=atol)
+            if weak(chain, p).passed:
                 continue
             ok, again_weak = _revalidate(chain, p, atol)
             return ProbeResult(

@@ -22,7 +22,6 @@ from .algebra import (
     rt_closure,
 )
 from .partition import (
-    CheckFailed,
     CheckReport,
     ModelFormatError,
     Partition,
@@ -32,6 +31,7 @@ from .partition import (
     parse_model_header,
     parse_state,
     require_bool_collector,
+    require_passed,
 )
 
 @dataclass(frozen=True)
@@ -357,11 +357,6 @@ def _first_inclusion_failure(lhs: ActionMatrix, rhs: ActionMatrix) -> Witness:
 # ---------------------------------------------------------------------------
 
 
-def _checked(report: CheckReport) -> None:
-    if not report.passed:
-        raise CheckFailed(report)
-
-
 def lump(
     lts: Lts,
     v: ActionMatrix,
@@ -376,7 +371,7 @@ def lump(
     The strong quotient is independent of the distributor; the weak and
     branching ones depend on it, and the default is the transpose.
     """
-    _checked(evaluate(lts, v, kind, strict_middle=strict_middle, distributor=distributor)[0])
+    require_passed(evaluate(lts, v, kind, strict_middle=strict_middle, distributor=distributor)[0])
     u = canonical_distributor(v) if distributor is None else distributor
     return Lts(
         alphabet=lts.alphabet,
@@ -447,12 +442,15 @@ def verify_weak_commutation(lts: Lts, v: ActionMatrix) -> bool:
     closed system on the visible part and on termination.  Requires the
     weak check to pass.
     """
-    _checked(check_weak_lts(lts, v))
+    require_passed(check_weak_lts(lts, v))
     u = v.transpose()
-    closed = tau_closure(lts)
+    pi = rt_closure(lts.internal)
     lumped_closure = rt_closure(u @ lts.internal @ v)
-    visible_ok = lumped_closure @ (u @ lts.visible @ v) @ lumped_closure == u @ closed.visible @ v
-    term_ok = lumped_closure @ (u @ lts.terminating) == u @ closed.terminating
+    visible_ok = (
+        lumped_closure @ (u @ lts.visible @ v) @ lumped_closure
+        == u @ (pi @ lts.visible @ pi) @ v
+    )
+    term_ok = lumped_closure @ (u @ lts.terminating) == u @ (pi @ lts.terminating)
     return visible_ok and term_ok
 
 
@@ -463,7 +461,7 @@ def verify_branching_commutation(lts: Lts, v: ActionMatrix) -> bool:
     quotient of the class-restricted closure.  Requires the branching
     check to pass.
     """
-    _checked(check_branching_lts(lts, v))
+    require_passed(check_branching_lts(lts, v))
     u = v.transpose()
     n = lts.num_states
     eye_n = ActionMatrix.identity(lts.alphabet, n)

@@ -21,7 +21,6 @@ from .algebra import (
     solve_linear,
 )
 from .partition import (
-    CheckFailed,
     CheckReport,
     ModelFormatError,
     Partition,
@@ -31,6 +30,7 @@ from .partition import (
     content_lines,
     parse_model_header,
     parse_state,
+    require_passed,
     require_real_collector,
 )
 
@@ -465,9 +465,7 @@ def _certified(
     u = canonical_distributor_real(v)
     proj = ergodic_projection(fast.qf, atol=atol)
     pi = proj.pi
-    report = check_rows("weak", v, u, _weak_conditions(fast, pi)(v), atol)
-    if not report.passed:
-        raise CheckFailed(report)
+    require_passed(check_rows("weak", v, u, _weak_conditions(fast, pi)(v), atol))
     origin = "supplied"
     if w is None:
         origin = "candidate"
@@ -515,9 +513,7 @@ def lump(
         except GeneratorError as exc:
             raise DistributorError(f"lumped generator invalid: {exc}") from exc
         return MrcFast(fast.sigma @ v, qs_hat, qf_hat, w @ fast.rho)
-    report, _ = evaluate(model, v, kind, atol=atol, distributor=distributor)
-    if not report.passed:
-        raise CheckFailed(report)
+    require_passed(evaluate(model, v, kind, atol=atol, distributor=distributor)[0])
     v = _require_collector_for(model.num_states, v)
     u = _distributor_for(v, distributor, atol)
     if isinstance(model, MrcFast):
@@ -741,8 +737,10 @@ def format_mrc(model: Mrc | MrcFast) -> str:
     lines.append("init " + " ".join(f"{i}:{float(model.sigma[i])!r}" for i in range(n) if model.sigma[i] != 0.0))
     lines.append("reward " + " ".join(repr(float(r)) for r in model.rho))
     for name, q in (("rate", model.qs if fast else model.q),) + ((("fast", model.qf),) if fast else ()):
-        for i, j in np.argwhere((q != 0.0) & ~np.eye(n, dtype=bool)).tolist():
-            lines.append(f"{name} {i} {j} {float(q[i, j])!r}")
+        for i in range(n):
+            for j in range(n):
+                if i != j and q[i, j] != 0.0:
+                    lines.append(f"{name} {i} {j} {float(q[i, j])!r}")
     return "\n".join(lines) + "\n"
 
 

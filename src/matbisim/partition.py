@@ -60,6 +60,11 @@ class CheckFailed(ValueError):
         self.report = report
 
 
+def require_passed(report: CheckReport) -> None:
+    if not report.passed:
+        raise CheckFailed(report)
+
+
 @dataclass(frozen=True)
 class Partition:
     """Partition of ``{0..n-1}`` in canonical form.
@@ -369,9 +374,7 @@ class Search:
         if self.exhaustive:
             return self.oracle
         result = refinement_fixpoint(self.model.num_states, self.signatures)
-        report = self.checker(self.model, result)
-        if not report.passed:
-            raise CheckFailed(report)
+        require_passed(self.checker(self.model, result))
         return result
 
 
