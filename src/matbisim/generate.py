@@ -112,7 +112,7 @@ def duplicate_states_lts(rng: random.Random, base: Lts, *, p_clone: float = 0.5)
     bisimulation of the result by construction."""
     n0 = base.num_states
     groups = _clone_groups(rng, n0, p_clone)
-    total = groups[-1][-1] + 1
+    total = sum(map(len, groups))
     base_visible = base.visible.data
     base_internal = base.internal.support()
     visible = [[0] * total for _ in range(total)]
@@ -238,7 +238,7 @@ def duplicate_states_mrc(rng: random.Random, base: Mrc | MrcFast, *, p_clone: fl
     fast = isinstance(base, MrcFast)
     n0 = base.num_states
     groups = _clone_groups(rng, n0, p_clone)
-    total = groups[-1][-1] + 1
+    total = sum(map(len, groups))
 
     def expand(q0: np.ndarray) -> np.ndarray:
         q = np.zeros((total, total))
@@ -281,7 +281,7 @@ def fast_funnel_chain(rng: random.Random, *, base_states: int | None = None) -> 
         expanded = [rng.randrange(base_states)]
 
     index = _consecutive_groups([2 if s in expanded else 1 for s in range(base_states)])
-    total = index[-1][-1] + 1
+    total = sum(map(len, index))
     qs = np.zeros((total, total))
     qf = np.zeros((total, total))
     sigma = np.zeros(total)
