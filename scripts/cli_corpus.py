@@ -61,6 +61,37 @@ def _distributor_text(u) -> str:
     return f"dist {u.shape[0]} {u.shape[1]}\n" + "\n".join(rows) + "\n"
 
 
+def near_tolerance_chains() -> list:
+    """Chains whose rows differ by steps within the default tolerance, so
+    refinement has to cut groups of near-equal rows: rewards rising by
+    0.9 tolerance, and twice-cloned chains with rewards and rates moved by
+    up to 1 and 3 tolerances.  They have their own seeds, so the generated
+    models above do not move."""
+    import numpy as np
+
+    from matbisim import generate
+    from matbisim.algebra import DEFAULT_ATOL
+    from matbisim.mrc import MrcFast, parse_mrc
+
+    def jitter(noise, q, scale):
+        q = q.copy()
+        np.fill_diagonal(q, 0.0)
+        present = q > 0.0
+        q[present] += scale * noise.uniform(-1.0, 1.0, present.sum())
+        np.fill_diagonal(q, -q.sum(axis=1))
+        return q
+
+    chains = [(parse_mrc("mrc 4\ninit 0:1\nreward 0 0.9e-9 1.8e-9 2.7e-9\n"), None)]
+    for seed, scale in ((4, DEFAULT_ATOL), (6, 3 * DEFAULT_ATOL)):
+        rng, noise = random.Random(seed), np.random.default_rng(seed)
+        chain, _ = generate.duplicate_states_mrc(rng, generate.random_mrc_fast(rng, max_states=3))
+        chain, planted = generate.duplicate_states_mrc(rng, chain, p_clone=0.9)
+        rho = chain.rho + scale * noise.uniform(-1.0, 1.0, chain.num_states)
+        qs, qf = jitter(noise, chain.qs, scale), jitter(noise, chain.qf, scale)
+        chains.append((MrcFast(chain.sigma, qs, qf, rho), planted))
+    return chains
+
+
 def write_models(work: Path) -> list[tuple[str, list[str], str | None]]:
     """Write every model, partition and distributor file; return
     ``(model, partitions, distributor)`` names."""
@@ -96,10 +127,11 @@ def write_models(work: Path) -> list[tuple[str, list[str], str | None]]:
     chains += [generate.fast_funnel_chain(rng) for _ in range(6)]
     chains += [generate.fast_funnel_chain(rng, base_states=rng.randint(18, 24)) for _ in range(2)]
 
-    for i, (model, planted) in enumerate(systems + chains):
-        is_lts = i < len(systems)
-        name = f"gen{i:03d}.{'lts' if is_lts else 'mrc'}"
-        (work / name).write_text(format_lts(model) if is_lts else format_mrc(model))
+    named = [(f"gen{i:03d}.{'lts' if i < len(systems) else 'mrc'}", model, planted)
+             for i, (model, planted) in enumerate(systems + chains)]
+    named += [(f"near{i}.mrc", model, planted) for i, (model, planted) in enumerate(near_tolerance_chains())]
+    for name, model, planted in named:
+        (work / name).write_text(format_lts(model) if name.endswith(".lts") else format_mrc(model))
         parts = [generate.random_partition(rng, model.num_states)]
         if planted is not None:
             parts.append(planted)

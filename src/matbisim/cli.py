@@ -114,7 +114,10 @@ def _digest(obj) -> str:
         )
     else:
         arr = np.asarray(obj, dtype=float)
-        payload = "real|" + "x".join(map(str, arr.shape)) + "#" + ",".join(f"{x:.17g}" for x in arr.ravel())
+        flat = arr.ravel()
+        # Chunks bound the Python floats and strings alive at once.
+        chunks = (",".join(map("{:.17g}".format, flat[i : i + 4096].tolist())) for i in range(0, flat.size, 4096))
+        payload = "real|" + "x".join(map(str, arr.shape)) + "#" + ",".join(chunks)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 

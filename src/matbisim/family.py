@@ -7,7 +7,8 @@ without branching on the model: ``parse_model``, ``format_model``,
 ``collector``, ``canonical_distributor``, ``conditions`` (the kind's table
 ``V -> [(name, X)]``), ``check_rows`` and ``signature_keys`` (a verdict and
 refinement keys from evaluated rows), ``evaluate``, ``lump``,
-``read_distributor`` and ``UNIQUE_COARSEST``.
+``read_distributor``, ``UNIQUE_COARSEST`` and ``STRICT_MIDDLE`` (whether
+the weak table reads ``strict_middle``).
 """
 
 from __future__ import annotations

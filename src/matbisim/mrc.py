@@ -349,6 +349,14 @@ class ErgodicProjection:
         object.__setattr__(self, "pi", _freeze(real_matrix(self.pi)))
 
 
+def _class_indicator(n: int, classes) -> np.ndarray:
+    """The ``n x k`` 0-1 matrix whose column ``k`` marks the states of class ``k``."""
+    c = np.zeros((n, len(classes)))
+    for k, cls in enumerate(classes):
+        c[list(cls), k] = 1.0
+    return c
+
+
 def ergodic_projection(qf, *, atol: float = DEFAULT_ATOL, edge_tol: float = EDGE_TOL) -> ErgodicProjection:
     """Structural long-run projection of a generator.
 
@@ -367,18 +375,14 @@ def ergodic_projection(qf, *, atol: float = DEFAULT_ATOL, edge_tol: float = EDGE
     adj = q > edge_tol
     np.fill_diagonal(adj, False)
     n_comp, labels = connected_components(csr_matrix(adj), directed=True, connection="strong")
-    comp_states = [np.flatnonzero(labels == c) for c in range(n_comp)]
     src, dst = np.nonzero(adj)
     has_exit = np.zeros(n_comp, dtype=bool)
     has_exit[labels[src[labels[src] != labels[dst]]]] = True
-    rec_comps = sorted(
-        (c for c in range(n_comp) if not has_exit[c]), key=lambda c: int(comp_states[c][0])
-    )
-    recurrent = tuple(tuple(int(s) for s in comp_states[c]) for c in rec_comps)
-    rec_set = {s for cls in recurrent for s in cls}
-    transient = tuple(s for s in range(n) if s not in rec_set)
+    # A stable sort lists each component's states in increasing order.
+    comp_states = np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
+    recurrent = tuple(sorted(tuple(comp_states[c].tolist()) for c in np.flatnonzero(~has_exit)))
+    transient = tuple(np.flatnonzero(has_exit[labels]).tolist())
 
-    pi = np.zeros((n, n))
     # Row k holds the stationary vector of recurrent class k in its columns.
     stationary = np.zeros((len(recurrent), n))
     for k, cls in enumerate(recurrent):
@@ -394,16 +398,15 @@ def ergodic_projection(qf, *, atol: float = DEFAULT_ATOL, edge_tol: float = EDGE
             mu = np.clip(mu, 0.0, None)
             mu /= mu.sum()
         stationary[k, idx] = mu
-        pi[np.ix_(idx, idx)] = mu
+    # Each state is in at most one class, so each entry has one nonzero term: exact.
+    indicator = _class_indicator(n, recurrent)
+    pi = indicator @ stationary
 
     if transient:
         tr = list(transient)
-        a_tt = q[np.ix_(tr, tr)]
-        b = np.column_stack([-q[np.ix_(tr, list(cls))].sum(axis=1) for cls in recurrent])
-        trap = solve_linear(a_tt, b).reshape(len(tr), len(recurrent))
+        trap = solve_linear(q[np.ix_(tr, tr)], -(q[tr] @ indicator)).reshape(len(tr), len(recurrent))
         trap = np.clip(trap, 0.0, None)
         trap /= trap.sum(axis=1, keepdims=True)
-        # The classes are disjoint, so each entry has one nonzero term: exact.
         pi[tr] = trap @ stationary
 
     return ErgodicProjection(pi, recurrent, transient)
@@ -566,11 +569,7 @@ def limit_chain(model: Mrc | MrcFast, *, atol: float = DEFAULT_ATOL) -> LimitCha
 def _limit_chain(fast: MrcFast, proj: ErgodicProjection, atol: float) -> LimitChain:
     slow = proj.pi @ fast.qs @ proj.pi
     classes = proj.recurrent_classes
-    agg = np.empty((len(classes), len(classes)))
-    for i, cls in enumerate(classes):
-        row = slow[cls[0]]
-        for j, other in enumerate(classes):
-            agg[i, j] = row[list(other)].sum()
+    agg = slow[[cls[0] for cls in classes]] @ _class_indicator(fast.num_states, classes)
     try:
         validate_generator(agg, atol=max(atol, 1e-12) * max(1, fast.num_states))
     except GeneratorError as exc:
@@ -782,30 +781,64 @@ def read_distributor(path) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _cut_column(group: np.ndarray, x: np.ndarray, atol: float) -> np.ndarray:
+    """Refine ``group`` by one column so that every group spreads at most
+    ``atol`` in ``x``.
+
+    States are sorted by (group, value).  A group is cut at every gap above
+    ``atol``; a run that still spreads more than ``atol`` is cut greedily
+    from its minimum.  Returns new group ids numbered from 0.
+    """
+    order = np.lexsort((x, group))
+    xs = x[order]
+    cut = np.empty(len(xs), dtype=bool)
+    cut[0] = True
+    cut[1:] = (np.diff(group[order]) != 0) | (np.diff(xs) > atol)
+    starts = np.flatnonzero(cut)
+    ends = np.append(starts[1:], len(xs))
+    wide = xs[ends - 1] - xs[starts] > atol
+    for start, end in zip(starts[wide].tolist(), ends[wide].tolist()):
+        pos = start
+        while pos < end:
+            nxt = pos + int(np.searchsorted(xs[pos:end], xs[pos] + atol, side="right"))
+            while xs[nxt - 1] - xs[pos] > atol:  # the sum above may round up
+                nxt -= 1
+            if nxt < end:
+                cut[nxt] = True
+            pos = nxt
+    out = np.empty_like(group)
+    out[order] = np.cumsum(cut) - 1
+    return out
+
+
 def _cluster_keys(p: Partition, rows: np.ndarray, atol: float) -> list:
-    """Per-state keys splitting each block into tolerance-connected row groups."""
-    keys: list = [None] * rows.shape[0]
-    for bi, block in enumerate(p.blocks):
-        members = list(block)
-        parent = list(range(len(members)))
+    """Per-state keys splitting each block into groups that spread at most
+    ``atol`` in every column of ``rows``.
 
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a in range(len(members)):
-            for b in range(a + 1, len(members)):
-                if np.max(np.abs(rows[members[a]] - rows[members[b]])) <= atol:
-                    parent[find(a)] = find(b)
-        for idx, s in enumerate(members):
-            keys[s] = (bi, find(idx))
-    return keys
+    Columns are cut one after another (:func:`_cut_column`), skipping those
+    already within ``atol`` on every block of two or more states.  Row
+    groups farther apart than ``atol`` are never merged, and a chain of
+    within-tolerance steps is cut, so every row of a stable block lies
+    within ``atol`` of the block mean.
+    """
+    order = np.concatenate(p.blocks)  # states block by block
+    group = np.empty(p.n, dtype=np.intp)
+    group[order] = np.repeat(np.arange(p.num_blocks), list(map(len, p.blocks)))
+    order = order[np.bincount(group)[group[order]] > 1]  # a singleton has no spread
+    starts = np.flatnonzero(np.diff(group[order], prepend=-1))
+    sorted_rows = rows[order]
+    spread = np.maximum.reduceat(sorted_rows, starts, axis=0)
+    spread -= np.minimum.reduceat(sorted_rows, starts, axis=0)
+    for col in np.flatnonzero((spread > atol).any(axis=0)).tolist():
+        group = _cut_column(group, rows[:, col], atol)
+    return group.tolist()
 
 
 #: Kinds whose coarsest lumping is unique, so refinement finds it.
 UNIQUE_COARSEST = ("strong", "weak")
+
+#: The weak table has one reading and ignores ``strict_middle``.
+STRICT_MIDDLE = False
 
 
 def signature_keys(p: Partition, rows, atol: float = DEFAULT_ATOL) -> list:

@@ -352,7 +352,7 @@ class Search:
         self.table = self.family.conditions(model, kind, atol=atol, strict_middle=strict_middle)
         # Without a unique coarsest solution the refinement fixpoint need not
         # have the fewest blocks, so instances the oracle can afford use it.
-        self.exhaustive = (strict_middle and kind == "weak") or (
+        self.exhaustive = (strict_middle and kind == "weak" and self.family.STRICT_MIDDLE) or (
             kind not in self.family.UNIQUE_COARSEST and model.num_states <= MAX_ORACLE_STATES
         )
 
@@ -402,8 +402,9 @@ def coarsest_partition(
     so small instances fall back to the exhaustive lattice search; larger
     ones return the refinement fixpoint, which passes its own check but may
     not have the fewest blocks.  A fixpoint that fails its own check raises
-    :class:`CheckFailed`.  The strict weak reading and a custom ``checker``
-    use the exhaustive search, so that the result is defined by the check.
+    :class:`CheckFailed`.  The strict weak reading, in a family whose weak
+    table has one (``STRICT_MIDDLE``), and a custom ``checker`` use the
+    exhaustive search, so that the result is defined by the check.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")

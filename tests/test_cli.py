@@ -217,15 +217,50 @@ def test_tolerance_flag_must_be_positive(capsys):
     assert run("check", FOUR, "--partition", FOUR_IDENT, "--kind", "strong", "--tol", "-1") == 2
 
 
-def test_refine_fixpoint_failing_its_own_check_is_a_clean_error(tmp_path, capsys):
-    # rewards chained within tolerance: the clustered fixpoint keeps one block
-    # whose spread exceeds the tolerance, so its own re-check fails
+def test_refine_fixpoint_failing_its_own_check_is_a_clean_error(tmp_path, capsys, monkeypatch):
+    # keys that never split a block make the one-block partition the
+    # fixpoint, and it fails its own re-check on the distinct rewards
+    from matbisim import mrc
+
+    monkeypatch.setattr(mrc, "signature_keys", lambda p, rows, atol=None: list(p.assignment))
     chain = tmp_path / "chain.mrc"
-    chain.write_text("mrc 4\ninit 0:1\nreward 0 0.9e-9 1.8e-9 2.7e-9\n")
+    chain.write_text("mrc 2\ninit 0:1\nreward 0 1\n")
     assert run("refine", chain, "--kind", "strong") == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == ["error: strong check failed on 'VUρ = ρ'"]
+
+
+def test_refine_cuts_a_chain_of_within_tolerance_steps(tmp_path, capsys):
+    # consecutive rewards differ by 0.9 tol, the ends by 2.7 tol: the blocks
+    # are cut so that each spreads at most tol, and the result passes its check
+    chain = tmp_path / "chain.mrc"
+    chain.write_text("mrc 4\ninit 0:1\nreward 0 0.9e-9 1.8e-9 2.7e-9\n")
+    part = tmp_path / "chain.partition"
+    for kind in ("strong", "weak"):
+        assert run("refine", chain, "--kind", kind) == 0
+        out = capsys.readouterr().out
+        assert out == "partition 4\n0 1\n2 3\n"
+        part.write_text(out)
+        assert run("check", chain, "--partition", part, "--kind", kind) == 0
+        assert "PASS" in capsys.readouterr().out
+
+
+def test_strict_weak_reading_on_a_chain_refines(tmp_path, capsys):
+    # chains have one weak reading, so --strict-def3 leaves weak refinement
+    # as it is, beyond the exhaustive search's state bound too
+    import random
+
+    from matbisim import generate, mrc
+
+    model, _ = generate.fast_funnel_chain(random.Random(0), base_states=12)
+    assert model.num_states == 17
+    path = tmp_path / "funnel.mrc"
+    path.write_text(mrc.format_mrc(model))
+    assert run("refine", path, "--kind", "weak") == 0
+    plain = capsys.readouterr().out
+    assert run("refine", path, "--kind", "weak", "--strict-def3") == 0
+    assert capsys.readouterr().out == plain
 
 
 CHECKSUM_NAMES = {

@@ -4,12 +4,17 @@ leaves a partition unchanged exactly when the partition passes the check."""
 
 import random
 
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from matbisim import generate
+from matbisim.algebra import DEFAULT_ATOL
 from matbisim.lts import check_lts
 from matbisim.lts import refinement_signatures as lts_signatures
-from matbisim.mrc import check_mrc
+from matbisim.mrc import Mrc, MrcFast, _cluster_keys, check_mrc
 from matbisim.mrc import refinement_signatures as mrc_signatures
-from matbisim.partition import split_by_keys
+from matbisim.partition import Partition, coarsest_partition, split_by_keys
 
 KINDS = ("strong", "weak", "branching")
 
@@ -60,3 +65,75 @@ def test_mrc_signatures_are_the_check_on_planted_lumpings():
         pairs += [(chain, planted), (chain, generate.random_partition(rng, chain.num_states))]
     passes = _stable_iff_passing(pairs, mrc_signatures, _mrc_check)
     assert min(passes.values()) >= 150, passes
+
+
+def _perturbed(rng, chain, scale):
+    """``chain`` with its rewards and present rates moved by up to ``scale``."""
+
+    def jitter(q):
+        q = q.copy()
+        np.fill_diagonal(q, 0.0)
+        present = q > 0.0
+        q[present] = np.clip(q[present] + scale * rng.uniform(-1.0, 1.0, present.sum()), 0.0, None)
+        np.fill_diagonal(q, -q.sum(axis=1))
+        return q
+
+    rho = chain.rho + scale * rng.uniform(-1.0, 1.0, chain.num_states)
+    if isinstance(chain, MrcFast):
+        return MrcFast(chain.sigma, jitter(chain.qs), jitter(chain.qf), rho)
+    return Mrc(chain.sigma, jitter(chain.q), rho)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    family=st.sampled_from(["plain", "fast", "clones"]),
+    scale=st.floats(0.1, 3.0),
+)
+# chained clone groups on which a fixpoint of tolerance-connected groups
+# fails its own check, for both kinds and for weak only
+@example(seed=4, family="clones", scale=1.0)
+@example(seed=6, family="clones", scale=3.0)
+def test_refinement_passes_its_own_check_near_tolerance(seed, family, scale):
+    rng = random.Random(seed)
+    if family == "plain":
+        chain = generate.random_mrc(rng)
+    elif family == "fast":
+        chain = generate.random_mrc_fast(rng)
+    else:
+        # cloning twice gives groups of up to four equal states, so that
+        # perturbed members can chain within tolerance
+        chain, _ = generate.duplicate_states_mrc(rng, generate.random_mrc_fast(rng, max_states=3))
+        chain, _ = generate.duplicate_states_mrc(rng, chain, p_clone=0.9)
+    chain = _perturbed(np.random.default_rng(seed), chain, scale * DEFAULT_ATOL)
+    for kind in ("strong", "weak"):
+        found = coarsest_partition(chain, kind)  # raises CheckFailed on a failing fixpoint
+        assert check_mrc(chain, found.collector_real(), kind).passed
+
+
+def _spreads(keys, rows):
+    keys = np.asarray(keys)
+    return [np.ptp(rows[keys == k], axis=0).max() for k in np.unique(keys)]
+
+
+def test_cluster_keys_bound_spread_and_keep_separated_clusters():
+    atol = 1e-9
+    rng = np.random.default_rng(3)
+    # five clusters of spread at most 1e-12, pairwise farther apart than atol
+    # in some coordinate, in two blocks
+    centres = np.array([[0.0, 0.0], [0.0, 2e-9], [1.5e-9, 0.0], [1.0, 1.0], [1.0, 1.0 + 1.1e-9]])
+    cluster = rng.integers(0, 5, 60)
+    rows = centres[cluster] + rng.uniform(0.0, 1e-12, (60, 2))
+    block = rng.integers(0, 2, 60)
+    p = Partition.from_assignment(block.tolist())
+    keys = _cluster_keys(p, rows, atol)
+    assert Partition.from_assignment(keys) == Partition.from_assignment(list(zip(block, cluster)))
+    assert max(_spreads(keys, rows)) <= atol
+
+    # a chain of within-atol steps spanning 20 atol is cut, and every piece
+    # spreads at most atol
+    steps = np.cumsum(rng.uniform(0.2, 0.9, 40)) * atol
+    rows = np.column_stack([steps, np.zeros(40)])
+    keys = _cluster_keys(Partition.single_block(40), rows, atol)
+    assert len(set(keys)) > 1
+    assert max(_spreads(keys, rows)) <= atol

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -196,3 +198,16 @@ def test_each_refine_command_builds_the_kind_table_once(monkeypatch, tmp_path, c
     searches = _counting(monkeypatch, partition, "enumerate_partitions")
     assert refine(generate.random_mrc_fast(random.Random(5), n=6), "branching", "--oracle") == 0
     assert len(searches) == 1
+
+
+def test_weak_diagram_command_closes_internal_steps_twice(monkeypatch, capsys):
+    # once for the system's weak table, once for the lumped system
+    from matbisim import lts
+    from matbisim.cli import main
+
+    models = Path(__file__).resolve().parents[1] / "models"
+    closures = _counting(monkeypatch, lts, "rt_closure")
+    argv = ["diagram", str(models / "tau_pair.lts"), "--partition", str(models / "tau_pair_merged.partition")]
+    assert main([*argv, "--kind", "weak"]) == 0
+    assert "PASS" in capsys.readouterr().out
+    assert len(closures) == 2
