@@ -167,6 +167,8 @@ def runs(entries) -> list[list[str]]:
         out.append(["closure", model])
         out.append(["project", model])
         out.append(["reward", model, "--times", "0", "0.5", "3"])
+        if model.endswith(".mrc"):
+            out.append(["reward", model, "--times", "1e4", "1e6"])  # long horizons
     out.append(["lump", "four_state.lts", "--partition", "four_state_identity.partition", "--kind", "strong",
                 "--output", "out.lts"])
     out.append(["closure", "tau_pair.lts", "--output", "out.lts"])

@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -207,7 +208,11 @@ def cmd_refine(cfg: argparse.Namespace) -> int:
     search = Search(model, cfg.kind, atol=cfg.tol, strict_middle=cfg.strict_def3)
     part = search.coarsest()
     oracle = search.oracle if cfg.oracle else None
-    agrees = None if oracle is None else oracle == part
+    # Up to tolerance the coarsest partition need not be unique; a passing
+    # refinement with the oracle's block count is as coarse as the oracle's.
+    agrees = None if oracle is None else oracle == part or (
+        oracle.num_blocks == part.num_blocks and search.checker(model, part).passed
+    )
     text = format_partition(part)
     payload = {
         "kind": cfg.kind,
@@ -366,10 +371,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if cfg.tol <= 0:
-            raise ValueError("tolerance must be positive")
-        if any(t < 0 for t in getattr(cfg, "times", ())):
-            raise ValueError("times must be nonnegative")
+        if not (math.isfinite(cfg.tol) and cfg.tol > 0):
+            raise ValueError("tolerance must be positive and finite")
+        if not all(math.isfinite(t) and t >= 0 for t in getattr(cfg, "times", ())):
+            raise ValueError("times must be nonnegative and finite")
         return _HANDLERS[cfg.command](cfg)
     except CheckFailed as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,4 +1,6 @@
+import contextlib
 import json
+import signal
 from pathlib import Path
 
 from matbisim.cli import main
@@ -215,6 +217,66 @@ def test_probe_json_counterexample_rechecks(tmp_path, capsys):
 
 def test_tolerance_flag_must_be_positive(capsys):
     assert run("check", FOUR, "--partition", FOUR_IDENT, "--kind", "strong", "--tol", "-1") == 2
+
+
+def test_tolerance_flag_must_be_finite(capsys):
+    # a NaN tolerance compares false against every residual, so it would pass any check
+    for tol in ("nan", "inf"):
+        assert run("check", WITNESS, "--partition", WITNESS_PART, "--kind", "weak", "--tol", tol) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: tolerance must be positive and finite"]
+
+
+class Expired(BaseException):
+    """Raised by :func:`time_limit`; no handler of the program catches it."""
+
+
+@contextlib.contextmanager
+def time_limit(seconds: int):
+    def expire(signum, frame):
+        raise Expired(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_times_must_be_finite(capsys):
+    commands = [("reward", REWARD), ("reward", FAST), ("diagram", FAST, "--partition", TAU_MERGED)]
+    for command in commands:
+        for t in ("inf", "nan"):
+            with time_limit(10):
+                assert run(*command, "--times", "0", t) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines() == ["error: times must be nonnegative and finite"]
+
+
+def test_refine_oracle_accepts_an_equally_coarse_passing_partition(tmp_path, capsys, monkeypatch):
+    # rewards 0.9 tol apart: refinement cuts {0,1},{2,3}; the oracle's
+    # canonical tie-break picks another passing two-block partition
+    chain = tmp_path / "chain.mrc"
+    chain.write_text("mrc 4\ninit 0:1\nreward 0 0.9e-9 1.8e-9 2.7e-9\n")
+    for kind in ("strong", "weak"):
+        assert run("refine", chain, "--kind", kind, "--oracle", "--json") == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["partition"] == [[0, 1], [2, 3]]
+        assert payload["oracle"] != payload["partition"]
+        assert len(payload["oracle"]) == 2
+        assert payload["oracle_agrees"] is True
+    # a passing refinement with more blocks than the oracle's still disagrees
+    from matbisim import mrc
+
+    monkeypatch.setattr(mrc, "signature_keys", lambda p, rows, atol=None: list(range(p.n)))
+    assert run("refine", chain, "--kind", "strong", "--oracle") == 1
+    captured = capsys.readouterr()
+    assert "oracle agrees: False" in captured.out
+    assert captured.err.splitlines() == ["error: refinement and oracle disagree"]
 
 
 def test_refine_fixpoint_failing_its_own_check_is_a_clean_error(tmp_path, capsys, monkeypatch):

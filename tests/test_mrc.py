@@ -1,5 +1,7 @@
 import math
+import random
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -120,6 +122,37 @@ def test_transition_matrix_matches_dense_exponential(rng):
 def test_transition_matrix_rejects_negative_time():
     with pytest.raises(ValueError):
         transition_matrix(ABSORBING_Q, -0.1)
+
+
+def test_transition_matrix_rejects_non_finite_time():
+    for t in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            transition_matrix(ABSORBING_Q, t)
+    with pytest.raises(ValueError, match="too long"):
+        transition_matrix(SYMMETRIC_Q, 1e308)  # ‖Qt‖₁ overflows
+
+
+def two_edge_generator(rng, n=6):
+    """Generator with two out-edges per state, rates uniform in 0.3-3."""
+    q = np.zeros((n, n))
+    for i in range(n):
+        for j in rng.sample([j for j in range(n) if j != i], 2):
+            q[i, j] = rng.uniform(0.3, 3.0)
+    np.fill_diagonal(q, -q.sum(axis=1))
+    return q
+
+
+def test_transition_matrix_meets_tolerance_over_long_horizons():
+    # the documented range: rates 0.3-3, horizons up to 1e6, every entry
+    # within 1e-9 of a 50-digit reference
+    rng = random.Random(4)
+    with mpmath.workdps(50):
+        for _ in range(5):
+            q = two_edge_generator(rng)
+            exact = mpmath.matrix(q.tolist())
+            for t in (0.1, 1.0, 10.0, 1e2, 1e3, 1e4, 1e5, 1e6):
+                reference = np.array(mpmath.expm(exact * t).tolist(), dtype=float)
+                assert np.max(np.abs(transition_matrix(q, t) - reference)) <= 1e-9, t
 
 
 def test_total_reward_examples(reward_chain):
@@ -344,6 +377,23 @@ def test_limit_chain_mixes_slow_and_fast():
     p = limit.transition(2.0)
     expected_escape = 1.0 - math.exp(-0.5 * 2.0)  # class leaves at the averaged rate
     assert abs(p[0, 2] - expected_escape) <= 1e-9
+
+
+def test_limit_chain_exponentiates_the_class_generator(rng):
+    chains = [generate.fast_funnel_chain(rng)[0] for _ in range(4)]
+    chains += [generate.random_mrc_fast(rng, max_states=6) for _ in range(12)]
+    for chain in chains:
+        limit = limit_chain(chain)
+        proj = limit.projection
+        k = len(proj.recurrent_classes)
+        assert limit.generator.shape == (k, k)
+        assert np.array_equal(proj.trapping @ proj.stationary, proj.pi)
+        assert np.max(np.abs(proj.stationary @ proj.trapping - np.eye(k))) <= 1e-14
+        assert np.array_equal(limit.transition(0.0), proj.pi)
+        slow = proj.pi @ chain.qs @ proj.pi
+        for t in (0.5, 2.0, 10.0):
+            dense = proj.pi @ scipy.linalg.expm(slow * t)
+            assert np.max(np.abs(limit.transition(t) - dense)) <= 1e-11
 
 
 def test_discontinuous_strong_check(fast_absorbing):
