@@ -19,18 +19,28 @@ the one next to this script.  Commits older than the script have no copy
 of it, so they are compared by running this copy against their ``src``:
 
     python3 scripts/cli_corpus.py --src /tmp/old/src > old.txt
+
+``--against DIR`` does the whole comparison in one command: it runs the
+corpus on the source tree ``DIR`` (or the checkout ``DIR`` whose ``src`` it
+is) and on ``--src``, each in a fresh process, prints only the lines that
+differ (``-`` for ``DIR``, ``+`` for ``--src``) and exits 1 if any do:
+
+    git archive A | tar -x -C /tmp/a
+    python3 scripts/cli_corpus.py --against /tmp/a
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import difflib
 import hashlib
 import io
 import json
 import os
 import random
 import shutil
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -201,10 +211,35 @@ def run_one(main, argv: list[str]) -> str:
     return line
 
 
+def compare(src: Path, against: Path) -> int:
+    """Run the corpus on both trees, one after the other; print the lines that differ."""
+    if (against / "src" / "matbisim").is_dir():
+        against = against / "src"
+    done = [subprocess.run([sys.executable, __file__, "--src", str(tree)], stdout=subprocess.PIPE, text=True)
+            for tree in (against, src)]
+    if any(proc.returncode for proc in done):
+        print("# a corpus run failed", file=sys.stderr)
+        return 2
+    old, new = (proc.stdout.splitlines() for proc in done)
+    differing = 0
+    for tag, i1, i2, j1, j2 in difflib.SequenceMatcher(None, old, new, autojunk=False).get_opcodes():
+        if tag != "equal":
+            for line in old[i1:i2]:
+                print(f"- {line}")
+            for line in new[j1:j2]:
+                print(f"+ {line}")
+            differing += (i2 - i1) + (j2 - j1)
+    print(f"# {differing} differing lines of {len(old)} and {len(new)}", file=sys.stderr)
+    return 1 if differing else 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="source tree to import matbisim from")
+    parser.add_argument("--against", type=Path, help="source tree or checkout to compare with; print differences only")
     args = parser.parse_args()
+    if args.against is not None:
+        return compare(args.src.resolve(), args.against.resolve())
     sys.path.insert(0, str(args.src.resolve()))
     from matbisim.cli import main as cli_main
 

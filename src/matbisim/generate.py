@@ -342,7 +342,8 @@ def _probe_instance(rng: random.Random, max_states: int) -> MrcFast:
 
 def _candidate_partitions(rng: random.Random, n: int) -> list[Partition]:
     if n <= 4:
-        return [p for p in enumerate_partitions(n) if not p.is_identity()]
+        # restricted-growth order: the probe reports the first hit in it
+        return sorted((p for p in enumerate_partitions(n) if not p.is_identity()), key=lambda p: p.assignment)
     seen: set = set()
     out = []
     for _ in range(40):

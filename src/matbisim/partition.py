@@ -287,20 +287,42 @@ def format_partition(p: Partition) -> str:
 
 
 def enumerate_partitions(n: int) -> Iterator[Partition]:
-    """All partitions of ``{0..n-1}`` in restricted-growth order."""
-    labels = [0] * n
+    """All partitions of ``{0..n-1}``, coarsest first: lazily, in strictly
+    increasing ``(num_blocks, blocks)`` order.
 
-    def rec(i: int, top: int) -> Iterator[Partition]:
-        if i == n:
-            yield Partition.from_assignment(labels)
+    For each block count ``k``, the block of the smallest unplaced state is
+    that state plus a subset of the later unplaced ones, in lexicographic
+    order of sorted tuples; the states left over are split into ``k - 1``
+    blocks the same way.  A block never takes so many states that fewer
+    than ``k - 1`` remain, so every branch yields.  The only state is one
+    block label per state and at most ``n + k`` nested generator frames.
+    """
+    labels = [-1] * n  # block of each state; -1 while unplaced
+
+    def open_block(k: int, j: int) -> Iterator[Partition]:
+        """Complete the partition with ``k`` more blocks, the first numbered ``j``."""
+        if k == 1:
+            yield Partition.from_assignment([j if lab == -1 else lab for lab in labels])
             return
-        for lab in range(top + 2):
-            labels[i] = lab
-            yield from rec(i + 1, max(top, lab))
+        leader = labels.index(-1)
+        labels[leader] = j
+        yield from grow(k, j, leader + 1, labels.count(-1) - (k - 1))
+        labels[leader] = -1
 
-    if n == 0:
-        return
-    yield from rec(1, 0)
+    def grow(k: int, j: int, start: int, room: int) -> Iterator[Partition]:
+        """Block ``j`` as it stands, then with each later state ``>= start``
+        added, while ``room`` more states may join it."""
+        yield from open_block(k - 1, j + 1)
+        if room == 0:
+            return
+        for s in range(start, n):
+            if labels[s] == -1:
+                labels[s] = j
+                yield from grow(k, j, s + 1, room - 1)
+                labels[s] = -1
+
+    for k in range(1, n + 1):
+        yield from open_block(k, 0)
 
 
 def refinement_fixpoint(n: int, signature_fn: Callable[[Partition], Sequence]) -> Partition:
@@ -320,20 +342,21 @@ def refinement_fixpoint(n: int, signature_fn: Callable[[Partition], Sequence]) -
 def brute_force_coarsest(model, checker: Callable, *, max_states: int = MAX_ORACLE_STATES) -> Partition:
     """Exhaustive oracle: fewest blocks, ties broken by canonical form.
 
+    Candidates come coarsest first from :func:`enumerate_partitions`, so the
+    first that passes is the minimum over ``(num_blocks, blocks)``: every
+    coarser partition, and every one as coarse that sorts before it, has
+    been checked and failed.  The cost is the rank of the answer, not
+    Bell(n) checks, and one candidate is held at a time.
+
     ``checker(model, partition)`` must return a :class:`CheckReport`.
     """
     n = model.num_states
     if n > max_states:
         raise ValueError(f"state bound exceeded: {n} > {max_states} (Bell number too large)")
-    best: Partition | None = None
     for p in enumerate_partitions(n):
-        if not checker(model, p).passed:
-            continue
-        if best is None or (p.num_blocks, p.blocks) < (best.num_blocks, best.blocks):
-            best = p
-    if best is None:
-        raise ValueError("no partition passed the checker")
-    return best
+        if checker(model, p).passed:
+            return p
+    raise ValueError("no partition passed the checker")
 
 
 class Search:

@@ -1,3 +1,5 @@
+from itertools import islice
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -102,10 +104,20 @@ def test_distributor_invariants(p):
 
 
 def test_enumerate_partitions_counts_match_bell_numbers():
-    for n in range(1, 8):
-        seen = list(enumerate_partitions(n))
-        assert len(seen) == BELL[n]
-        assert len(set(p.blocks for p in seen)) == BELL[n]
+    for n in range(1, 9):
+        keys = [(p.num_blocks, p.blocks) for p in enumerate_partitions(n)]
+        assert len(keys) == BELL[n]
+        assert len(set(keys)) == BELL[n]
+        # coarsest first, the order the oracle minimises
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+def test_enumerate_partitions_is_lazy_at_the_oracle_bound():
+    assert next(enumerate_partitions(12)) == Partition.single_block(12)
+    # 1 + S(12, 2) = 2048 partitions have at most two blocks
+    head = list(islice(enumerate_partitions(12), 2049))
+    assert [p.num_blocks for p in head[:2048]] == [1] + [2] * 2047
+    assert head[2048] == Partition(12, ((0,), (1,), tuple(range(2, 12))))
 
 
 def test_split_by_keys_refines_within_blocks():

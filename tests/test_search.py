@@ -1,12 +1,18 @@
+from functools import lru_cache
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matbisim import generate
 from matbisim.mrc import Mrc
 from matbisim.lts import parse_lts
 from matbisim.partition import (
+    BELL,
+    CheckReport,
     Partition,
     brute_force_coarsest,
     coarsest_partition,
@@ -111,6 +117,55 @@ def test_custom_checker_is_honored():
 
     assert coarsest_partition(chain, "strong", only_identity) == Partition.identity(2)
     assert brute_force_coarsest(chain, only_identity) == Partition.identity(2)
+
+
+@lru_cache(maxsize=None)
+def _all_partitions(n: int) -> tuple[Partition, ...]:
+    """Every partition of ``{0..n-1}``: state ``s`` joins each block of a
+    partition of ``{0..s-1}`` or opens its own."""
+    parts = [[]]
+    for s in range(n):
+        parts = [p[:i] + [p[i] + [s]] + p[i + 1:] for p in parts for i in range(len(p))] + [p + [[s]] for p in parts]
+    return tuple(Partition(n, tuple(map(tuple, p))) for p in parts)
+
+
+def _coarse_key(p: Partition):
+    return (p.num_blocks, p.blocks)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_oracle_stops_at_the_coarsest_passing_partition(data):
+    n = data.draw(st.integers(min_value=1, max_value=6))
+    every = _all_partitions(n)
+    passing = data.draw(st.sets(st.sampled_from(every), max_size=6))
+    calls = []
+
+    def checker(model, p):
+        calls.append(p)
+        return CheckReport("custom", p in passing, None if p in passing else "custom")
+
+    model = SimpleNamespace(num_states=n)
+    if not passing:
+        with pytest.raises(ValueError, match="no partition passed"):
+            brute_force_coarsest(model, checker)
+        assert len(calls) == BELL[n]
+        return
+    expected = min(passing, key=_coarse_key)
+    assert brute_force_coarsest(model, checker) == expected
+    rank = sorted(every, key=_coarse_key).index(expected)
+    assert len(calls) == rank + 1
+
+
+def test_probe_candidates_keep_restricted_growth_order():
+    import random
+
+    found = [p.assignment for p in generate._candidate_partitions(random.Random(0), 4)]
+    assert found == [
+        (0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0), (0, 0, 1, 1), (0, 0, 1, 2),
+        (0, 1, 0, 0), (0, 1, 0, 1), (0, 1, 0, 2), (0, 1, 1, 0), (0, 1, 1, 1),
+        (0, 1, 1, 2), (0, 1, 2, 0), (0, 1, 2, 1), (0, 1, 2, 2),
+    ]
 
 
 def test_identity_collector_passes_strong_everywhere(rng):
