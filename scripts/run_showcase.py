@@ -12,15 +12,12 @@ import numpy as np
 
 from matbisim import (
     Partition,
-    check_branching_mrc,
-    check_strong_lts,
-    check_weak_lts,
-    check_weak_mrc,
-    coarsest_partition,
+    Search,
     default_tau_distributor,
     ergodic_projection,
     format_lts,
-    lump_weak_lts,
+    lts,
+    mrc,
     parse_lts,
     parse_mrc,
     parse_partition,
@@ -46,17 +43,17 @@ def main() -> None:
     ident = parse_partition((MODELS / "four_state_identity.partition").read_text())
     merge = parse_partition((MODELS / "four_state_merge_siblings.partition").read_text())
     for name, part in (("identity", ident), ("merge siblings", merge)):
-        rep = check_strong_lts(sys4, part.collector_bool(sys4.alphabet))
+        rep = lts.check(sys4, part.collector_bool(sys4.alphabet), "strong")
         print(f"  {name}: {'pass' if rep.passed else f'fail ({rep.violated})'}")
-    print("  coarsest strong partition:", coarsest_partition(sys4, "strong").blocks)
+    print("  coarsest strong partition:", Search(sys4, "strong").coarsest().blocks)
 
     banner("tau_pair.lts: weak quotient and internal closure")
     pair = parse_lts((MODELS / "tau_pair.lts").read_text())
     merged = parse_partition((MODELS / "tau_pair_merged.partition").read_text())
     v = merged.collector_bool(pair.alphabet)
-    print("  strong:", check_strong_lts(pair, v).passed, " weak:", check_weak_lts(pair, v).passed)
+    print("  strong:", lts.check(pair, v, "strong").passed, " weak:", lts.check(pair, v, "weak").passed)
     print("  weak quotient:")
-    for line in format_lts(lump_weak_lts(pair, v)).strip().splitlines():
+    for line in format_lts(lts.lump(pair, v, "weak")).strip().splitlines():
         print("   ", line)
     print("  closure termination column:", [row[0] != 0 for row in tau_closure(pair).terminating.data])
 
@@ -70,7 +67,7 @@ def main() -> None:
     whole = Partition.single_block(2)
     v2 = whole.collector_real()
     print("  projection:\n", np.array2string(ergodic_projection(fast.qf).pi, prefix="   "))
-    print("  weak check:", check_weak_mrc(fast, v2).passed)
+    print("  weak check:", mrc.check(fast, v2, "weak").passed)
     w = default_tau_distributor(fast, v2)
     print("  distributor:", w)
     print("  limit/lump commutation:", verify_limit_commutation(fast, v2, w))
@@ -79,8 +76,8 @@ def main() -> None:
     witness = parse_mrc((MODELS / "branching_not_weak.mrc").read_text())
     part = parse_partition((MODELS / "branching_not_weak.partition").read_text())
     vw = part.collector_real()
-    print("  branching:", check_branching_mrc(witness, vw).passed)
-    weak = check_weak_mrc(witness, vw)
+    print("  branching:", mrc.check(witness, vw, "branching").passed)
+    weak = mrc.check(witness, vw, "weak")
     print("  weak:", weak.passed, f"({weak.violated}, residual {weak.witness.residual:g})")
 
 

@@ -18,27 +18,19 @@ from .partition import (
     CheckReport,
     ModelFormatError,
     Partition,
+    Search,
     Witness,
     brute_force_coarsest,
-    canonical_distributor_bool,
     canonical_distributor_real,
-    coarsest_partition,
     collector_to_partition,
     enumerate_partitions,
     format_partition,
     parse_partition,
-    standard_checker,
 )
 from .lts import (
     Lts,
-    check_branching_lts,
-    check_strong_lts,
     check_strong_relational,
-    check_weak_lts,
     format_lts,
-    lump_branching_lts,
-    lump_strong_lts,
-    lump_weak_lts,
     parse_lts,
     tau_closure,
     verify_branching_commutation,
@@ -53,16 +45,11 @@ from .mrc import (
     Mrc,
     MrcFast,
     adapt_diagonal,
-    check_branching_mrc,
     check_strong_discontinuous,
-    check_strong_mrc,
-    check_weak_mrc,
     default_tau_distributor,
     ergodic_projection,
     format_mrc,
     limit_chain,
-    lump_strong_mrc,
-    lump_weak_mrc,
     parse_distributor,
     parse_mrc,
     tau_distributor_residuals,

@@ -24,6 +24,9 @@ import numpy as np
 
 DEFAULT_ATOL = 1e-9
 
+#: Relative pivot threshold of :func:`solve_linear`.
+PIVOT_RTOL = 1e-12
+
 #: Reserved label for internal steps; never part of an alphabet.
 TAU_LABEL = "tau"
 
@@ -393,10 +396,10 @@ def first_real_mismatch(lhs, rhs, atol: float = DEFAULT_ATOL):
     return i, j, float(lhs[i, j]), float(rhs[i, j])
 
 
-def solve_linear(a, b, *, pivot_rtol: float = 1e-12) -> np.ndarray:
+def solve_linear(a, b) -> np.ndarray:
     """Solve ``a @ x = b`` by Gaussian elimination with partial pivoting.
 
-    A pivot smaller than ``pivot_rtol`` times the largest initial magnitude
+    A pivot smaller than ``PIVOT_RTOL`` times the largest initial magnitude
     of its column raises :class:`SingularMatrixError`; this makes the
     singularity verdict deterministic and independent of elimination
     history.
@@ -415,7 +418,7 @@ def solve_linear(a, b, *, pivot_rtol: float = 1e-12) -> np.ndarray:
     rhs = rhs.copy()
     for k in range(n):
         p = k + int(np.argmax(np.abs(m[k:, k])))
-        if col_scale[k] == 0.0 or abs(m[p, k]) < pivot_rtol * col_scale[k]:
+        if col_scale[k] == 0.0 or abs(m[p, k]) < PIVOT_RTOL * col_scale[k]:
             raise SingularMatrixError(f"pivot for column {k} below threshold")
         if p != k:
             m[[k, p]] = m[[p, k]]

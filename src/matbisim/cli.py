@@ -281,9 +281,9 @@ def cmd_reward(cfg: argparse.Namespace) -> int:
     limit = mrc_mod.limit_chain(fast, atol=cfg.tol) if np.any(fast.qf != 0.0) else None
     if limit is None:
         plain = mrc_mod.as_plain_chain(model)
-        values = [mrc_mod.total_reward(plain, t) for t in cfg.times]
+        values = [mrc_mod.total_reward(plain, t, atol=cfg.tol) for t in cfg.times]
     else:
-        values = [float(model.sigma @ limit.transition(t) @ model.rho) for t in cfg.times]
+        values = [float(model.sigma @ limit.transition(t, atol=cfg.tol) @ model.rho) for t in cfg.times]
     lines = [f"R({t:g}) = {v:.12g}" for t, v in zip(cfg.times, values)]
     if limit is not None:
         lines.insert(0, "fast transitions present: reporting the limit-chain reward")
@@ -376,14 +376,14 @@ def main(argv=None) -> int:
         if not all(math.isfinite(t) and t >= 0 for t in getattr(cfg, "times", ())):
             raise ValueError("times must be nonnegative and finite")
         return _HANDLERS[cfg.command](cfg)
-    except CheckFailed as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except DistributorError as exc:
+    except (CheckFailed, DistributorError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ModelFormatError, GeneratorError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: not enough memory: {exc}", file=sys.stderr)
         return 2
 
 

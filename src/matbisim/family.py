@@ -6,7 +6,7 @@ define the same names, so the search engine and the command line call them
 without branching on the model: ``parse_model``, ``format_model``,
 ``collector``, ``canonical_distributor``, ``conditions`` (the kind's table
 ``V -> [(name, X)]``), ``check_rows`` and ``signature_keys`` (a verdict and
-refinement keys from evaluated rows), ``evaluate``, ``lump``,
+refinement keys from evaluated rows), ``evaluate``, ``check``, ``lump``,
 ``read_distributor``, ``UNIQUE_COARSEST`` and ``STRICT_MIDDLE`` (whether
 the weak table reads ``strict_middle``).
 """

@@ -11,16 +11,17 @@ from functools import partial
 
 import numpy as np
 
+from . import mrc
 from .algebra import DEFAULT_ATOL, ActionAlphabet, ActionMatrix
-from .mrc import Mrc, MrcFast, check_branching_mrc, check_weak_mrc, format_mrc, parse_mrc
+from .mrc import Mrc, MrcFast, format_mrc, parse_mrc
 from .lts import Lts
 from .partition import (
     CheckReport,
     Partition,
+    Search,
     enumerate_partitions,
     format_partition,
     parse_partition,
-    standard_checker,
 )
 
 _LABEL_POOL = ("a", "b", "c", "d")
@@ -361,8 +362,8 @@ def _revalidate(model: MrcFast, p: Partition, atol: float) -> tuple[bool, CheckR
     chain = parse_mrc(format_mrc(model))
     part = parse_partition(format_partition(p))
     v = part.collector_real()
-    again_branching = check_branching_mrc(chain, v, atol)
-    again_weak = check_weak_mrc(chain, v, atol)
+    again_branching = mrc.check(chain, v, "branching", atol=atol)
+    again_weak = mrc.check(chain, v, "weak", atol=atol)
     return again_branching.passed and not again_weak.passed, again_weak
 
 
@@ -376,15 +377,17 @@ def probe_branching_weak(
     """Search random small chains for a partition passing the branching
     check but failing the weak check.  Returns the first hit, re-validated
     through the text round-trip, or a clean completion."""
+    if max_states < 1 or count < 0:
+        raise ValueError("the probe needs at least one state and a nonnegative count")
     rng = random.Random(seed)
     for idx in range(count):
         chain = _probe_instance(rng, max_states)
-        branching = standard_checker(chain, "branching", atol=atol)
+        branching = Search(chain, "branching", atol=atol).checker
         weak = None  # built on the first candidate that passes branching
         for p in _candidate_partitions(rng, chain.num_states):
             if not branching(chain, p).passed:
                 continue
-            weak = weak or standard_checker(chain, "weak", atol=atol)
+            weak = weak or Search(chain, "weak", atol=atol).checker
             if weak(chain, p).passed:
                 continue
             ok, again_weak = _revalidate(chain, p, atol)

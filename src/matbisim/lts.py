@@ -25,7 +25,6 @@ from .partition import (
     CheckReport,
     ModelFormatError,
     Partition,
-    Search,
     Witness,
     content_lines,
     parse_model_header,
@@ -232,6 +231,10 @@ def conditions(
     ``X``; it carries that side as a third element.  Products that do not
     depend on the partition are computed once, when the map is built.
     Entries are exact, so ``atol`` is unused.
+
+    The default weak middle saturates the closed visible part
+    (``VUΠAΠV = ΠAΠV``); ``strict_middle`` switches to the literal variant
+    ``VUΠAΠV = ΠV``, kept for comparison.
     """
     if kind == "strong":
         return lambda v: [
@@ -293,39 +296,22 @@ def check_rows(kind: str, v: ActionMatrix, u: ActionMatrix, rows, atol: float = 
     return CheckReport(kind, True)
 
 
-def check_lts(lts: Lts, v: ActionMatrix, kind: str, *, strict_middle: bool = False) -> CheckReport:
-    return evaluate(lts, v, kind, strict_middle=strict_middle)[0]
-
-
-def check_strong_lts(lts: Lts, v: ActionMatrix, *, distributor: ActionMatrix | None = None) -> CheckReport:
-    """Strong bisimulation check; internal steps are treated as ordinary."""
-    return evaluate(lts, v, "strong", distributor=distributor)[0]
-
-
-def check_weak_lts(
+def check(
     lts: Lts,
     v: ActionMatrix,
+    kind: str,
     *,
+    atol: float = DEFAULT_ATOL,
     strict_middle: bool = False,
     distributor: ActionMatrix | None = None,
 ) -> CheckReport:
-    """Weak bisimulation check through the internal closure.
-
-    The default middle condition saturates the closed visible part
-    (``VUΠAΠV = ΠAΠV``).  ``strict_middle`` switches to the literal variant
-    ``VUΠAΠV = ΠV``, kept for comparison.
-    """
-    return evaluate(lts, v, "weak", strict_middle=strict_middle, distributor=distributor)[0]
+    """Verdict of one kind on ``v``: the first equality of its table that fails."""
+    return evaluate(lts, v, kind, atol=atol, strict_middle=strict_middle, distributor=distributor)[0]
 
 
 def branching_closure(lts: Lts, v: ActionMatrix) -> ActionMatrix:
     """Closure of the internal steps restricted to same-class pairs."""
     return rt_closure(lts.internal.meet(v @ v.transpose()))
-
-
-def check_branching_lts(lts: Lts, v: ActionMatrix, *, distributor: ActionMatrix | None = None) -> CheckReport:
-    """Branching bisimulation check; the closure depends on the partition."""
-    return evaluate(lts, v, "branching", distributor=distributor)[0]
 
 
 def check_strong_relational(lts: Lts, v: ActionMatrix) -> CheckReport:
@@ -380,18 +366,6 @@ def lump(
         internal=u @ lts.internal @ v,
         terminating=u @ lts.terminating,
     )
-
-
-def lump_strong_lts(lts: Lts, v: ActionMatrix, *, distributor: ActionMatrix | None = None) -> Lts:
-    return lump(lts, v, "strong", distributor=distributor)
-
-
-def lump_weak_lts(lts: Lts, v: ActionMatrix, *, strict_middle: bool = False) -> Lts:
-    return lump(lts, v, "weak", strict_middle=strict_middle)
-
-
-def lump_branching_lts(lts: Lts, v: ActionMatrix) -> Lts:
-    return lump(lts, v, "branching")
 
 
 def tau_closure(lts: Lts) -> Lts:
@@ -460,7 +434,7 @@ def verify_branching_commutation(lts: Lts, v: ActionMatrix) -> bool:
     quotient of the class-restricted closure.  Requires the branching
     check to pass.
     """
-    require_passed(check_branching_lts(lts, v))
+    require_passed(check(lts, v, "branching"))
     u = v.transpose()
     n = lts.num_states
     eye_n = ActionMatrix.identity(lts.alphabet, n)
@@ -489,8 +463,3 @@ def signature_keys(p: Partition, rows, atol: float = DEFAULT_ATOL) -> list:
     """Per-state rows of every evaluated ``X``; their block-constancy is the check."""
     xs = np.concatenate([row[1].planes for row in rows], axis=2)
     return [state.tobytes() for state in xs.transpose(1, 0, 2)]
-
-
-def refinement_signatures(lts: Lts, kind: str) -> Callable[[Partition], list]:
-    """Refinement keys of the kind's table, as a function of the partition."""
-    return Search(lts, kind).signatures

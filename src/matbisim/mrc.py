@@ -32,7 +32,6 @@ from .partition import (
     CheckReport,
     ModelFormatError,
     Partition,
-    Search,
     Witness,
     canonical_distributor_real,
     content_lines,
@@ -185,6 +184,9 @@ def transition_matrix(q, t: float, *, atol: float = DEFAULT_ATOL, require_genera
     solve), and ``R`` is squared ``s`` times.  With ``require_generator``
     off any square matrix is accepted (the lumped limit generator of
     :func:`verify_limit_commutation`).
+
+    Rows of ``e^(qt)`` sum to 1 where those of ``q`` sum to 0; a horizon at
+    which the squarings lose more than ``atol`` of that is refused.
     """
     if not math.isfinite(t):
         raise ValueError("time must be finite")
@@ -227,14 +229,17 @@ def transition_matrix(q, t: float, *, atol: float = DEFAULT_ATOL, require_genera
     u *= 2.0
     u += v  # V + U
     r = np.linalg.solve(v, u)
-    for _ in range(squarings):
-        r = r @ r
+    with np.errstate(over="ignore", invalid="ignore"):  # for a generator, refused below
+        for _ in range(squarings):
+            r = r @ r
+    if np.max(np.abs(q.sum(axis=1))) <= atol and not np.max(np.abs(r.sum(axis=1) - 1.0)) <= atol:
+        raise ValueError(f"time {t:g} is too long for these rates")
     return r
 
 
-def total_reward(model: Mrc, t: float) -> float:
+def total_reward(model: Mrc, t: float, *, atol: float = DEFAULT_ATOL) -> float:
     """Expected reward rate at time ``t``: initial @ P(t) @ rewards."""
-    return float(model.sigma @ transition_matrix(model.q, t) @ model.rho)
+    return float(model.sigma @ transition_matrix(model.q, t, atol=atol) @ model.rho)
 
 
 # ---------------------------------------------------------------------------
@@ -337,17 +342,11 @@ def evaluate(
     return check_rows(kind, v, u, rows, atol), rows
 
 
-def check_mrc(model: Mrc | MrcFast, v, kind: str, atol: float = DEFAULT_ATOL) -> CheckReport:
-    return evaluate(model, v, kind, atol=atol)[0]
-
-
-def check_strong_mrc(model: Mrc | MrcFast, v, atol: float = DEFAULT_ATOL, *, distributor=None) -> CheckReport:
-    """Ordinary-lumping check."""
-    return evaluate(model, v, "strong", atol=atol, distributor=distributor)[0]
-
-
-def lump_strong_mrc(model: Mrc | MrcFast, v, atol: float = DEFAULT_ATOL, *, distributor=None):
-    return lump(model, v, "strong", atol=atol, distributor=distributor)
+def check(
+    model: Mrc | MrcFast, v, kind: str, *, atol: float = DEFAULT_ATOL, strict_middle: bool = False, distributor=None
+) -> CheckReport:
+    """Verdict of one kind on ``v``: the first equality of its table that misses ``atol``."""
+    return evaluate(model, v, kind, atol=atol, strict_middle=strict_middle, distributor=distributor)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -387,13 +386,13 @@ def _class_indicator(n: int, classes) -> np.ndarray:
     return c
 
 
-def ergodic_projection(qf, *, atol: float = DEFAULT_ATOL, edge_tol: float = EDGE_TOL) -> ErgodicProjection:
+def ergodic_projection(qf, *, atol: float = DEFAULT_ATOL) -> ErgodicProjection:
     """Structural long-run projection of a generator.
 
     Recurrent classes are the strongly connected components without outgoing
     rates; each gets a stationary vector, transient states get trapping
     probabilities, and rows are assembled from those pieces.  Rates at or
-    below ``edge_tol`` do not count as edges, which keeps numerically-zero
+    below ``EDGE_TOL`` do not count as edges, which keeps numerically-zero
     generators (such as certified lumped fast parts) structurally still.
     """
     # SciPy is loaded on first use, so transition-system work never loads it.
@@ -402,7 +401,7 @@ def ergodic_projection(qf, *, atol: float = DEFAULT_ATOL, edge_tol: float = EDGE
 
     q = validate_generator(qf, atol=atol)
     n = q.shape[0]
-    adj = q > edge_tol
+    adj = q > EDGE_TOL
     np.fill_diagonal(adj, False)
     n_comp, labels = connected_components(csr_matrix(adj), directed=True, connection="strong")
     src, dst = np.nonzero(adj)
@@ -442,11 +441,6 @@ def ergodic_projection(qf, *, atol: float = DEFAULT_ATOL, edge_tol: float = EDGE
 # ---------------------------------------------------------------------------
 # Weak bisimulation and the certified distributor
 # ---------------------------------------------------------------------------
-
-
-def check_weak_mrc(model: Mrc | MrcFast, v, atol: float = DEFAULT_ATOL) -> CheckReport:
-    """Weak check: conditions on the projection-smoothed chain."""
-    return check_mrc(model, v, "weak", atol)
 
 
 def tau_distributor_residuals(model: Mrc | MrcFast, v, w, *, atol: float = DEFAULT_ATOL) -> dict[str, float]:
@@ -551,10 +545,6 @@ def lump(
     return Mrc(model.sigma @ v, u @ model.q @ v, u @ model.rho)
 
 
-def lump_weak_mrc(model: Mrc | MrcFast, v, w=None, *, atol: float = DEFAULT_ATOL) -> MrcFast:
-    return lump(model, v, "weak", atol=atol, distributor=w)
-
-
 # ---------------------------------------------------------------------------
 # Limit chain
 # ---------------------------------------------------------------------------
@@ -585,8 +575,8 @@ class LimitChain:
         """The projection-smoothed slow generator ``ΠQsΠ = A G E``."""
         return self.projection.trapping @ self.generator @ self.projection.stationary
 
-    def transition(self, t: float) -> np.ndarray:
-        p = transition_matrix(self.generator, t, require_generator=False)
+    def transition(self, t: float, *, atol: float = DEFAULT_ATOL) -> np.ndarray:
+        p = transition_matrix(self.generator, t, atol=atol, require_generator=False)
         return self.projection.trapping @ p @ self.projection.stationary
 
 
@@ -649,8 +639,8 @@ def verify_limit_commutation(
     for t in times:
         if t < 0:
             raise ValueError("times must be nonnegative")
-        lumped_limit = proj_hat @ transition_matrix(g_hat, t, require_generator=False)
-        limit_lumped = w @ limit.transition(t) @ v
+        lumped_limit = proj_hat @ transition_matrix(g_hat, t, atol=atol, require_generator=False)
+        limit_lumped = w @ limit.transition(t, atol=atol) @ v
         if max_abs_diff(lumped_limit, limit_lumped) > tol:
             return False
     return True
@@ -677,12 +667,6 @@ def adapt_diagonal(qf, v) -> np.ndarray:
     np.fill_diagonal(keep, 0.0)
     np.fill_diagonal(keep, -keep.sum(axis=1))
     return keep
-
-
-def check_branching_mrc(model: Mrc | MrcFast, v, atol: float = DEFAULT_ATOL) -> CheckReport:
-    """Branching check: the smoothing projection only follows in-class fast
-    steps, so it depends on the candidate partition."""
-    return check_mrc(model, v, "branching", atol)
 
 
 # ---------------------------------------------------------------------------
@@ -878,8 +862,3 @@ def signature_keys(p: Partition, rows, atol: float = DEFAULT_ATOL) -> list:
     """Per-state rows of every evaluated ``X``, clustered to tolerance inside
     each block; their block-constancy is the check."""
     return _cluster_keys(p, np.hstack([x for _, x in rows]), atol)
-
-
-def refinement_signatures(model: Mrc | MrcFast, kind: str, *, atol: float = DEFAULT_ATOL) -> Callable[[Partition], list]:
-    """Refinement keys of the kind's table, as a function of the partition."""
-    return Search(model, kind, atol=atol).signatures

@@ -16,8 +16,6 @@ from .algebra import DEFAULT_ATOL, ActionAlphabet, ActionMatrix
 BELL = (1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570, 4213597)
 MAX_ORACLE_STATES = 12
 
-KINDS = ("strong", "weak", "branching")
-
 
 class ModelFormatError(ValueError):
     """Malformed model, partition, or distributor text."""
@@ -92,8 +90,8 @@ class Partition:
                     raise ValueError(f"state {s} in two blocks")
                 seen.add(s)
         if len(seen) != self.n:
-            missing = sorted(set(range(self.n)) - seen)
-            raise ValueError(f"states not covered: {missing}")
+            first = next((i for i, s in enumerate(sorted(seen)) if i != s), len(seen))
+            raise ValueError(f"{self.n - len(seen)} states not covered, the first is {first}")
 
     @classmethod
     def identity(cls, n: int) -> "Partition":
@@ -141,13 +139,7 @@ class Partition:
 
 def split_by_keys(p: Partition, keys: Sequence) -> Partition:
     """Refine ``p`` by grouping, inside each block, states with equal keys."""
-    blocks = []
-    for block in p.blocks:
-        groups: dict = {}
-        for s in block:
-            groups.setdefault(keys[s], []).append(s)
-        blocks.extend(groups.values())
-    return Partition(p.n, tuple(tuple(b) for b in blocks))
+    return Partition.from_assignment(list(zip(p.assignment, keys)))
 
 
 # ---------------------------------------------------------------------------
@@ -193,15 +185,6 @@ def collector_to_partition(v) -> Partition:
         require_real_collector(arr)
         labels = [int(np.argmax(row)) for row in arr]
     return Partition.from_assignment(labels)
-
-
-def canonical_distributor_bool(v: ActionMatrix) -> ActionMatrix:
-    """Transpose of the collector; a distributor in the boolean world."""
-    require_bool_collector(v)
-    u = v.transpose()
-    if u @ v != ActionMatrix.identity(v.alphabet, v.cols):
-        raise ValueError("transpose is not a distributor for this matrix")
-    return u
 
 
 def canonical_distributor_real(v: np.ndarray) -> np.ndarray:
@@ -339,7 +322,7 @@ def refinement_fixpoint(n: int, signature_fn: Callable[[Partition], Sequence]) -
         part = refined
 
 
-def brute_force_coarsest(model, checker: Callable, *, max_states: int = MAX_ORACLE_STATES) -> Partition:
+def brute_force_coarsest(model, checker: Callable) -> Partition:
     """Exhaustive oracle: fewest blocks, ties broken by canonical form.
 
     Candidates come coarsest first from :func:`enumerate_partitions`, so the
@@ -351,8 +334,8 @@ def brute_force_coarsest(model, checker: Callable, *, max_states: int = MAX_ORAC
     ``checker(model, partition)`` must return a :class:`CheckReport`.
     """
     n = model.num_states
-    if n > max_states:
-        raise ValueError(f"state bound exceeded: {n} > {max_states} (Bell number too large)")
+    if n > MAX_ORACLE_STATES:
+        raise ValueError(f"state bound exceeded: {n} > {MAX_ORACLE_STATES} (Bell number too large)")
     for p in enumerate_partitions(n):
         if checker(model, p).passed:
             return p
@@ -393,44 +376,20 @@ class Search:
         return brute_force_coarsest(self.model, self.checker)
 
     def coarsest(self) -> Partition:
-        """See :func:`coarsest_partition`."""
+        """Coarsest partition whose collector passes the bisimulation check.
+
+        Kinds in the family's ``UNIQUE_COARSEST`` use signature refinement.
+        Branching on reward chains has no unique coarsest solution in general,
+        so small instances fall back to the exhaustive lattice search; larger
+        ones return the refinement fixpoint, which passes its own check but may
+        not have the fewest blocks.  A fixpoint that fails its own check raises
+        :class:`CheckFailed`.  The strict weak reading, in a family whose weak
+        table has one (``STRICT_MIDDLE``), uses the exhaustive search, so that
+        the result is defined by the check.
+        """
         if self.exhaustive:
             return self.oracle
         result = refinement_fixpoint(self.model.num_states, self.signatures)
         require_passed(self.checker(self.model, result))
         return result
 
-
-def standard_checker(model, kind: str, *, atol: float = DEFAULT_ATOL, strict_middle: bool = False) -> Callable:
-    """Checker callable ``(model, partition) -> CheckReport`` for a kind.
-
-    The kind's table of equalities is built once, for ``model``; the checker
-    accepts that model only.
-    """
-    return Search(model, kind, atol=atol, strict_middle=strict_middle).checker
-
-
-def coarsest_partition(
-    model,
-    kind: str,
-    checker: Callable | None = None,
-    *,
-    atol: float = DEFAULT_ATOL,
-    strict_middle: bool = False,
-) -> Partition:
-    """Coarsest partition whose collector passes the bisimulation check.
-
-    Kinds in the family's ``UNIQUE_COARSEST`` use signature refinement.
-    Branching on reward chains has no unique coarsest solution in general,
-    so small instances fall back to the exhaustive lattice search; larger
-    ones return the refinement fixpoint, which passes its own check but may
-    not have the fewest blocks.  A fixpoint that fails its own check raises
-    :class:`CheckFailed`.  The strict weak reading, in a family whose weak
-    table has one (``STRICT_MIDDLE``), and a custom ``checker`` use the
-    exhaustive search, so that the result is defined by the check.
-    """
-    if kind not in KINDS:
-        raise ValueError(f"unknown kind {kind!r}")
-    if checker is not None:
-        return brute_force_coarsest(model, checker)
-    return Search(model, kind, atol=atol, strict_middle=strict_middle).coarsest()

@@ -16,25 +16,18 @@ import random
 
 import numpy as np
 
-from matbisim import generate
+from matbisim import generate, lts, mrc
 from matbisim.algebra import ActionMatrix, rt_closure
 from matbisim.cli import main as cli_main
 from matbisim.lts import (
-    check_branching_lts,
-    check_strong_lts,
     check_strong_relational,
-    check_weak_lts,
     verify_branching_commutation,
     verify_weak_commutation,
 )
 from matbisim.mrc import (
     as_fast_chain,
-    check_branching_mrc,
-    check_strong_mrc,
-    check_weak_mrc,
     default_tau_distributor,
     ergodic_projection,
-    lump_strong_mrc,
     parse_mrc,
     tau_distributor_residuals,
     total_reward,
@@ -44,10 +37,9 @@ from matbisim.mrc import (
 )
 from matbisim.partition import (
     Partition,
+    Search,
     brute_force_coarsest,
-    coarsest_partition,
     parse_partition,
-    standard_checker,
 )
 
 
@@ -74,9 +66,10 @@ def test_criterion_01_four_state_reproduction(four_state):
     )
     rho_ok = four_state.terminating == ActionMatrix.from_bits(ab, [[1], [0], [0], [1]])
     ident = Partition.identity(4).collector_bool(ab)
-    strong_ok = check_strong_lts(four_state, ident).passed
-    coarsest = coarsest_partition(four_state, "strong")
-    oracle = brute_force_coarsest(four_state, standard_checker(four_state, "strong"))
+    strong_ok = lts.check(four_state, ident, "strong").passed
+    search = Search(four_state, "strong")
+    coarsest = search.coarsest()
+    oracle = brute_force_coarsest(four_state, search.checker)
     discrete_ok = coarsest == Partition.identity(4) == oracle
     record(
         "1",
@@ -112,7 +105,7 @@ def test_criterion_03a_closure_identity_for_every_collector():
         closed = rt_closure(u @ sys_.internal @ v)
         if not lifted <= closed:
             not_included.append((i, p.blocks))
-        weak = check_weak_lts(sys_, v).passed
+        weak = lts.check(sys_, v, "weak").passed
         if weak:
             weak_passing += 1
         if lifted == closed:
@@ -144,7 +137,7 @@ def test_criterion_03b_projection_identity_under_weak_check():
         sys_ = generate.random_lts(rng, max_states=8)
         p = generate.random_partition(rng, sys_.num_states)
         v = p.collector_bool(sys_.alphabet)
-        if not check_weak_lts(sys_, v).passed:
+        if not lts.check(sys_, v, "weak").passed:
             continue
         checked += 1
         pi = rt_closure(sys_.internal)
@@ -167,7 +160,7 @@ def _found_bisimulations(rng, count, kind):
             sys_, _ = generate.duplicate_states_lts(rng, base)
         else:
             sys_ = generate.random_lts(rng, max_states=6)
-        part = coarsest_partition(sys_, kind)
+        part = Search(sys_, kind).coarsest()
         found.append((sys_, part))
     return found
 
@@ -208,9 +201,9 @@ def test_criterion_05_branching_implies_weak():
         pairs.append((sys_, part))
     for sys_, part in pairs:
         v = part.collector_bool(sys_.alphabet)
-        if check_branching_lts(sys_, v).passed:
+        if lts.check(sys_, v, "branching").passed:
             antecedents += 1
-            if not check_weak_lts(sys_, v).passed:
+            if not lts.check(sys_, v, "weak").passed:
                 failures += 1
     record(
         "5",
@@ -225,7 +218,7 @@ def test_criterion_06_relational_cross_check():
     for _ in range(500):
         sys_ = generate.random_lts(rng, max_states=6)
         v = generate.random_partition(rng, sys_.num_states).collector_bool(sys_.alphabet)
-        if check_strong_relational(sys_, v).passed != check_strong_lts(sys_, v).passed:
+        if check_strong_relational(sys_, v).passed != lts.check(sys_, v, "strong").passed:
             disagreements += 1
     record("6", disagreements == 0, f"relational vs saturation strong check on 500 pairs: {disagreements} disagreements")
 
@@ -236,7 +229,7 @@ def test_criterion_07_lumping_preserves_reward():
     for _ in range(100):
         base = generate.random_mrc(rng, n=rng.randint(1, 4))
         chain, part = generate.duplicate_states_mrc(rng, base)
-        lumped = lump_strong_mrc(chain, part.collector_real())
+        lumped = mrc.lump(chain, part.collector_real(), "strong")
         for t in (0.0, 0.1, 1.0, 10.0):
             worst = max(worst, abs(total_reward(chain, t) - total_reward(lumped, t)))
     record("7", worst <= 1e-8, f"reward drift under planted ordinary lumping (100 chains): max {worst:.3e}")
@@ -279,8 +272,8 @@ def test_criterion_09_weak_degenerates_to_strong():
             base = generate.random_mrc(rng, n=rng.randint(1, 3))
             chain, part = generate.duplicate_states_mrc(rng, base)
         v = part.collector_real()
-        weak = check_weak_mrc(as_fast_chain(chain), v).passed
-        strong = check_strong_mrc(chain, v).passed
+        weak = mrc.check(as_fast_chain(chain), v, "weak").passed
+        strong = mrc.check(chain, v, "strong").passed
         passes += strong
         if weak != strong:
             disagreements += 1
@@ -299,7 +292,7 @@ def test_criterion_10_distributor_certification():
     while certified < 50:
         chain, part = generate.fast_funnel_chain(rng)
         v = part.collector_real()
-        if not check_weak_mrc(chain, v).passed:
+        if not mrc.check(chain, v, "weak").passed:
             continue
         try:
             w = default_tau_distributor(chain, v)
@@ -324,7 +317,8 @@ def test_criterion_11_oracle_equivalence():
     for _ in range(100):
         sys_ = generate.random_lts(rng, n=rng.randint(1, 6))
         for kind in ("strong", "weak", "branching"):
-            if coarsest_partition(sys_, kind) != brute_force_coarsest(sys_, standard_checker(sys_, kind)):
+            search = Search(sys_, kind)
+            if search.coarsest() != brute_force_coarsest(sys_, search.checker):
                 disagreements.append(("lts", kind))
     for _ in range(100):
         if rng.random() < 0.5:
@@ -333,7 +327,8 @@ def test_criterion_11_oracle_equivalence():
             base = generate.random_mrc(rng, n=rng.randint(1, 3))
             chain, _ = generate.duplicate_states_mrc(rng, base)
         for kind in ("strong", "weak", "branching"):
-            if coarsest_partition(chain, kind) != brute_force_coarsest(chain, standard_checker(chain, kind)):
+            search = Search(chain, kind)
+            if search.coarsest() != brute_force_coarsest(chain, search.checker):
                 disagreements.append(("mrc", kind))
     record(
         "11",
@@ -355,8 +350,8 @@ def test_criterion_12_probe_completes_and_revalidates(capsys):
     chain = parse_mrc(ce["model"])
     part = parse_partition(ce["partition"])
     v = part.collector_real()
-    branching_again = check_branching_mrc(chain, v)
-    weak_again = check_weak_mrc(chain, v)
+    branching_again = mrc.check(chain, v, "branching")
+    weak_again = mrc.check(chain, v, "weak")
     ok = (
         code == 1
         and ce["revalidated"] is True

@@ -1,6 +1,7 @@
 import contextlib
 import json
 import signal
+import warnings
 from pathlib import Path
 
 from matbisim.cli import main
@@ -390,3 +391,62 @@ def test_check_json_checksums_and_witnesses_are_pinned(capsys):
         assert payload["violated"] == violated, where
         assert payload["witness"] == witness, where
         assert payload["checksums"] == checksums, where
+
+
+def test_probe_arguments_are_bounded(capsys):
+    for args in (("--max-states", "0"), ("--max-states", "-3"), ("--count", "-5")):
+        assert run("probe", *args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: the probe needs at least one state and a nonnegative count"]
+
+
+def test_oversized_partition_is_a_short_error(tmp_path, capsys):
+    part = tmp_path / "huge.partition"
+    part.write_text("partition 1000000\n0\n")
+    assert run("check", FOUR, "--partition", part, "--kind", "strong") == 2
+    err = capsys.readouterr().err
+    assert len(err) < 1024
+    assert err.splitlines() == ["error: invalid partition: 999999 states not covered, the first is 1"]
+
+
+def test_unallocatable_model_is_a_usage_error(capsys, monkeypatch):
+    from matbisim import lts
+
+    def unallocatable(text, *, atol):
+        raise MemoryError("Unable to allocate 9.31 GiB for an array with shape (100000, 100000)")
+
+    monkeypatch.setattr(lts, "parse_model", unallocatable)
+    assert run("check", FOUR, "--partition", FOUR_IDENT, "--kind", "strong") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: not enough memory: Unable to allocate 9.31 GiB for an array with shape (100000, 100000)"
+    ]
+
+
+def test_reward_refuses_horizons_that_lose_probability_mass(tmp_path, capsys):
+    # e^(Qt) of a generator keeps its rows at 1; repeated squaring at these
+    # horizons leaks mass (0.969, 0.018 and 0 instead of 1)
+    chain = tmp_path / "two.mrc"
+    chain.write_text("mrc 2\ninit 0:1\nreward 0 1\nrate 0 1 1\n")
+    assert run("reward", chain, "--times", "1e15", "1e17", "1e20") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: time 1e+15 is too long for these rates"]
+
+    assert run("reward", chain, "--times", "1e6") == 0
+    assert capsys.readouterr().out == "R(1e+06) = 0.999999999971\n"
+
+    # the check reads --tol: a loss of 0.031 is inside 0.1
+    assert run("reward", chain, "--times", "1e15", "--tol", "0.1") == 0
+    assert capsys.readouterr().out == "R(1e+15) = 0.969233234251\n"
+
+    # squarings that overflow to inf and NaN are refused too, without warnings
+    chain.write_text("mrc 2\ninit 0:1\nreward 0 1\nrate 0 1 2\nrate 1 0 2\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("reward", chain, "--times", "1e20") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: time 1e+20 is too long for these rates"]

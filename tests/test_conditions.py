@@ -8,23 +8,20 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from matbisim import generate
+from matbisim import generate, lts, mrc
 from matbisim.algebra import DEFAULT_ATOL
-from matbisim.lts import check_lts
-from matbisim.lts import refinement_signatures as lts_signatures
-from matbisim.mrc import Mrc, MrcFast, _cluster_keys, check_mrc
-from matbisim.mrc import refinement_signatures as mrc_signatures
-from matbisim.partition import Partition, coarsest_partition, split_by_keys
+from matbisim.mrc import Mrc, MrcFast, _cluster_keys
+from matbisim.partition import Partition, Search, split_by_keys
 
 KINDS = ("strong", "weak", "branching")
 
 
-def _stable_iff_passing(pairs, signatures, check) -> dict[str, int]:
+def _stable_iff_passing(pairs, check) -> dict[str, int]:
     """Assert the agreement on every (model, partition, kind); count passes per kind."""
     passes = dict.fromkeys(KINDS, 0)
     for model, p in pairs:
         for kind in KINDS:
-            stable = split_by_keys(p, signatures(model, kind)(p)) == p
+            stable = split_by_keys(p, Search(model, kind).signatures(p)) == p
             passed = check(model, p, kind).passed
             assert stable == passed, (kind, p)
             passes[kind] += passed
@@ -35,16 +32,14 @@ def test_lts_signatures_are_the_check():
     rng = random.Random(11)
     pairs = []
     for _ in range(200):
-        lts = generate.random_lts(rng, max_states=8)
-        pairs.append((lts, generate.random_partition(rng, lts.num_states)))
-    passes = _stable_iff_passing(
-        pairs, lts_signatures, lambda m, p, kind: check_lts(m, p.collector_bool(m.alphabet), kind)
-    )
+        sys_ = generate.random_lts(rng, max_states=8)
+        pairs.append((sys_, generate.random_partition(rng, sys_.num_states)))
+    passes = _stable_iff_passing(pairs, lambda m, p, kind: lts.check(m, p.collector_bool(m.alphabet), kind))
     assert min(passes.values()) >= 30, passes
 
 
 def _mrc_check(model, p, kind):
-    return check_mrc(model, p.collector_real(), kind)
+    return mrc.check(model, p.collector_real(), kind)
 
 
 def test_mrc_signatures_are_the_check_on_random_chains():
@@ -53,7 +48,7 @@ def test_mrc_signatures_are_the_check_on_random_chains():
     for _ in range(150):
         chain = generate.random_mrc_fast(rng)
         pairs.append((chain, generate.random_partition(rng, chain.num_states)))
-    passes = _stable_iff_passing(pairs, mrc_signatures, _mrc_check)
+    passes = _stable_iff_passing(pairs, _mrc_check)
     assert min(passes.values()) >= 30, passes
 
 
@@ -63,7 +58,7 @@ def test_mrc_signatures_are_the_check_on_planted_lumpings():
     for _ in range(150):
         chain, planted = generate.duplicate_states_mrc(rng, generate.random_mrc_fast(rng, max_states=4))
         pairs += [(chain, planted), (chain, generate.random_partition(rng, chain.num_states))]
-    passes = _stable_iff_passing(pairs, mrc_signatures, _mrc_check)
+    passes = _stable_iff_passing(pairs, _mrc_check)
     assert min(passes.values()) >= 150, passes
 
 
@@ -107,8 +102,8 @@ def test_refinement_passes_its_own_check_near_tolerance(seed, family, scale):
         chain, _ = generate.duplicate_states_mrc(rng, chain, p_clone=0.9)
     chain = _perturbed(np.random.default_rng(seed), chain, scale * DEFAULT_ATOL)
     for kind in ("strong", "weak"):
-        found = coarsest_partition(chain, kind)  # raises CheckFailed on a failing fixpoint
-        assert check_mrc(chain, found.collector_real(), kind).passed
+        found = Search(chain, kind).coarsest()  # raises CheckFailed on a failing fixpoint
+        assert mrc.check(chain, found.collector_real(), kind).passed
 
 
 def _spreads(keys, rows):

@@ -1,18 +1,12 @@
 import pytest
 
-from matbisim import generate
+from matbisim import generate, lts
 from matbisim.algebra import ActionAlphabet, ActionMatrix, rt_closure
 from matbisim.lts import (
     Lts,
-    check_branching_lts,
-    check_strong_lts,
     check_strong_relational,
-    check_weak_lts,
     combined_labels,
     format_lts,
-    lump_branching_lts,
-    lump_strong_lts,
-    lump_weak_lts,
     parse_lts,
     split_labels,
     tau_closure,
@@ -23,12 +17,12 @@ from matbisim.lts import (
 from matbisim.partition import CheckFailed, ModelFormatError, Partition
 
 
-def collector(lts, *blocks):
-    return Partition(lts.num_states, tuple(tuple(b) for b in blocks)).collector_bool(lts.alphabet)
+def collector(sys_, *blocks):
+    return Partition(sys_.num_states, tuple(tuple(b) for b in blocks)).collector_bool(sys_.alphabet)
 
 
-def identity_collector(lts):
-    return Partition.identity(lts.num_states).collector_bool(lts.alphabet)
+def identity_collector(sys_):
+    return Partition.identity(sys_.num_states).collector_bool(sys_.alphabet)
 
 
 TAU_PAIR = "lts 2\nalphabet a\ninit 0\nterm 1\n0 tau 1\n"
@@ -111,11 +105,11 @@ def test_lts_requires_nonempty_alphabet():
 
 
 def test_strong_identity_passes(four_state):
-    assert check_strong_lts(four_state, identity_collector(four_state)).passed
+    assert lts.check(four_state, identity_collector(four_state), "strong").passed
 
 
 def test_strong_merge_of_a_successors_fails_on_actions(four_state):
-    report = check_strong_lts(four_state, collector(four_state, (0,), (1, 2), (3,)))
+    report = lts.check(four_state, collector(four_state, (0,), (1, 2), (3,)), "strong")
     assert not report.passed
     assert report.violated == "VUAV = AV"
     w = report.witness
@@ -125,7 +119,7 @@ def test_strong_merge_of_a_successors_fails_on_actions(four_state):
 
 
 def test_strong_merge_of_initial_fails_on_termination(four_state):
-    report = check_strong_lts(four_state, collector(four_state, (0, 1), (2,), (3,)))
+    report = lts.check(four_state, collector(four_state, (0, 1), (2,), (3,)), "strong")
     assert not report.passed
     assert report.violated == "VUρ = ρ"
 
@@ -133,7 +127,7 @@ def test_strong_merge_of_initial_fails_on_termination(four_state):
 def test_strong_internal_condition():
     # one state has an internal step, the other does not
     sys_ = parse_lts("lts 3\nalphabet a\ninit 0\nterm\n0 tau 2\n")
-    report = check_strong_lts(sys_, collector(sys_, (0, 1), (2,)))
+    report = lts.check(sys_, collector(sys_, (0, 1), (2,)), "strong")
     assert not report.passed
     assert report.violated == "VUSV = SV"
 
@@ -144,11 +138,11 @@ def test_strong_verdict_is_distributor_independent(rng):
         part = generate.random_partition(rng, sys_.num_states)
         v = part.collector_bool(sys_.alphabet)
         u = generate.random_bool_distributor(rng, part, sys_.alphabet)
-        default = check_strong_lts(sys_, v)
-        custom = check_strong_lts(sys_, v, distributor=u)
+        default = lts.check(sys_, v, "strong")
+        custom = lts.check(sys_, v, "strong", distributor=u)
         assert default.passed == custom.passed
         if default.passed:
-            assert lump_strong_lts(sys_, v) == lump_strong_lts(sys_, v, distributor=u)
+            assert lts.lump(sys_, v, "strong") == lts.lump(sys_, v, "strong", distributor=u)
 
 
 # -- weak check ------------------------------------------------------------------
@@ -158,22 +152,22 @@ def test_weak_equals_strong_without_internal_steps(rng):
     for _ in range(40):
         sys_ = generate.random_lts(rng, max_states=5, p_internal=0.0)
         v = generate.random_partition(rng, sys_.num_states).collector_bool(sys_.alphabet)
-        assert check_weak_lts(sys_, v).passed == check_strong_lts(sys_, v).passed
+        assert lts.check(sys_, v, "weak").passed == lts.check(sys_, v, "strong").passed
 
 
 def test_weak_merges_across_internal_step():
     pair = parse_lts(TAU_PAIR)
     v = collector(pair, (0, 1))
-    assert check_weak_lts(pair, v).passed
-    strong = check_strong_lts(pair, v)
+    assert lts.check(pair, v, "weak").passed
+    strong = lts.check(pair, v, "strong")
     assert not strong.passed and strong.violated == "VUρ = ρ"
 
 
 def test_weak_strict_middle_variant_differs():
     pair = parse_lts(TAU_PAIR)
     v = identity_collector(pair)
-    assert check_weak_lts(pair, v).passed
-    strict = check_weak_lts(pair, v, strict_middle=True)
+    assert lts.check(pair, v, "weak").passed
+    strict = lts.check(pair, v, "weak", strict_middle=True)
     assert not strict.passed
     assert strict.violated == "VUΠAΠV = ΠV"
 
@@ -184,8 +178,8 @@ def test_strong_implies_weak(rng):
         base = generate.random_lts(rng, max_states=4)
         sys_, part = generate.duplicate_states_lts(rng, base)
         v = part.collector_bool(sys_.alphabet)
-        assert check_strong_lts(sys_, v).passed
-        assert check_weak_lts(sys_, v).passed
+        assert lts.check(sys_, v, "strong").passed
+        assert lts.check(sys_, v, "weak").passed
         hits += 1
     assert hits == 60
 
@@ -197,17 +191,17 @@ def test_branching_with_identity_collector_matches_strong(rng):
     for _ in range(40):
         sys_ = generate.random_lts(rng, max_states=5)
         v = identity_collector(sys_)
-        assert check_branching_lts(sys_, v).passed == check_strong_lts(sys_, v).passed
+        assert lts.check(sys_, v, "branching").passed == lts.check(sys_, v, "strong").passed
 
 
 def test_branching_merges_internal_pair():
     pair = parse_lts(TAU_PAIR)
-    assert check_branching_lts(pair, collector(pair, (0, 1))).passed
+    assert lts.check(pair, collector(pair, (0, 1)), "branching").passed
 
 
 def test_branching_textbook_three_state():
     sys_ = parse_lts(BRANCH3)
-    assert check_branching_lts(sys_, collector(sys_, (0, 1), (2,))).passed
+    assert lts.check(sys_, collector(sys_, (0, 1), (2,)), "branching").passed
 
 
 def test_branching_implies_weak(rng):
@@ -215,9 +209,9 @@ def test_branching_implies_weak(rng):
     for _ in range(150):
         sys_ = generate.random_lts(rng, max_states=5)
         v = generate.random_partition(rng, sys_.num_states).collector_bool(sys_.alphabet)
-        if check_branching_lts(sys_, v).passed:
+        if lts.check(sys_, v, "branching").passed:
             checked += 1
-            assert check_weak_lts(sys_, v).passed
+            assert lts.check(sys_, v, "weak").passed
     assert checked > 10
 
 
@@ -227,39 +221,39 @@ def test_branching_implies_weak(rng):
 def test_relational_matches_saturation_form(four_state, rng):
     for blocks in (((0,), (1,), (2,), (3,)), ((0,), (1, 2), (3,)), ((0, 1), (2,), (3,))):
         v = collector(four_state, *blocks)
-        assert check_strong_relational(four_state, v).passed == check_strong_lts(four_state, v).passed
+        assert check_strong_relational(four_state, v).passed == lts.check(four_state, v, "strong").passed
     for _ in range(80):
         sys_ = generate.random_lts(rng, max_states=6)
         v = generate.random_partition(rng, sys_.num_states).collector_bool(sys_.alphabet)
-        assert check_strong_relational(sys_, v).passed == check_strong_lts(sys_, v).passed
+        assert check_strong_relational(sys_, v).passed == lts.check(sys_, v, "strong").passed
 
 
 # -- quotients --------------------------------------------------------------------
 
 
 def test_lump_with_identity_is_the_same_system(four_state):
-    assert lump_strong_lts(four_state, identity_collector(four_state)) == four_state
+    assert lts.lump(four_state, identity_collector(four_state), "strong") == four_state
 
 
 def test_lump_merges_twin_loop_states():
     sys_ = parse_lts("lts 2\nalphabet a\ninit 0\nterm\n0 a 0\n0 a 1\n1 a 0\n1 a 1\n")
     v = collector(sys_, (0, 1))
-    lumped = lump_strong_lts(sys_, v)
+    lumped = lts.lump(sys_, v, "strong")
     assert lumped.num_states == 1
     assert lumped.visible == ActionMatrix.from_sets(sys_.alphabet, [[("a",)]])
 
 
 def test_lump_places_initial_class():
     sys_ = parse_lts("lts 3\nalphabet a\ninit 1\nterm\n0 a 1\n2 a 1\n0 a 2\n2 a 0\n")
-    report = check_strong_lts(sys_, collector(sys_, (0, 2), (1,)))
+    report = lts.check(sys_, collector(sys_, (0, 2), (1,)), "strong")
     assert report.passed
-    lumped = lump_strong_lts(sys_, collector(sys_, (0, 2), (1,)))
+    lumped = lts.lump(sys_, collector(sys_, (0, 2), (1,)), "strong")
     assert lumped.initial_state == 1  # class of the old initial state
 
 
 def test_lump_weak_collapses_internal_pair():
     pair = parse_lts(TAU_PAIR)
-    lumped = lump_weak_lts(pair, collector(pair, (0, 1)))
+    lumped = lts.lump(pair, collector(pair, (0, 1)), "weak")
     assert lumped.num_states == 1
     assert lumped.internal == ActionMatrix.from_bits(pair.alphabet, [[1]])
     assert lumped.terminating == ActionMatrix.from_bits(pair.alphabet, [[1]])
@@ -268,17 +262,17 @@ def test_lump_weak_collapses_internal_pair():
 
 def test_lump_branching_quotient_of_textbook_example():
     sys_ = parse_lts(BRANCH3)
-    lumped = lump_branching_lts(sys_, collector(sys_, (0, 1), (2,)))
+    lumped = lts.lump(sys_, collector(sys_, (0, 1), (2,)), "branching")
     assert lumped.num_states == 2
     assert lumped.visible == ActionMatrix.from_sets(sys_.alphabet, [[(), ("a",)], [(), ()]])
 
 
 def test_lump_refuses_failing_check(four_state):
     with pytest.raises(CheckFailed) as exc:
-        lump_strong_lts(four_state, collector(four_state, (0, 1), (2,), (3,)))
+        lts.lump(four_state, collector(four_state, (0, 1), (2,), (3,)), "strong")
     assert exc.value.report.violated == "VUρ = ρ"
     with pytest.raises(CheckFailed):
-        lump_weak_lts(four_state, collector(four_state, (0, 1), (2,), (3,)))
+        lts.lump(four_state, collector(four_state, (0, 1), (2,), (3,)), "weak")
 
 
 # -- internal closure ---------------------------------------------------------------
@@ -317,7 +311,7 @@ def test_closure_identities_hold_under_weak_check(rng):
     for _ in range(120):
         sys_ = generate.random_lts(rng, max_states=5)
         v = generate.random_partition(rng, sys_.num_states).collector_bool(sys_.alphabet)
-        if check_weak_lts(sys_, v).passed:
+        if lts.check(sys_, v, "weak").passed:
             seen += 1
             assert verify_closure_identities(sys_, v)
     assert seen > 10
@@ -334,7 +328,7 @@ def test_closure_identities_can_fail_for_arbitrary_collectors():
     # the inclusion holds for every collector; only the reverse one fails
     assert lifted <= closed
     assert lifted != closed
-    assert check_weak_lts(sys_, v).violated == "VUΠV = ΠV"
+    assert lts.check(sys_, v, "weak").violated == "VUΠV = ΠV"
     assert not verify_closure_identities(sys_, v)
 
 

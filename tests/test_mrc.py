@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from matbisim import generate
+from matbisim import generate, mrc
 from matbisim.mrc import (
     DistributorError,
     GeneratorError,
@@ -15,16 +15,11 @@ from matbisim.mrc import (
     adapt_diagonal,
     as_fast_chain,
     as_plain_chain,
-    check_branching_mrc,
     check_strong_discontinuous,
-    check_strong_mrc,
-    check_weak_mrc,
     default_tau_distributor,
     ergodic_projection,
     format_mrc,
     limit_chain,
-    lump_strong_mrc,
-    lump_weak_mrc,
     parse_distributor,
     parse_mrc,
     tau_distributor_residuals,
@@ -155,6 +150,24 @@ def test_transition_matrix_meets_tolerance_over_long_horizons():
                 assert np.max(np.abs(transition_matrix(q, t) - reference)) <= 1e-9, t
 
 
+def test_transition_matrix_refuses_horizons_that_lose_probability_mass():
+    # rows of e^(Qt) sum to 1; past the documented range the squarings leak
+    # mass, and a loss above the tolerance is refused instead of returned
+    rng = random.Random(1)
+    refused = 0
+    for _ in range(5):
+        q = generate.random_generator(rng, 6)
+        assert np.max(np.abs(transition_matrix(q, 1e6).sum(axis=1) - 1.0)) <= 1e-9
+        try:
+            rows = transition_matrix(q, 1e7).sum(axis=1)
+        except ValueError as exc:
+            assert "too long for these rates" in str(exc)
+            refused += 1
+        else:
+            assert np.max(np.abs(rows - 1.0)) <= 1e-9
+    assert refused >= 1
+
+
 def test_total_reward_examples(reward_chain):
     assert total_reward(reward_chain, 0.0) == 1.0  # exact: P(0) = I
     absorbing = Mrc([1.0, 0.0], ABSORBING_Q, [0.0, 1.0])
@@ -168,16 +181,16 @@ def test_total_reward_examples(reward_chain):
 
 def test_strong_check_examples():
     chain = Mrc([0.5, 0.5], SYMMETRIC_Q, [3.0, 3.0])
-    assert check_strong_mrc(chain, np.eye(2)).passed
-    assert check_strong_mrc(chain, real_collector((0, 1))).passed
+    assert mrc.check(chain, np.eye(2), "strong").passed
+    assert mrc.check(chain, real_collector((0, 1)), "strong").passed
     uneven = Mrc([0.5, 0.5], SYMMETRIC_Q, [3.0, 4.0])
-    report = check_strong_mrc(uneven, real_collector((0, 1)))
+    report = mrc.check(uneven, real_collector((0, 1)), "strong")
     assert not report.passed and report.violated == "VUρ = ρ"
 
 
 def test_strong_lump_collapses_symmetric_pair():
     chain = Mrc([0.5, 0.5], SYMMETRIC_Q, [3.0, 3.0])
-    lumped = lump_strong_mrc(chain, real_collector((0, 1)))
+    lumped = mrc.lump(chain, real_collector((0, 1)), "strong")
     assert lumped.num_states == 1
     assert lumped.q[0, 0] == 0.0
     assert lumped.rho[0] == 3.0
@@ -187,14 +200,14 @@ def test_strong_lump_collapses_symmetric_pair():
 def test_strong_lump_requires_passing_check():
     uneven = Mrc([0.5, 0.5], SYMMETRIC_Q, [3.0, 4.0])
     with pytest.raises(CheckFailed):
-        lump_strong_mrc(uneven, real_collector((0, 1)))
+        mrc.lump(uneven, real_collector((0, 1)), "strong")
 
 
 def test_strong_lump_rows_sum_to_zero(rng):
     for _ in range(25):
         base = generate.random_mrc(rng, n=rng.randint(1, 4))
         chain, part = generate.duplicate_states_mrc(rng, base)
-        lumped = lump_strong_mrc(chain, part.collector_real())
+        lumped = mrc.lump(chain, part.collector_real(), "strong")
         assert np.max(np.abs(lumped.q.sum(axis=1))) <= 1e-12
 
 
@@ -204,9 +217,9 @@ def test_strong_verdict_and_lump_are_distributor_independent(rng):
         chain, part = generate.duplicate_states_mrc(rng, base)
         v = part.collector_real()
         u = generate.random_real_distributor(rng, part)
-        assert check_strong_mrc(chain, v, distributor=u).passed
-        a = lump_strong_mrc(chain, v)
-        b = lump_strong_mrc(chain, v, distributor=u)
+        assert mrc.check(chain, v, "strong", distributor=u).passed
+        a = mrc.lump(chain, v, "strong")
+        b = mrc.lump(chain, v, "strong", distributor=u)
         assert np.max(np.abs(a.q - b.q)) <= 1e-9
         assert np.max(np.abs(a.rho - b.rho)) <= 1e-9
 
@@ -215,7 +228,7 @@ def test_reward_preserved_under_ordinary_lumping(rng):
     for _ in range(20):
         base = generate.random_mrc(rng, n=rng.randint(1, 4))
         chain, part = generate.duplicate_states_mrc(rng, base)
-        lumped = lump_strong_mrc(chain, part.collector_real())
+        lumped = mrc.lump(chain, part.collector_real(), "strong")
         for t in (0.0, 0.1, 1.0, 10.0):
             assert abs(total_reward(chain, t) - total_reward(lumped, t)) <= 1e-8
 
@@ -224,7 +237,7 @@ def test_strong_check_on_fast_chain_constrains_both_generators():
     # only state 0 has a fast step out of the merged block
     qf = validate_generator(np.array([[-1.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
     fast = MrcFast([0.5, 0.5, 0.0], np.zeros((3, 3)), qf, [1.0, 1.0, 1.0])
-    report = check_strong_mrc(fast, real_collector((0, 1), (2,)))
+    report = mrc.check(fast, real_collector((0, 1), (2,)), "strong")
     assert not report.passed and report.violated == "VUQfV = QfV"
 
 
@@ -271,14 +284,14 @@ def test_weak_check_degenerates_to_strong_without_fast_part(rng):
         chain = generate.random_mrc(rng, n=rng.randint(1, 5))
         fast = as_fast_chain(chain)
         v = generate.random_partition(rng, chain.num_states).collector_real()
-        assert check_weak_mrc(fast, v).passed == check_strong_mrc(chain, v).passed
+        assert mrc.check(fast, v, "weak").passed == mrc.check(chain, v, "strong").passed
 
 
 def test_weak_check_examples(fast_absorbing):
     v = real_collector((0, 1))
-    assert check_weak_mrc(fast_absorbing, v).passed
-    assert check_weak_mrc(fast_absorbing, np.eye(2)).passed
-    strong = check_strong_mrc(fast_absorbing, v)
+    assert mrc.check(fast_absorbing, v, "weak").passed
+    assert mrc.check(fast_absorbing, np.eye(2), "weak").passed
+    strong = mrc.check(fast_absorbing, v, "strong")
     assert not strong.passed  # rewards differ inside the class
 
 
@@ -286,7 +299,7 @@ def test_weak_check_reports_smoothed_reward_violation():
     fast = MrcFast([1.0, 0.0, 0.0], np.zeros((3, 3)), validate_generator(np.array(
         [[-1.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
     )), [0.0, 5.0, 7.0])
-    report = check_weak_mrc(fast, real_collector((0, 2), (1,)))
+    report = mrc.check(fast, real_collector((0, 2), (1,)), "weak")
     assert not report.passed and report.violated == "VUΠρ = Πρ"
 
 
@@ -328,25 +341,25 @@ def test_distributor_residuals_certify_funnels(rng):
 def test_bad_external_distributor_is_rejected(fast_absorbing):
     v = real_collector((0, 1))
     with pytest.raises(DistributorError):
-        lump_weak_mrc(fast_absorbing, v, np.array([[1.0, 0.0]]))
+        mrc.lump(fast_absorbing, v, "weak", distributor=np.array([[1.0, 0.0]]))
 
 
 def test_lump_weak_examples(fast_absorbing):
-    lumped = lump_weak_mrc(fast_absorbing, real_collector((0, 1)))
+    lumped = mrc.lump(fast_absorbing, real_collector((0, 1)), "weak")
     assert lumped.num_states == 1
     assert lumped.qs[0, 0] == 0.0 and lumped.qf[0, 0] == 0.0
     assert abs(lumped.rho[0] - 5.0) <= 1e-12
     assert lumped.sigma[0] == 1.0
 
     still = as_fast_chain(Mrc([0.25, 0.75], SYMMETRIC_Q, [1.0, 2.0]))
-    same = lump_weak_mrc(still, np.eye(2), np.eye(2))
+    same = mrc.lump(still, np.eye(2), "weak", distributor=np.eye(2))
     assert np.allclose(same.qs, still.qs) and np.allclose(same.rho, still.rho)
 
 
 def test_lump_weak_outputs_are_valid_chains(rng):
     for _ in range(15):
         chain, part = generate.fast_funnel_chain(rng)
-        lumped = lump_weak_mrc(chain, part.collector_real())
+        lumped = mrc.lump(chain, part.collector_real(), "weak")
         assert np.max(np.abs(lumped.qs.sum(axis=1))) <= 1e-12
         assert np.max(np.abs(lumped.sigma.sum() - 1.0)) <= 1e-9
 
@@ -448,20 +461,20 @@ def test_branching_check_examples(fast_absorbing, rng):
         chain = generate.random_mrc(rng, n=rng.randint(1, 4))
         fast = as_fast_chain(chain)
         v = generate.random_partition(rng, chain.num_states).collector_real()
-        assert check_branching_mrc(fast, v).passed == check_strong_mrc(fast, v).passed
+        assert mrc.check(fast, v, "branching").passed == mrc.check(fast, v, "strong").passed
     # identity collector: everything is saturated
     for _ in range(10):
         chain = generate.random_mrc_fast(rng, n=rng.randint(1, 4))
-        assert check_branching_mrc(chain, np.eye(chain.num_states)).passed
+        assert mrc.check(chain, np.eye(chain.num_states), "branching").passed
     # in-class fast step
-    assert check_branching_mrc(fast_absorbing, real_collector((0, 1))).passed
+    assert mrc.check(fast_absorbing, real_collector((0, 1)), "branching").passed
 
 
 def test_branching_does_not_imply_weak(branching_witness):
     chain, part = branching_witness
     v = part.collector_real()
-    assert check_branching_mrc(chain, v).passed
-    weak = check_weak_mrc(chain, v)
+    assert mrc.check(chain, v, "branching").passed
+    weak = mrc.check(chain, v, "weak")
     assert not weak.passed
     assert weak.violated == "VUΠρ = Πρ"
     w = weak.witness
@@ -469,8 +482,8 @@ def test_branching_does_not_imply_weak(branching_witness):
     assert abs(w.lhs - 2.0) <= 1e-12 and abs(w.rhs - 3.0) <= 1e-12
     # the even coarser two-block solution found by exhaustive search
     coarser = real_collector((0, 4), (1, 2, 3))
-    assert check_branching_mrc(chain, coarser).passed
-    assert not check_weak_mrc(chain, coarser).passed
+    assert mrc.check(chain, coarser, "branching").passed
+    assert not mrc.check(chain, coarser, "weak").passed
 
 
 # -- text format ----------------------------------------------------------------------------
@@ -544,7 +557,7 @@ def test_weak_lump_and_diagram_project_twice(monkeypatch, rng):
 
     monkeypatch.setattr(mrc_mod, "ergodic_projection", counted)
     chain, part = generate.fast_funnel_chain(rng)
-    lump_weak_mrc(chain, part.collector_real())
+    mrc.lump(chain, part.collector_real(), "weak")
     assert len(calls) == 2
     calls.clear()
     assert verify_limit_commutation(chain, part.collector_real(), tolerance=1e-7)

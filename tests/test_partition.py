@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matbisim import lts
 from matbisim.algebra import ActionAlphabet, ActionMatrix
 from matbisim.partition import (
     BELL,
     ModelFormatError,
     Partition,
-    canonical_distributor_bool,
     canonical_distributor_real,
     collector_to_partition,
     enumerate_partitions,
@@ -83,7 +83,7 @@ def test_collector_round_trip(p):
 
 def test_canonical_distributors():
     v = ActionMatrix.from_bits(AB, [[1], [1]])
-    assert canonical_distributor_bool(v) == v.transpose()
+    assert lts.canonical_distributor(v) == v.transpose()
     assert np.allclose(canonical_distributor_real(np.array([[1.0], [1.0]])), [[0.5, 0.5]])
     assert np.allclose(canonical_distributor_real(np.eye(3)), np.eye(3))
 
@@ -92,7 +92,7 @@ def test_canonical_distributors():
 @given(partitions())
 def test_distributor_invariants(p):
     v_bool = p.collector_bool(AB)
-    u_bool = canonical_distributor_bool(v_bool)
+    u_bool = lts.canonical_distributor(v_bool)
     assert u_bool @ v_bool == ActionMatrix.identity(AB, p.num_blocks)
     ones = ActionMatrix.full(AB, p.n, 1)
     assert u_bool @ ones == ActionMatrix.full(AB, p.num_blocks, 1)

@@ -14,9 +14,8 @@ from matbisim.partition import (
     BELL,
     CheckReport,
     Partition,
+    Search,
     brute_force_coarsest,
-    coarsest_partition,
-    standard_checker,
 )
 
 KINDS = ("strong", "weak", "branching")
@@ -24,42 +23,42 @@ KINDS = ("strong", "weak", "branching")
 
 def test_four_state_coarsest_is_discrete(four_state):
     for kind in KINDS:
-        assert coarsest_partition(four_state, kind) == Partition.identity(4)
-    oracle = brute_force_coarsest(four_state, standard_checker(four_state, "strong"))
+        assert Search(four_state, kind).coarsest() == Partition.identity(4)
+    oracle = brute_force_coarsest(four_state, Search(four_state, "strong").checker)
     assert oracle == Partition.identity(4)
 
 
 def test_symmetric_pair_collapses_to_one_block():
     chain = Mrc([0.5, 0.5], np.array([[-2.0, 2.0], [2.0, -2.0]]), [3.0, 3.0])
     for kind in KINDS:
-        assert coarsest_partition(chain, kind) == Partition.single_block(2)
+        assert Search(chain, kind).coarsest() == Partition.single_block(2)
 
 
 def test_distinct_self_loops_force_identity():
     sys_ = parse_lts("lts 3\nalphabet a b c\ninit 0\nterm\n0 a 0\n1 b 1\n2 c 2\n")
     for kind in KINDS:
-        assert coarsest_partition(sys_, kind) == Partition.identity(3)
+        assert Search(sys_, kind).coarsest() == Partition.identity(3)
 
 
 def test_one_state_and_twin_states():
     single = Mrc([1.0], np.zeros((1, 1)), [2.0])
-    assert brute_force_coarsest(single, standard_checker(single, "strong")) == Partition.single_block(1)
+    assert brute_force_coarsest(single, Search(single, "strong").checker) == Partition.single_block(1)
     twins = parse_lts("lts 2\nalphabet a\ninit 0\nterm\n0 a 0\n0 a 1\n1 a 0\n1 a 1\n")
-    assert brute_force_coarsest(twins, standard_checker(twins, "strong")) == Partition.single_block(2)
+    assert brute_force_coarsest(twins, Search(twins, "strong").checker) == Partition.single_block(2)
 
 
 def test_weak_coarsest_uses_internal_closure(tau_pair):
-    assert coarsest_partition(tau_pair, "strong") == Partition.identity(2)
-    assert coarsest_partition(tau_pair, "weak") == Partition.single_block(2)
-    assert coarsest_partition(tau_pair, "branching") == Partition.single_block(2)
+    assert Search(tau_pair, "strong").coarsest() == Partition.identity(2)
+    assert Search(tau_pair, "weak").coarsest() == Partition.single_block(2)
+    assert Search(tau_pair, "branching").coarsest() == Partition.single_block(2)
 
 
 def test_refinement_matches_oracle_on_random_lts(rng):
     for _ in range(40):
         sys_ = generate.random_lts(rng, n=rng.randint(1, 5))
         for kind in KINDS:
-            assert coarsest_partition(sys_, kind) == brute_force_coarsest(
-                sys_, standard_checker(sys_, kind)
+            assert Search(sys_, kind).coarsest() == brute_force_coarsest(
+                sys_, Search(sys_, kind).checker
             ), (kind, sys_)
 
 
@@ -67,8 +66,8 @@ def test_refinement_matches_oracle_on_random_mrc(rng):
     for _ in range(25):
         chain = generate.random_mrc_fast(rng, n=rng.randint(1, 4), p_fast=0.3)
         for kind in KINDS:
-            assert coarsest_partition(chain, kind) == brute_force_coarsest(
-                chain, standard_checker(chain, kind)
+            assert Search(chain, kind).coarsest() == brute_force_coarsest(
+                chain, Search(chain, kind).checker
             ), (kind, chain)
 
 
@@ -76,7 +75,7 @@ def test_coarsest_with_planted_structure(rng):
     for _ in range(20):
         base = generate.random_lts(rng, max_states=3)
         sys_, part = generate.duplicate_states_lts(rng, base)
-        found = coarsest_partition(sys_, "strong")
+        found = Search(sys_, "strong").coarsest()
         # the planted merge is a strong bisimulation, so the coarsest result
         # can only be coarser than or equal to it
         assert found.num_blocks <= part.num_blocks
@@ -86,21 +85,21 @@ def test_coarsest_output_passes_its_own_checker(rng):
     for _ in range(20):
         chain = generate.random_mrc_fast(rng, n=rng.randint(1, 4))
         for kind in KINDS:
-            found = coarsest_partition(chain, kind)
-            checker = standard_checker(chain, kind)
+            found = Search(chain, kind).coarsest()
+            checker = Search(chain, kind).checker
             assert checker(chain, found).passed
 
 
 def test_branching_mrc_coarsest_found_by_lattice_search(branching_witness):
     chain, part = branching_witness
-    found = coarsest_partition(chain, "branching")
-    oracle = brute_force_coarsest(chain, standard_checker(chain, "branching"))
+    found = Search(chain, "branching").coarsest()
+    oracle = brute_force_coarsest(chain, Search(chain, "branching").checker)
     assert found == oracle
     assert found.num_blocks == 2
     assert found == Partition(5, ((0, 1, 2, 3), (4,)))
     # two more passing partitions, pairwise incomparable with the winner:
     # maximal branching bisimulations are not unique here
-    checker = standard_checker(chain, "branching")
+    checker = Search(chain, "branching").checker
     assert checker(chain, part).passed
     assert checker(chain, Partition(5, ((0, 4), (1, 2, 3)))).passed
 
@@ -115,7 +114,6 @@ def test_custom_checker_is_honored():
             return CheckReport("custom", True)
         return CheckReport("custom", False, "custom", Witness(0, 0, 0.0, 1.0, 1.0))
 
-    assert coarsest_partition(chain, "strong", only_identity) == Partition.identity(2)
     assert brute_force_coarsest(chain, only_identity) == Partition.identity(2)
 
 
@@ -171,10 +169,10 @@ def test_probe_candidates_keep_restricted_growth_order():
 def test_identity_collector_passes_strong_everywhere(rng):
     for _ in range(25):
         sys_ = generate.random_lts(rng, max_states=6)
-        checker = standard_checker(sys_, "strong")
+        checker = Search(sys_, "strong").checker
         assert checker(sys_, Partition.identity(sys_.num_states)).passed
         chain = generate.random_mrc_fast(rng, n=rng.randint(1, 5))
-        checker = standard_checker(chain, "strong")
+        checker = Search(chain, "strong").checker
         assert checker(chain, Partition.identity(chain.num_states)).passed
 
 
@@ -182,16 +180,16 @@ def test_strict_weak_reading_uses_exhaustive_search():
     # under the literal middle equality even the identity partition can
     # fail, so the search may legitimately find nothing
     sys_ = parse_lts("lts 2\nalphabet a\ninit 0\nterm\n0 a 0\n1 a 1\n")
-    assert coarsest_partition(sys_, "weak", strict_middle=True) == Partition.single_block(2)
+    assert Search(sys_, "weak", strict_middle=True).coarsest() == Partition.single_block(2)
     pair = parse_lts("lts 2\nalphabet a\ninit 0\nterm 1\n0 tau 1\n")
     with pytest.raises(ValueError, match="no partition passed"):
-        coarsest_partition(pair, "weak", strict_middle=True)
+        Search(pair, "weak", strict_middle=True).coarsest()
 
 
 def test_oracle_state_bound():
     chain = Mrc(np.full(13, 1.0 / 13.0), np.zeros((13, 13)), np.zeros(13))
     with pytest.raises(ValueError, match="state bound"):
-        brute_force_coarsest(chain, standard_checker(chain, "strong"))
+        brute_force_coarsest(chain, Search(chain, "strong").checker)
 
 
 def _counting(monkeypatch, module, name):
@@ -213,13 +211,13 @@ def test_oracle_builds_the_kind_table_once_per_model(monkeypatch):
 
     closures = _counting(monkeypatch, lts, "rt_closure")
     sys_ = generate.random_lts(random.Random(5), n=7)
-    checker = standard_checker(sys_, "weak")
+    checker = Search(sys_, "weak").checker
     brute_force_coarsest(sys_, checker)
     assert len(closures) == 1
 
     projections = _counting(monkeypatch, mrc, "ergodic_projection")
     chain = generate.random_mrc_fast(random.Random(5), n=6)
-    brute_force_coarsest(chain, standard_checker(chain, "weak"))
+    brute_force_coarsest(chain, Search(chain, "weak").checker)
     assert len(projections) == 1
 
     with pytest.raises(ValueError):
