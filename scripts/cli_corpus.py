@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Byte-identity corpus for the command-line front end.
 
-Writes the bundled models and a seeded set of generated ones into a work
-directory, runs every command on them in process through
-``matbisim.cli.main`` (text and ``--json``), and prints one line per run:
+Writes the bundled models, the malformed files of ``models/malformed`` and a
+seeded set of generated models into a work directory, runs every command on
+them in process through ``matbisim.cli.main`` (text and ``--json``; 90
+models and 19 malformed files, 4596 runs), and prints one line per run:
 the argv, the exit code and the SHA-256 of stdout and stderr.  Only
 ``elapsed_s`` is removed from JSON output before hashing.  All paths are
 relative to the work directory, so two versions of the program give the
@@ -51,6 +52,10 @@ KINDS = ("strong", "weak", "branching")
 
 #: Seed of the generated models; the corpus is one fixed set of runs.
 SEED = 7
+
+#: Files that each fail to parse at one line; ``check`` and ``refine`` must
+#: name it with exit 2.
+MALFORMED = ROOT / "models" / "malformed"
 
 #: Bundled models and the bundled partitions that fit them.
 BUNDLED = {
@@ -121,6 +126,8 @@ def write_models(work: Path) -> list[tuple[str, list[str], str | None]]:
         (work / ident).write_text(format_partition(Partition.identity(n)))
         entries.append((model, [ident, *parts], None))
 
+    shutil.copytree(MALFORMED, work / MALFORMED.name)
+
     rng = random.Random(SEED)
     wide = ActionAlphabet(tuple(f"l{i}" for i in range(70)))
     systems = []
@@ -186,6 +193,13 @@ def runs(entries) -> list[list[str]]:
     out.append(["check", "four_state.lts", "--partition", "tau_pair_merged.partition", "--kind", "weak"])
     for seed in range(4):
         out.append(["probe", "--seed", str(seed), "--count", "40", "--max-states", "4"])
+    for path in sorted(MALFORMED.iterdir()):
+        bad = f"{MALFORMED.name}/{path.name}"
+        if path.suffix == ".partition":
+            out.append(["check", "four_state.lts", "--partition", bad, "--kind", "strong"])
+        else:
+            out.append(["check", bad, "--partition", "four_state_identity.partition", "--kind", "strong"])
+            out.append(["refine", bad, "--kind", "strong"])
     return out
 
 

@@ -4,6 +4,7 @@ reward / diagram / probe over the text model formats."""
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -24,14 +25,17 @@ from .partition import (
     Partition,
     Search,
     format_partition,
+    first_token,
     parse_partition,
-    content_lines,
 )
 
 SCHEMA_VERSION = 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: ``parse_args`` returns a fresh namespace
+    on every call, and no handler writes to it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=DEFAULT_ATOL, help="absolute tolerance for real comparisons")
     common.add_argument("--json", action="store_true", help="machine-readable report on stdout")
@@ -94,10 +98,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_model(path: Path, tol: float):
     text = path.read_text()
-    lines = content_lines(text)
-    if not lines:
+    head = first_token(text)
+    if head is None:
         raise ModelFormatError(f"{path}: empty model file")
-    head = lines[0][1][0]
     if head not in FAMILIES:
         raise ModelFormatError(f"{path}: unknown model header {head!r}")
     return FAMILIES[head].parse_model(text, atol=tol)
@@ -108,18 +111,27 @@ def _load_partition(path: Path) -> Partition:
 
 
 def _digest(obj) -> str:
+    """First 16 hex digits of the SHA-256 of a matrix's text form.  Each
+    distinct entry (of each chunk, for reals) is formatted once and joined
+    back through its index."""
     if isinstance(obj, ActionMatrix):
-        payload = (
-            "bool|" + "|".join(obj.alphabet.names)
-            + "#" + ";".join(",".join(str(m) for m in row) for row in obj.data)
-        )
-    else:
-        arr = np.asarray(obj, dtype=float)
-        flat = arr.ravel()
-        # Chunks bound the Python floats and strings alive at once.
-        chunks = (",".join(map("{:.17g}".format, flat[i : i + 4096].tolist())) for i in range(0, flat.size, 4096))
-        payload = "real|" + "x".join(map(str, arr.shape)) + "#" + ",".join(chunks)
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+        # the bit mask of each entry (bit l for label l) as little-endian bytes
+        packed = np.packbits(obj.planes, axis=0, bitorder="little").reshape(-1, obj.rows * obj.cols)
+        masks, inverse = np.unique(np.ascontiguousarray(packed.T).view(f"S{len(packed)}"), return_inverse=True)
+        texts = np.array([str(int.from_bytes(m, "little")) for m in masks.tolist()], dtype=object)
+        rows = texts[inverse.reshape(obj.shape)].tolist()
+        payload = "bool|" + "|".join(obj.alphabet.names) + "#" + ";".join(map(",".join, rows))
+        return hashlib.sha256(payload.encode()).hexdigest()[:16]
+    arr = np.asarray(obj, dtype=float)
+    flat = arr.ravel()
+    digest = hashlib.sha256(("real|" + "x".join(map(str, arr.shape)) + "#").encode())
+    # Chunks bound the Python strings alive at once; bit patterns keep -0.0,
+    # NaN payloads and subnormals apart.
+    for start in range(0, flat.size, 4096):
+        values, inverse = np.unique(flat[start : start + 4096].view(np.int64), return_inverse=True)
+        texts = np.array(list(map("{:.17g}".format, values.view(np.float64).tolist())), dtype=object)
+        digest.update(("," if start else "").encode() + ",".join(texts[inverse].tolist()).encode())
+    return digest.hexdigest()[:16]
 
 
 def _render_value(value) -> str:

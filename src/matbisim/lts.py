@@ -31,6 +31,7 @@ from .partition import (
     parse_state,
     require_bool_collector,
     require_passed,
+    token_columns,
 )
 
 @dataclass(frozen=True)
@@ -126,30 +127,47 @@ def parse_lts(text: str) -> Lts:
         raise ModelFormatError(f"line {ln3}: expected 'term <states...>'")
 
     init = parse_state(h2[1], ln2, n)
-    term = {parse_state(t, ln3, n) for t in h3[1:]}
+    term = [parse_state(t, ln3, n) for t in h3[1:]]
 
-    visible = np.zeros((alphabet.size, n, n), dtype=bool)
-    internal = np.zeros((n, n), dtype=bool)
-    for lineno, tokens in lines[4:]:
-        if len(tokens) != 3:
-            raise ModelFormatError(f"line {lineno}: expected '<src> <label> <dst>'")
-        src = parse_state(tokens[0], lineno, n)
-        dst = parse_state(tokens[2], lineno, n)
-        label = tokens[1]
-        if label == TAU_LABEL:
-            internal[src, dst] = True
-        elif label in alphabet:
-            visible[alphabet.index(label), src, dst] = True
-        else:
-            raise ModelFormatError(f"line {lineno}: unknown label {label!r}")
-
+    plane_of = {name: k for k, name in enumerate(alphabet.names)}
+    plane_of[TAU_LABEL] = alphabet.size
+    src, plane, dst = _edge_columns(lines[4:], n, plane_of)
+    planes = np.zeros((alphabet.size + 1, n, n), dtype=bool)  # tau is the last plane
+    planes[plane, src, dst] = True
+    states = np.arange(n)
     return Lts(
         alphabet=alphabet,
-        initial=ActionMatrix.from_bits(alphabet, [[i == init for i in range(n)]]),
-        visible=ActionMatrix.from_planes(alphabet, visible),
-        internal=ActionMatrix.from_bits(alphabet, internal),
-        terminating=ActionMatrix.from_bits(alphabet, [[i in term] for i in range(n)]),
+        initial=ActionMatrix.from_bits(alphabet, (states == init)[None]),
+        visible=ActionMatrix.from_planes(alphabet, planes[:-1]),
+        internal=ActionMatrix.from_bits(alphabet, planes[-1]),
+        terminating=ActionMatrix.from_bits(alphabet, np.isin(states, term)[:, None]),
     )
+
+
+def _edge_columns(edges, n: int, plane_of: dict[str, int]):
+    """Source, label plane and target of each ``<src> <label> <dst>`` line.
+
+    The columns are converted and range-checked whole; only a file with a
+    bad line is read again line by line, which reports the first one.
+    """
+    try:
+        src, labels, dst = token_columns(edges, 3)
+        ends = np.array([list(map(int, src)), list(map(int, dst))], dtype=np.intp)
+        plane = list(map(plane_of.__getitem__, labels))
+        if ends.size == 0 or 0 <= ends.min() and ends.max() < n:
+            return ends[0], plane, ends[1]
+    except (ValueError, KeyError, OverflowError):
+        pass
+    src, plane, dst = [], [], []
+    for lineno, tokens in edges:
+        if len(tokens) != 3:
+            raise ModelFormatError(f"line {lineno}: expected '<src> <label> <dst>'")
+        src.append(parse_state(tokens[0], lineno, n))
+        dst.append(parse_state(tokens[2], lineno, n))
+        if tokens[1] not in plane_of:
+            raise ModelFormatError(f"line {lineno}: unknown label {tokens[1]!r}")
+        plane.append(plane_of[tokens[1]])
+    return src, plane, dst
 
 
 def format_lts(lts: Lts) -> str:

@@ -39,6 +39,7 @@ from .partition import (
     parse_state,
     require_passed,
     require_real_collector,
+    token_columns,
 )
 
 #: Rates at or below this are structurally absent for the ergodic projection.
@@ -674,6 +675,16 @@ def adapt_diagonal(qf, v) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _number(token: str, lineno: int, what: str) -> float:
+    try:
+        x = float(token)
+    except ValueError:
+        raise ModelFormatError(f"line {lineno}: {what} must be a number, got {token!r}") from None
+    if not math.isfinite(x):
+        raise ModelFormatError(f"line {lineno}: {what} must be finite")
+    return x
+
+
 def parse_mrc(text: str, *, atol: float = DEFAULT_ATOL) -> Mrc | MrcFast:
     """Parse the line-oriented chain format.
 
@@ -688,15 +699,6 @@ def parse_mrc(text: str, *, atol: float = DEFAULT_ATOL) -> Mrc | MrcFast:
     (ln0, h0), (ln1, h1), (ln2, h2) = lines[:3]
     n = parse_model_header(h0, ln0, "mrc")
 
-    def number(token: str, lineno: int, what: str) -> float:
-        try:
-            x = float(token)
-        except ValueError:
-            raise ModelFormatError(f"line {lineno}: {what} must be a number, got {token!r}") from None
-        if not math.isfinite(x):
-            raise ModelFormatError(f"line {lineno}: {what} must be finite")
-        return x
-
     if h1[0] != "init" or len(h1) < 2:
         raise ModelFormatError(f"line {ln1}: expected 'init <state>:<probability> ...'")
     sigma = np.zeros(n)
@@ -709,7 +711,7 @@ def parse_mrc(text: str, *, atol: float = DEFAULT_ATOL) -> Mrc | MrcFast:
         if i in seen:
             raise ModelFormatError(f"line {ln1}: state {i} appears twice in init")
         seen.add(i)
-        p = number(p_tok, ln1, "probability")
+        p = _number(p_tok, ln1, "probability")
         if p < 0:
             raise ModelFormatError(f"line {ln1}: negative probability {p!r}")
         sigma[i] = p
@@ -718,31 +720,75 @@ def parse_mrc(text: str, *, atol: float = DEFAULT_ATOL) -> Mrc | MrcFast:
 
     if h2[0] != "reward" or len(h2) != n + 1:
         raise ModelFormatError(f"line {ln2}: expected 'reward' with {n} values")
-    rho = np.array([number(tok, ln2, "reward") for tok in h2[1:]])
+    rho = np.array([_number(tok, ln2, "reward") for tok in h2[1:]])
 
+    edges = lines[3:]
+    fast, src, dst, value = _rate_columns(edges, n)
     qs = np.zeros((n, n))
     qf = np.zeros((n, n))
-    saw_fast = False
-    for lineno, tokens in lines[3:]:
-        if len(tokens) != 4 or tokens[0] not in ("rate", "fast"):
-            raise ModelFormatError(f"line {lineno}: expected 'rate|fast <src> <dst> <value>'")
-        src = parse_state(tokens[1], lineno, n)
-        dst = parse_state(tokens[2], lineno, n)
-        if src == dst:
-            raise ModelFormatError(f"line {lineno}: self-rates are not allowed")
-        value = number(tokens[3], lineno, "rate")
-        if value < 0:
-            raise ModelFormatError(f"line {lineno}: negative rate {value!r}")
-        target = qf if tokens[0] == "fast" else qs
-        if tokens[0] == "fast":
-            saw_fast = True
-        target[src, dst] += value
-
-    np.fill_diagonal(qs, -qs.sum(axis=1))
-    np.fill_diagonal(qf, -qf.sum(axis=1))
-    if saw_fast:
+    slow = ~fast
+    with np.errstate(over="ignore"):
+        # in file order, so parallel rate lines sum as one line at a time would
+        np.add.at(qs, (src[slow], dst[slow]), value[slow])
+        np.add.at(qf, (src[fast], dst[fast]), value[fast])
+        out_s, out_f = qs.sum(axis=1), qf.sum(axis=1)
+    if not (np.isfinite(out_s).all() and np.isfinite(out_f).all()):
+        raise _overflow(edges, ~np.isfinite(out_s), ~np.isfinite(out_f))
+    np.fill_diagonal(qs, -out_s)
+    np.fill_diagonal(qf, -out_f)
+    if fast.any():
         return MrcFast(sigma, qs, qf, rho)
     return Mrc(sigma, qs, rho)
+
+
+def _rate_columns(edges, n: int):
+    """Fast flag, source, target and value of each ``rate|fast`` line.
+
+    The columns are converted and checked whole; only a file with a bad
+    line is read again line by line, which reports the first one.
+    """
+    try:
+        kinds, src, dst, value = token_columns(edges, 4)
+        ends = np.array([list(map(int, src)), list(map(int, dst))], dtype=np.intp)
+        value = np.array(list(map(float, value)))
+        if (
+            set(kinds) <= {"rate", "fast"}
+            and (ends.size == 0 or 0 <= ends.min() and ends.max() < n)
+            and not (ends[0] == ends[1]).any()
+            and (np.isfinite(value) & (value >= 0)).all()
+        ):
+            return np.array(kinds, dtype=str) == "fast", ends[0], ends[1], value
+    except (ValueError, OverflowError):
+        pass
+    fast, src, dst, value = [], [], [], []
+    for lineno, tokens in edges:
+        if len(tokens) != 4 or tokens[0] not in ("rate", "fast"):
+            raise ModelFormatError(f"line {lineno}: expected 'rate|fast <src> <dst> <value>'")
+        fast.append(tokens[0] == "fast")
+        src.append(parse_state(tokens[1], lineno, n))
+        dst.append(parse_state(tokens[2], lineno, n))
+        if src[-1] == dst[-1]:
+            raise ModelFormatError(f"line {lineno}: self-rates are not allowed")
+        value.append(_number(tokens[3], lineno, "rate"))
+        if value[-1] < 0:
+            raise ModelFormatError(f"line {lineno}: negative rate {value[-1]!r}")
+    return np.array(fast, dtype=bool), np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp), np.array(value)
+
+
+def _overflow(edges, slow_rows, fast_rows) -> ModelFormatError:
+    """The error for rows whose rates sum past the largest float.  It names
+    the line at which such a row's total, summed in file order, overflows,
+    or the last line of such a row if only NumPy's summation order does."""
+    totals: dict[tuple[str, int], float] = {}
+    for lineno, (kind, src, _, value) in edges:
+        state = int(src)
+        if (fast_rows if kind == "fast" else slow_rows)[state]:
+            found = lineno, state
+            totals[kind, state] = total = totals.get((kind, state), 0.0) + float(value)
+            if total == math.inf:
+                break
+    lineno, state = found
+    return ModelFormatError(f"line {lineno}: rates out of state {state} sum to more than the largest float")
 
 
 def format_mrc(model: Mrc | MrcFast) -> str:

@@ -206,12 +206,28 @@ def canonical_distributor_real(v: np.ndarray) -> np.ndarray:
 
 def content_lines(text: str) -> list[tuple[int, list[str]]]:
     """Token lists of non-empty lines, with 1-based line numbers; '#' starts a comment."""
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [raw.split("#", 1)[0] for raw in lines]
+    return [(lineno, tokens) for lineno, tokens in enumerate(map(str.split, lines), start=1) if tokens]
+
+
+def first_token(text: str) -> str | None:
+    """First token of :func:`content_lines`, without tokenizing the rest."""
+    for raw in text.splitlines():
+        body = raw.split("#", 1)[0].split()
         if body:
-            out.append((lineno, body.split()))
-    return out
+            return body[0]
+    return None
+
+
+def token_columns(lines: list[tuple[int, list[str]]], width: int) -> list[tuple[str, ...]]:
+    """The tokens of ``lines`` column by column; ValueError unless every
+    line has ``width`` tokens."""
+    rows = [tokens for _, tokens in lines]
+    if rows and set(map(len, rows)) != {width}:
+        raise ValueError(f"a line without {width} tokens")
+    return list(zip(*rows)) if rows else [()] * width
 
 
 def _parse_int(token: str, lineno: int, what: str) -> int:
@@ -249,9 +265,10 @@ def parse_partition(text: str) -> Partition:
     if len(header) != 2:
         raise ModelFormatError(f"line {lineno}: expected 'partition <n>'")
     n = _parse_int(header[1], lineno, "state count")
-    blocks = []
-    for lineno, tokens in lines[1:]:
-        blocks.append(tuple(_parse_int(t, lineno, "state index") for t in tokens))
+    try:
+        blocks = [tuple(map(int, tokens)) for _, tokens in lines[1:]]
+    except ValueError:  # name the first token that is not an integer
+        blocks = [tuple(_parse_int(t, lineno, "state index") for t in tokens) for lineno, tokens in lines[1:]]
     try:
         return Partition(n, tuple(blocks))
     except ValueError as exc:

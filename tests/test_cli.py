@@ -450,3 +450,86 @@ def test_reward_refuses_horizons_that_lose_probability_mass(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == ["error: time 1e+20 is too long for these rates"]
+
+
+MALFORMED = MODELS / "malformed"
+
+#: The one stderr line of each malformed file, which names its first bad line.
+PARSE_ERRORS = {
+    "arity.lts": "line 6: expected '<src> <label> <dst>'",
+    "state_not_integer.lts": "line 6: state index must be an integer, got 'one'",
+    "state_out_of_range.lts": "line 6: state 3 out of range 0..2",
+    "unknown_label.lts": "line 6: unknown label 'c'",
+    "comments.lts": "line 13: state -1 out of range 0..2",
+    "two_faults.lts": "line 6: unknown label 'c'",
+    "keyword.mrc": "line 5: expected 'rate|fast <src> <dst> <value>'",
+    "self_rate.mrc": "line 5: self-rates are not allowed",
+    "negative_rate.mrc": "line 5: negative rate -0.5",
+    "nan_rate.mrc": "line 5: rate must be finite",
+    "inf_rate.mrc": "line 5: rate must be finite",
+    "init_twice.mrc": "line 2: state 0 appears twice in init",
+    "comments.mrc": "line 10: rate must be a number, got 'one'",
+    "two_faults.mrc": "line 5: negative rate -1.0",
+    "state_not_integer.partition": "line 3: state index must be an integer, got 'three'",
+    "duplicate_state.partition": "invalid partition: state 1 in two blocks",
+}
+
+
+def _run_malformed(name):
+    path = MALFORMED / name
+    if name.endswith(".partition"):
+        return run("check", FOUR, "--partition", path, "--kind", "strong")
+    return run("refine", path, "--kind", "strong")
+
+
+def test_malformed_files_report_their_first_bad_line(capsys):
+    for name, message in PARSE_ERRORS.items():
+        code = _run_malformed(name)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n"), name
+
+
+def test_rate_sums_that_overflow_name_their_line(capsys):
+    # each rate is finite; their sum for one entry, or for one row, is not
+    overflows = {
+        "rate_sum_overflow.mrc": 5,
+        "row_sum_overflow.mrc": 5,
+        "summation_order_overflow.mrc": 7,  # only in NumPy's order: the row's last line
+    }
+    for name, lineno in overflows.items():
+        path = MALFORMED / name
+        for argv in (("reward", path, "--times", "1"), ("refine", path, "--kind", "strong")):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert run(*argv) == 2
+            captured = capsys.readouterr()
+            assert caught == [], name
+            assert captured.out == ""
+            assert captured.err == f"error: line {lineno}: rates out of state 0 sum to more than the largest float\n"
+
+
+def test_main_can_be_called_again_in_one_process(capsys):
+    from matbisim.cli import build_parser
+
+    assert build_parser() is build_parser()
+
+    def reply(*args):
+        code = run(*args)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    # defaults are not carried over from an earlier call
+    assert reply("reward", REWARD, "--times", "5")[0] == 0
+    code, out, _ = reply("reward", REWARD, "--json")
+    assert code == 0 and json.loads(out)["times"] == [0.0, 1.0]
+    assert reply("diagram", FAST, "--partition", TAU_MERGED, "--kind", "weak", "--times", "3")[0] == 0
+    code, out, _ = reply("diagram", FAST, "--partition", TAU_MERGED, "--kind", "weak", "--json")
+    assert code == 0 and json.loads(out)["times"] == [0.0, 0.5, 1.0, 2.0]
+
+    # neither a usage error nor --help changes the next call
+    alone = reply("reward", FAST, "--times", "0", "1")
+    assert alone[0] == 0
+    assert reply("reward", FAST, "--times")[0] == 2
+    assert reply("reward", FAST, "--times", "0", "1") == alone
+    assert reply("reward", "--help")[0] == 0
+    assert reply("reward", FAST, "--times", "0", "1") == alone
