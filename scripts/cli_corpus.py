@@ -4,7 +4,7 @@
 Writes the bundled models, the malformed files of ``models/malformed`` and a
 seeded set of generated models into a work directory, runs every command on
 them in process through ``matbisim.cli.main`` (text and ``--json``; 90
-models and 19 malformed files, 4596 runs), and prints one line per run:
+models and 20 malformed files, 4600 runs), and prints one line per run:
 the argv, the exit code and the SHA-256 of stdout and stderr.  Only
 ``elapsed_s`` is removed from JSON output before hashing.  All paths are
 relative to the work directory, so two versions of the program give the

@@ -7,7 +7,6 @@ from .algebra import (
     TAU_LABEL,
     ActionAlphabet,
     ActionMatrix,
-    ActionSet,
     MatrixShapeError,
     SingularMatrixError,
     rt_closure,

@@ -90,55 +90,6 @@ class ActionAlphabet:
     def labels_of(self, mask: int) -> tuple[str, ...]:
         return tuple(n for i, n in enumerate(self.names) if mask >> i & 1)
 
-    def action_set(self, labels: Iterable[str] = ()) -> "ActionSet":
-        return ActionSet(self, self.mask_of(labels))
-
-
-@dataclass(frozen=True)
-class ActionSet:
-    """A subset of an alphabet; the scalar of the boolean matrix world."""
-
-    alphabet: ActionAlphabet
-    mask: int
-
-    def __post_init__(self):
-        if not 0 <= self.mask <= self.alphabet.full_mask:
-            raise ValueError("mask out of range for alphabet")
-
-    def _check(self, other: "ActionSet") -> None:
-        if self.alphabet != other.alphabet:
-            raise ValueError("action sets over different alphabets")
-
-    def __or__(self, other: "ActionSet") -> "ActionSet":
-        self._check(other)
-        return ActionSet(self.alphabet, self.mask | other.mask)
-
-    def __and__(self, other: "ActionSet") -> "ActionSet":
-        self._check(other)
-        return ActionSet(self.alphabet, self.mask & other.mask)
-
-    def complement(self) -> "ActionSet":
-        return ActionSet(self.alphabet, self.mask ^ self.alphabet.full_mask)
-
-    def __le__(self, other: "ActionSet") -> bool:
-        self._check(other)
-        return self.mask | other.mask == other.mask
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return self.alphabet.labels_of(self.mask)
-
-    @property
-    def is_empty(self) -> bool:
-        return self.mask == 0
-
-    @property
-    def is_full(self) -> bool:
-        return self.mask == self.alphabet.full_mask
-
-    def __repr__(self):
-        return f"ActionSet({{{', '.join(self.labels)}}})"
-
 
 def format_entry(alphabet: ActionAlphabet, mask: int) -> str:
     """Render one matrix entry: 0, 1, or a braced label set."""
@@ -268,9 +219,6 @@ class ActionMatrix:
 
     def mask_at(self, i: int, j: int) -> int:
         return sum(1 << int(label) for label in np.flatnonzero(self.planes[:, i, j]))
-
-    def entry(self, i: int, j: int) -> ActionSet:
-        return ActionSet(self.alphabet, self.mask_at(i, j))
 
     def support(self) -> np.ndarray:
         """``(rows, cols)`` boolean array of the nonempty entries."""

@@ -248,8 +248,9 @@ def cmd_lump(cfg: argparse.Namespace) -> int:
     model = _load_model(cfg.model, cfg.tol)
     family = family_of(model)
     v = family.collector(model, _load_partition(cfg.partition))
+    w = family.read_distributor(cfg.distributor) if cfg.distributor else None
     # an explicit distributor changes only the weak quotient
-    w = family.read_distributor(cfg.distributor) if cfg.distributor and cfg.kind == "weak" else None
+    w = w if cfg.kind == "weak" else None
     lumped = family.lump(model, v, cfg.kind, atol=cfg.tol, strict_middle=cfg.strict_def3, distributor=w)
     text = _format_model(lumped)
     family.parse_model(text, atol=cfg.tol)  # the written quotient must read back
@@ -313,6 +314,7 @@ def cmd_diagram(cfg: argparse.Namespace) -> int:
     model = _load_model(cfg.model, cfg.tol)
     family = family_of(model)
     v = family.collector(model, _load_partition(cfg.partition))
+    w = family.read_distributor(cfg.distributor) if cfg.distributor else None
     if family is lts_mod:
         if cfg.kind == "weak":
             ok = lts_mod.verify_weak_commutation(model, v)
@@ -322,7 +324,6 @@ def cmd_diagram(cfg: argparse.Namespace) -> int:
     else:
         if cfg.kind != "weak":
             raise ValueError("no branching commutation statement is available for reward chains")
-        w = mrc_mod.read_distributor(cfg.distributor) if cfg.distributor else None
         ok = mrc_mod.verify_limit_commutation(model, v, w, cfg.times, atol=cfg.tol)
         detail = {"times": list(cfg.times)}
     payload = {"kind": cfg.kind, "model": str(cfg.model), "verdict": "pass" if ok else "fail", **detail}

@@ -1,15 +1,14 @@
 """Labeled transition systems with explicit termination, in matrix form.
 
 A system is (initial indicator, visible transition matrix, internal 0-1
-matrix, termination indicator).  The combined transition matrix with the
-internal label folded in is recoverable; the split representation keeps the
-whole algebra inside one alphabet.
+matrix, termination indicator).  Keeping the internal steps in their own
+matrix keeps the whole algebra inside one alphabet.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -70,29 +69,6 @@ class Lts:
     @property
     def initial_state(self) -> int:
         return int(np.flatnonzero(self.initial.support())[0])
-
-
-def combined_labels(lts: Lts) -> tuple[tuple[frozenset[str], ...], ...]:
-    """One label-set table holding visible and internal steps together."""
-    names = lts.alphabet.names + (TAU_LABEL,)
-    return tuple(
-        tuple(frozenset(names[label] for label in np.flatnonzero(cell)) for cell in row)
-        for row in _cells(lts)
-    )
-
-
-def _cells(lts: Lts) -> np.ndarray:
-    """``(n, n, k + 1)`` label flags per transition; the last one is ``tau``."""
-    return np.concatenate([lts.visible.planes, lts.internal.support()[None]]).transpose(1, 2, 0)
-
-
-def split_labels(alphabet: ActionAlphabet, table: Sequence[Sequence[frozenset[str]]]) -> tuple[ActionMatrix, ActionMatrix]:
-    """Inverse of :func:`combined_labels`: split a label table into
-    (visible, internal).  The split is unique because the internal label is
-    reserved."""
-    visible = [[alphabet.mask_of(lab for lab in cell if lab != TAU_LABEL) for cell in row] for row in table]
-    internal = [[TAU_LABEL in cell for cell in row] for row in table]
-    return ActionMatrix(alphabet, visible), ActionMatrix.from_bits(alphabet, internal)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +156,9 @@ def format_lts(lts: Lts) -> str:
         ("term " + " ".join(str(i) for i in np.flatnonzero(lts.terminating.support()))).rstrip(),
     ]
     names = lts.alphabet.names + (TAU_LABEL,)
-    for i, j, b in np.argwhere(_cells(lts)).tolist():
+    # (n, n, k + 1) label flags per transition; the last one is tau
+    cells = np.concatenate([lts.visible.planes, lts.internal.support()[None]]).transpose(1, 2, 0)
+    for i, j, b in np.argwhere(cells).tolist():
         lines.append(f"{i} {names[b]} {j}")
     return "\n".join(lines) + "\n"
 
@@ -194,9 +172,9 @@ format_model = format_lts
 
 
 def read_distributor(path) -> None:
-    """Explicit distributor files hold real matrices for reward chains; a
-    transition-system quotient takes the transpose, so none is read."""
-    return None
+    """Refused: distributor files hold real matrices for reward chains, and
+    a transition-system quotient takes the transpose of its collector."""
+    raise ValueError("transition systems take no distributor file: the quotient uses the collector's transpose")
 
 
 # ---------------------------------------------------------------------------

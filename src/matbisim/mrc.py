@@ -68,9 +68,10 @@ class DistributorError(ValueError):
 def validate_generator(q, *, atol: float = DEFAULT_ATOL) -> np.ndarray:
     """Check generator shape and return a cleaned copy.
 
-    Off-diagonal entries in ``[-atol, 0)`` are clamped to zero and the
-    diagonal is recomputed as the negated off-diagonal row sum, so the
-    result has exact zero row sums.
+    A row may sum to at most ``atol`` times its rate sum (at least 1) away
+    from zero.  Off-diagonal entries in ``[-atol, 0)`` are clamped to zero
+    and the diagonal is recomputed as the negated off-diagonal row sum, so
+    the result has exact zero row sums.
     """
     q = real_matrix(q)
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
@@ -80,11 +81,16 @@ def validate_generator(q, *, atol: float = DEFAULT_ATOL) -> np.ndarray:
     bad = np.argwhere(off < -atol)
     if bad.size:
         i, j = map(int, bad[0])
-        raise GeneratorError(f"row {i}: negative rate {q[i, j]!r} to state {j}")
-    sums = q.sum(axis=1)
-    worst = int(np.argmax(np.abs(sums)))
-    if abs(sums[worst]) > atol:
-        raise GeneratorError(f"row {worst}: row sum {sums[worst]!r} exceeds tolerance")
+        raise GeneratorError(f"row {i}: negative rate {float(q[i, j])!r} to state {j}")
+    # The bound scales with the rates: a diagonal written as minus their sum
+    # misses it by a rounding of that sum.
+    with np.errstate(over="ignore"):  # a sum past the largest float is refused below
+        sums = q.sum(axis=1)
+        bound = atol * np.maximum(1.0, off.sum(axis=1))
+    bad = np.flatnonzero(~(np.abs(sums) <= bound) | (bound == math.inf))
+    if bad.size:
+        i = int(bad[0])
+        raise GeneratorError(f"row {i}: row sum {float(sums[i])!r} exceeds tolerance")
     off = np.clip(off, 0.0, None)
     np.fill_diagonal(off, -off.sum(axis=1))
     return off
@@ -105,7 +111,7 @@ def _freeze_chain(chain, n: int, **generators: np.ndarray) -> None:
         raise ValueError("negative initial probability")
     sigma = np.clip(sigma, 0.0, None)
     if abs(sigma.sum() - 1.0) > DEFAULT_ATOL:
-        raise ValueError(f"initial probabilities sum to {sigma.sum()!r}, not 1")
+        raise ValueError(f"initial probabilities sum to {float(sigma.sum())!r}, not 1")
     rho = real_matrix(chain.rho).reshape(-1)
     if rho.shape != (n,):
         raise ValueError(f"reward vector must have {n} entries")
@@ -715,8 +721,9 @@ def parse_mrc(text: str, *, atol: float = DEFAULT_ATOL) -> Mrc | MrcFast:
         if p < 0:
             raise ModelFormatError(f"line {ln1}: negative probability {p!r}")
         sigma[i] = p
-    if abs(sigma.sum() - 1.0) > atol:
-        raise ModelFormatError(f"line {ln1}: initial probabilities sum to {sigma.sum()!r}, not 1")
+    # the chain's constructor holds the sum to DEFAULT_ATOL whatever ``atol`` is
+    if abs(sigma.sum() - 1.0) > min(atol, DEFAULT_ATOL):
+        raise ModelFormatError(f"line {ln1}: initial probabilities sum to {float(sigma.sum())!r}, not 1")
 
     if h2[0] != "reward" or len(h2) != n + 1:
         raise ModelFormatError(f"line {ln2}: expected 'reward' with {n} values")

@@ -147,31 +147,22 @@ def split_by_keys(p: Partition, keys: Sequence) -> Partition:
 # ---------------------------------------------------------------------------
 
 
-def is_bool_collector(v: ActionMatrix) -> bool:
-    if v.alphabet.size == 0 or not v.is_zero_one():
-        return False
-    ones = v.support()
-    return bool((ones.sum(axis=1) == 1).all() and ones.any(axis=0).all())
-
-
 def require_bool_collector(v: ActionMatrix) -> None:
-    if not is_bool_collector(v):
+    ones = v.support()
+    if not (
+        v.alphabet.size and v.is_zero_one() and (ones.sum(axis=1) == 1).all() and ones.any(axis=0).all()
+    ):
         raise ValueError("not a collector: need exactly one full entry per row and no empty column")
 
 
-def is_real_collector(v: np.ndarray) -> bool:
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 2:
-        return False
-    if not np.all((v == 0.0) | (v == 1.0)):
-        return False
-    if not np.all(v.sum(axis=1) == 1.0):
-        return False
-    return bool(np.all(v.sum(axis=0) >= 1.0))
-
-
 def require_real_collector(v: np.ndarray) -> None:
-    if not is_real_collector(v):
+    v = np.asarray(v, dtype=float)
+    if not (
+        v.ndim == 2
+        and np.all((v == 0.0) | (v == 1.0))
+        and np.all(v.sum(axis=1) == 1.0)
+        and np.all(v.sum(axis=0) >= 1.0)
+    ):
         raise ValueError("not a collector: need exactly one unit entry per row and no empty column")
 
 

@@ -56,7 +56,7 @@ def mul_chain(draw):
     )
 
 
-# -- alphabet and sets --------------------------------------------------------
+# -- alphabet -----------------------------------------------------------------
 
 
 def test_alphabet_rejects_duplicates_and_reserved_label():
@@ -72,16 +72,6 @@ def test_alphabet_masks_round_trip():
     assert ABC.mask_of(("a", "c")) == 0b101
     assert ABC.labels_of(0b101) == ("a", "c")
     assert ABC.full_mask == 0b111
-
-
-def test_action_set_operations():
-    a = AB.action_set(("a",))
-    b = AB.action_set(("b",))
-    assert (a | b).is_full
-    assert (a & b).is_empty
-    assert a.complement() == b
-    assert a <= a | b
-    assert not (a | b) <= a
 
 
 # -- semiring operations ------------------------------------------------------
@@ -322,6 +312,16 @@ def test_solve_singular_raises():
         solve_linear(np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([1.0, 0.0]))
     with pytest.raises(SingularMatrixError):
         solve_linear(np.array([[1.0, 0.0], [1.0, 0.0]]), np.array([1.0, 0.0]))
+
+
+def test_solve_pivot_threshold_is_relative_to_the_column():
+    # the second pivot is the 2e-13 or 1e-11 left after eliminating the first
+    # column, against PIVOT_RTOL = 1e-12 of the column's largest entry
+    with pytest.raises(SingularMatrixError):
+        solve_linear(np.array([[1.0, 1.0], [1.0, 1.0 + 2e-13]]), np.array([1.0, 0.0]))
+    a = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-11]])
+    b = np.array([2.0, 2.0 + 1e-11])
+    assert np.allclose(a @ solve_linear(a, b), b, rtol=0.0, atol=1e-12)
 
 
 def test_solve_rejects_non_finite_and_bad_shapes():

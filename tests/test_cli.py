@@ -177,6 +177,22 @@ def test_lump_weak_with_explicit_distributor_file(tmp_path, capsys):
     assert "certification" in capsys.readouterr().err
 
 
+def test_transition_systems_refuse_a_distributor_file(capsys):
+    # the file is refused unread, so a missing one gives the same line
+    for argv in (
+        ("lump", TAU, "--partition", TAU_MERGED, "--kind", "weak"),
+        ("lump", TAU, "--partition", TAU_MERGED, "--kind", "strong"),
+        ("diagram", TAU, "--partition", TAU_MERGED, "--kind", "weak"),
+        ("diagram", TAU, "--partition", TAU_MERGED, "--kind", "branching"),
+    ):
+        assert run(*argv, "--distributor", MODELS / "nonexistent.dist") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: transition systems take no distributor file: the quotient uses the collector's transpose\n"
+        ), argv
+
+
 def test_closure_without_internal_steps_keeps_visible_part(capsys):
     assert run("closure", FOUR) == 0
     out = capsys.readouterr().out
@@ -468,6 +484,7 @@ PARSE_ERRORS = {
     "nan_rate.mrc": "line 5: rate must be finite",
     "inf_rate.mrc": "line 5: rate must be finite",
     "init_twice.mrc": "line 2: state 0 appears twice in init",
+    "init_sum.mrc": "line 2: initial probabilities sum to 1.0005, not 1",
     "comments.mrc": "line 10: rate must be a number, got 'one'",
     "two_faults.mrc": "line 5: negative rate -1.0",
     "state_not_integer.partition": "line 3: state index must be an integer, got 'three'",
@@ -506,6 +523,25 @@ def test_rate_sums_that_overflow_name_their_line(capsys):
             assert caught == [], name
             assert captured.out == ""
             assert captured.err == f"error: line {lineno}: rates out of state 0 sum to more than the largest float\n"
+
+
+def test_initial_sum_is_held_to_the_default_tolerance_at_its_line(capsys):
+    # a looser --tol would pass the parser but not the chain's own check
+    for tol in ("1e-3", "1e-12"):
+        assert run("refine", MALFORMED / "init_sum.mrc", "--kind", "strong", "--tol", tol) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: line 2: initial probabilities sum to 1.0005, not 1\n"
+
+
+def test_large_rates_pass_the_row_sum_check(tmp_path, capsys):
+    # the derived diagonals round off by about 2e-9, above the absolute 1e-9
+    model = tmp_path / "large_rates.mrc"
+    model.write_text(
+        "mrc 3\ninit 0:1\nreward 1 1 1\n"
+        "rate 1 0 9312717.652\nrate 1 2 9506226.809\nrate 2 0 1847526.91\nrate 2 1 8604171.236\n"
+    )
+    assert run("reward", model, "--times", "0") == 0
+    assert capsys.readouterr().out == "R(0) = 1\n"
 
 
 def test_main_can_be_called_again_in_one_process(capsys):

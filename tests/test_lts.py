@@ -5,10 +5,8 @@ from matbisim.algebra import ActionAlphabet, ActionMatrix, rt_closure
 from matbisim.lts import (
     Lts,
     check_strong_relational,
-    combined_labels,
     format_lts,
     parse_lts,
-    split_labels,
     tau_closure,
     verify_branching_commutation,
     verify_closure_identities,
@@ -78,15 +76,6 @@ def test_format_round_trip_is_canonical(four_state, rng):
     for _ in range(20):
         sys_ = generate.random_lts(rng, max_states=6)
         assert parse_lts(format_lts(sys_)) == sys_
-
-
-def test_combined_labels_split_round_trip(rng):
-    for _ in range(30):
-        sys_ = generate.random_lts(rng, max_states=6)
-        table = combined_labels(sys_)
-        visible, internal = split_labels(sys_.alphabet, table)
-        assert visible == sys_.visible
-        assert internal == sys_.internal
 
 
 def test_lts_requires_nonempty_alphabet():

@@ -56,6 +56,15 @@ def test_validate_generator_rejects_bad_rows():
         validate_generator(np.ones((2, 3)))
 
 
+def test_validate_generator_bound_scales_with_the_rate_sum():
+    # 1e-2 off a rate sum of 2e7 is 5e-10 of it; 1 off is 5e-8
+    validate_generator(np.array([[-2e7 + 1e-2, 2e7], [0.0, 0.0]]))
+    with pytest.raises(GeneratorError, match="row 0: row sum"):
+        validate_generator(np.array([[-2e7 + 1.0, 2e7], [0.0, 0.0]]))
+    with pytest.raises(GeneratorError, match="row 1: row sum"):  # the rates sum past the largest float
+        validate_generator(np.array([[0.0, 0.0, 0.0], [1e308, 0.0, 1e308], [0.0, 0.0, 0.0]]))
+
+
 def test_validate_generator_clamps_noise():
     q = np.array([[-1.0, 1.0 - 1e-12], [1e-12, -1e-12]])
     cleaned = validate_generator(q)
