@@ -4,7 +4,7 @@
 Writes the bundled models, the malformed files of ``models/malformed`` and a
 seeded set of generated models into a work directory, runs every command on
 them in process through ``matbisim.cli.main`` (text and ``--json``; 90
-models and 20 malformed files, 4600 runs), and prints one line per run:
+models and 20 malformed files, 4264 runs), and prints one line per run:
 the argv, the exit code and the SHA-256 of stdout and stderr.  Only
 ``elapsed_s`` is removed from JSON output before hashing.  All paths are
 relative to the work directory, so two versions of the program give the
@@ -166,7 +166,9 @@ def runs(entries) -> list[list[str]]:
     """Every argv of the corpus, without ``--json``."""
     out = []
     for model, parts, dist in entries:
-        dist_args = ["--distributor", dist] if dist else []
+        chain = model.endswith(".mrc")
+        # only chains take a distributor file; transition systems refuse one
+        dist_args = ["--distributor", dist] if dist and chain else []
         for kind in KINDS:
             out.append(["refine", model, "--kind", kind, "--oracle"])
             for part in parts:
@@ -176,11 +178,13 @@ def runs(entries) -> list[list[str]]:
         for part in parts:
             out.append(["check", model, "--partition", part, "--kind", "weak", "--strict-def3"])
             out.append(["lump", model, "--partition", part, "--kind", "weak", "--strict-def3"])
-            out.append(["lump", model, "--partition", part, "--kind", "weak", *dist_args])
-            out.append(["lump", model, "--partition", part, "--kind", "strong", *dist_args])
+            if dist_args:  # without one, these two runs are the kind loop's
+                out.append(["lump", model, "--partition", part, "--kind", "weak", *dist_args])
+                out.append(["lump", model, "--partition", part, "--kind", "strong", *dist_args])
             out.append(["diagram", model, "--partition", part, "--kind", "weak", *dist_args])
             out.append(["diagram", model, "--partition", part, "--kind", "branching"])
-        out.append(["lump", model, "--partition", parts[0], "--kind", "weak", "--distributor", "missing.dist"])
+        if chain:
+            out.append(["lump", model, "--partition", parts[0], "--kind", "weak", "--distributor", "missing.dist"])
         out.append(["closure", model])
         out.append(["project", model])
         out.append(["reward", model, "--times", "0", "0.5", "3"])
@@ -191,6 +195,9 @@ def runs(entries) -> list[list[str]]:
     out.append(["closure", "tau_pair.lts", "--output", "out.lts"])
     out.append(["check", "missing.lts", "--partition", "four_state_identity.partition", "--kind", "strong"])
     out.append(["check", "four_state.lts", "--partition", "tau_pair_merged.partition", "--kind", "weak"])
+    for command in ("lump", "diagram"):  # the distributor refusal, once per command
+        out.append([command, "tau_pair.lts", "--partition", "tau_pair_merged.partition", "--kind", "weak",
+                    "--distributor", "missing.dist"])
     for seed in range(4):
         out.append(["probe", "--seed", str(seed), "--count", "40", "--max-states", "4"])
     for path in sorted(MALFORMED.iterdir()):

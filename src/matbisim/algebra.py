@@ -110,6 +110,12 @@ class ActionMatrix:
     planes.  ``data`` is a derived view: one bit mask per entry, bit ``l``
     for label ``l``, as a tuple of row tuples.  Values are immutable; every
     operation returns a fresh matrix.
+
+    A stack of matrices of one shape is one value whose planes carry leading
+    stack axes, ``(..., k, rows, cols)``: shapes, products, sums, meets,
+    transposes, supports and :func:`rt_closure` read the last axes and
+    broadcast over the rest, so a stack combines with a single matrix.  Entry
+    access (``data``, ``mask_at``, printing) reads single matrices only.
     """
 
     __slots__ = ("alphabet", "planes")
@@ -178,25 +184,30 @@ class ActionMatrix:
 
     @classmethod
     def from_bits(cls, alphabet: ActionAlphabet, bits) -> "ActionMatrix":
-        """Build a 0-1 matrix: truthy cells become the full set."""
-        bits = np.asarray(bits, dtype=bool)
-        if bits.ndim != 2:
+        """Build a 0-1 matrix, or a stack of them from ``(..., rows, cols)``
+        bits: truthy cells become the full set.  The bits are copied once;
+        every label plane is a read-only view of that copy."""
+        bits = np.array(bits, dtype=bool)
+        if bits.ndim < 2:
             raise MatrixShapeError("a 0-1 matrix needs rows of equal length")
-        return cls.from_planes(alphabet, np.broadcast_to(bits, (alphabet.size, *bits.shape)))
+        if not bits.shape[-2] or not bits.shape[-1]:
+            raise MatrixShapeError("matrices must have at least one row and column")
+        planes = np.broadcast_to(bits[..., None, :, :], (*bits.shape[:-2], alphabet.size, *bits.shape[-2:]))
+        return cls._wrap(alphabet, planes)
 
     # -- shape ---------------------------------------------------------
 
     @property
     def rows(self) -> int:
-        return self.planes.shape[1]
+        return self.planes.shape[-2]
 
     @property
     def cols(self) -> int:
-        return self.planes.shape[2]
+        return self.planes.shape[-1]
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.planes.shape[1:]
+        return self.planes.shape[-2:]
 
     def _check_alphabet(self, other: "ActionMatrix") -> None:
         if self.alphabet != other.alphabet:
@@ -221,8 +232,8 @@ class ActionMatrix:
         return sum(1 << int(label) for label in np.flatnonzero(self.planes[:, i, j]))
 
     def support(self) -> np.ndarray:
-        """``(rows, cols)`` boolean array of the nonempty entries."""
-        return self.planes.any(axis=0)
+        """``(..., rows, cols)`` boolean array of the nonempty entries."""
+        return self.planes.any(axis=-3)
 
     # -- semiring operations ----------------------------------------------
 
@@ -232,12 +243,16 @@ class ActionMatrix:
 
     def __matmul__(self, other: "ActionMatrix") -> "ActionMatrix":
         """Union of intersections: per label, a boolean product, computed for
-        all labels at once as one batched real product, then thresholded."""
+        all labels at once as one batched real product, then thresholded.
+        A 0-1 factor built by :meth:`from_bits` enters as its one plane, so
+        the product of two of them is one plane, broadcast to every label."""
         self._check_alphabet(other)
         if self.cols != other.rows:
             raise MatrixShapeError(f"cannot multiply {self.shape} by {other.shape}")
-        counts = np.matmul(self.planes.astype(np.float32), other.planes.astype(np.float32))
-        return ActionMatrix._wrap(self.alphabet, counts > 0)
+        product = np.matmul(_distinct_planes(self.planes), _distinct_planes(other.planes)) > 0
+        if product.shape[-3] != self.alphabet.size:
+            product = np.broadcast_to(product, (*product.shape[:-3], self.alphabet.size, *product.shape[-2:]))
+        return ActionMatrix._wrap(self.alphabet, product)
 
     def meet(self, other: "ActionMatrix") -> "ActionMatrix":
         """Entrywise intersection."""
@@ -245,7 +260,7 @@ class ActionMatrix:
         return ActionMatrix._wrap(self.alphabet, self.planes & other.planes)
 
     def transpose(self) -> "ActionMatrix":
-        return ActionMatrix._wrap(self.alphabet, self.planes.transpose(0, 2, 1))
+        return ActionMatrix._wrap(self.alphabet, np.swapaxes(self.planes, -1, -2))
 
     def __le__(self, other: "ActionMatrix") -> bool:
         """Entrywise inclusion."""
@@ -261,8 +276,10 @@ class ActionMatrix:
         return hash((self.alphabet, self.planes.shape, self.planes.tobytes()))
 
     def is_zero_one(self) -> bool:
-        """Every entry is empty or full: all label planes agree."""
-        return bool((self.planes == self.planes[:1]).all())
+        """Every entry is empty or full: all label planes agree (as they do
+        when they view one plane)."""
+        planes = self.planes
+        return planes.strides[-3] == 0 or bool((planes == planes[..., :1, :, :]).all())
 
     def is_zero(self) -> bool:
         return not self.planes.any()
@@ -274,6 +291,14 @@ class ActionMatrix:
         rendered = [[format_entry(self.alphabet, m) for m in row] for row in self.data]
         width = max(len(cell) for row in rendered for cell in row)
         return "\n".join(" ".join(cell.rjust(width) for cell in row) for row in rendered)
+
+
+def _distinct_planes(planes: np.ndarray) -> np.ndarray:
+    """``float32`` planes for a product; label planes that view one plane
+    (a :meth:`ActionMatrix.from_bits` matrix) are cast as that one plane."""
+    if planes.strides[-3] == 0:
+        planes = planes[..., :1, :, :]
+    return planes.astype(np.float32)
 
 
 def first_difference(a: ActionMatrix, b: ActionMatrix) -> tuple[int, int] | None:
@@ -290,6 +315,8 @@ def rt_closure(m: ActionMatrix) -> ActionMatrix:
 
     Squares ``I + m`` until it stops growing; the infinite power sum
     stabilizes after at most n steps, so this takes about log2(n) products.
+    A stack is closed in one batch of products, until all of it stops
+    growing.
     """
     if m.rows != m.cols:
         raise MatrixShapeError("closure needs a square matrix")
@@ -323,25 +350,6 @@ def max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
     if a.shape != b.shape:
         raise MatrixShapeError(f"cannot compare shapes {a.shape} and {b.shape}")
     return float(np.max(np.abs(a - b))) if a.size else 0.0
-
-
-def first_real_mismatch(lhs, rhs, atol: float = DEFAULT_ATOL):
-    """First row-major entry where |lhs - rhs| exceeds atol, or None.
-
-    One-dimensional inputs are treated as single-column matrices.
-    """
-    lhs = np.asarray(lhs, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    if lhs.shape != rhs.shape:
-        raise MatrixShapeError(f"cannot compare shapes {lhs.shape} and {rhs.shape}")
-    if lhs.ndim == 1:
-        lhs = lhs.reshape(-1, 1)
-        rhs = rhs.reshape(-1, 1)
-    bad = np.argwhere(np.abs(lhs - rhs) > atol)
-    if bad.size == 0:
-        return None
-    i, j = map(int, bad[0])
-    return i, j, float(lhs[i, j]), float(rhs[i, j])
 
 
 def solve_linear(a, b) -> np.ndarray:

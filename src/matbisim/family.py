@@ -4,11 +4,14 @@ A family is the module that implements it: ``lts`` reads the equalities
 ``VUX = X`` over the action-set semiring, ``mrc`` over the reals.  Both
 define the same names, so the search engine and the command line call them
 without branching on the model: ``parse_model``, ``format_model``,
-``collector``, ``canonical_distributor``, ``conditions`` (the kind's table
-``V -> [(name, X)]``), ``check_rows`` and ``signature_keys`` (a verdict and
-refinement keys from evaluated rows), ``evaluate``, ``check``, ``lump``,
-``read_distributor``, ``UNIQUE_COARSEST`` and ``STRICT_MIDDLE`` (whether
-the weak table reads ``strict_middle``).
+``collector``, ``collectors`` (a stack of them, for the oracle),
+``canonical_distributor``, ``conditions`` (the kind's table
+``V -> [(name, X)]``), ``check_rows``, ``passes`` and ``signature_keys``
+(a verdict, a pass flag per stacked collector and refinement keys from
+evaluated rows), ``evaluate``, ``check``, ``lump``, ``read_distributor``,
+``UNIQUE_COARSEST`` and ``STRICT_MIDDLE`` (whether the weak table reads
+``strict_middle``).  Tables, distributors and ``passes`` broadcast over
+leading stack axes of the collector.
 """
 
 from __future__ import annotations

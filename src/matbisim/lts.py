@@ -17,7 +17,6 @@ from .algebra import (
     TAU_LABEL,
     ActionAlphabet,
     ActionMatrix,
-    first_difference,
     rt_closure,
 )
 from .partition import (
@@ -194,6 +193,12 @@ def collector(lts: Lts, p: Partition) -> ActionMatrix:
     return p.collector_bool(lts.alphabet)
 
 
+def collectors(lts: Lts, member: np.ndarray) -> ActionMatrix:
+    """Stacked collectors: ``member[s, i, j]`` says whether state ``i`` is
+    in block ``j`` of partition ``s``."""
+    return ActionMatrix.from_bits(lts.alphabet, member)
+
+
 def canonical_distributor(v: ActionMatrix) -> ActionMatrix:
     """The transpose, a distributor of every collector."""
     return v.transpose()
@@ -208,13 +213,16 @@ def _require_distributor_for(v: ActionMatrix, u: ActionMatrix) -> None:
         raise ValueError("U1 = 1 fails: not a distributor")
 
 
-def _equality_witness(lhs: ActionMatrix, rhs: ActionMatrix) -> Witness | None:
-    pos = first_difference(lhs, rhs)
-    if pos is None:
-        return None
-    i, j = pos
-    alph = lhs.alphabet
-    return Witness(i, j, alph.labels_of(lhs.mask_at(i, j)), alph.labels_of(rhs.mask_at(i, j)))
+def _compare(v: ActionMatrix, u: ActionMatrix, x: ActionMatrix, rhs: ActionMatrix | None = None):
+    """``VUX`` and where it differs from ``rhs`` (default ``X``): a
+    ``(..., rows, cols)`` boolean array, stacked as ``V`` and ``X`` are."""
+    lhs = v @ (u @ x)
+    return lhs, (lhs.planes != (x if rhs is None else rhs).planes).any(axis=-3)
+
+
+def passes(v: ActionMatrix, u: ActionMatrix, rows, atol: float = DEFAULT_ATOL) -> np.ndarray:
+    """Whether every ``VUX = X`` of the evaluated rows holds, per stacked collector."""
+    return ~np.any([_compare(v, u, *row[1:])[1].any(axis=(-2, -1)) for row in rows], axis=0)
 
 
 def conditions(
@@ -286,9 +294,11 @@ def evaluate(
 def check_rows(kind: str, v: ActionMatrix, u: ActionMatrix, rows, atol: float = DEFAULT_ATOL) -> CheckReport:
     """Verdict on evaluated equalities: the first ``VUX = X`` that fails."""
     for name, x, *rhs in rows:
-        w = _equality_witness(v @ (u @ x), rhs[0] if rhs else x)
-        if w is not None:
-            return CheckReport(kind, False, name, w)
+        lhs, differs = _compare(v, u, x, *rhs)
+        if differs.any():
+            i, j = divmod(int(np.flatnonzero(differs)[0]), differs.shape[-1])
+            sides = [v.alphabet.labels_of(m.mask_at(i, j)) for m in (lhs, rhs[0] if rhs else x)]
+            return CheckReport(kind, False, name, Witness(i, j, *sides))
     return CheckReport(kind, True)
 
 

@@ -23,7 +23,6 @@ import numpy as np
 from .algebra import (
     DEFAULT_ATOL,
     SingularMatrixError,
-    first_real_mismatch,
     max_abs_diff,
     real_matrix,
     solve_linear,
@@ -266,6 +265,12 @@ def collector(model: Mrc | MrcFast, p: Partition) -> np.ndarray:
     return p.collector_real()
 
 
+def collectors(model: Mrc | MrcFast, member: np.ndarray) -> np.ndarray:
+    """Stacked collectors: ``member[s, i, j]`` says whether state ``i`` is
+    in block ``j`` of partition ``s``."""
+    return member.astype(float)
+
+
 canonical_distributor = canonical_distributor_real
 
 
@@ -282,13 +287,25 @@ def _distributor_for(v: np.ndarray, distributor, atol: float) -> np.ndarray:
     return u
 
 
+def _compare(v: np.ndarray, u: np.ndarray, x: np.ndarray, atol: float):
+    """``VUX`` and where it misses ``X`` by more than ``atol``: a
+    ``(..., rows, cols)`` boolean array, stacked as ``V`` and ``X`` are."""
+    lhs = v @ (u @ x)
+    return lhs, np.abs(lhs - x) > atol
+
+
+def passes(v: np.ndarray, u: np.ndarray, rows, atol: float = DEFAULT_ATOL) -> np.ndarray:
+    """Whether every ``VUX = X`` of the evaluated rows holds, per stacked collector."""
+    return ~np.any([_compare(v, u, x, atol)[1].any(axis=(-2, -1)) for _, x in rows], axis=0)
+
+
 def check_rows(kind: str, v: np.ndarray, u: np.ndarray, rows, atol: float = DEFAULT_ATOL) -> CheckReport:
     """Verdict on evaluated equalities: the first ``VUX = X`` that misses ``atol``."""
     for name, x in rows:
-        lhs = v @ (u @ x)
-        bad = first_real_mismatch(lhs, x, atol)
-        if bad is not None:
-            i, j, lv, rv = bad
+        lhs, misses = _compare(v, u, x, atol)
+        if misses.any():
+            i, j = divmod(int(np.flatnonzero(misses)[0]), misses.shape[-1])
+            lv, rv = float(lhs[i, j]), float(x[i, j])
             return CheckReport(kind, False, name, Witness(i, j, lv, rv, abs(lv - rv)))
     return CheckReport(kind, True)
 
@@ -317,7 +334,10 @@ def conditions(
         rho = fast.rho.reshape(-1, 1)
 
         def branching(v: np.ndarray) -> list:
-            pi_v = ergodic_projection(adapt_diagonal(fast.qf, v), atol=atol).pi
+            # the projection has no batched form, so a stack is projected per collector
+            kept = adapt_diagonal(fast.qf, v)
+            flat = kept.reshape(-1, *kept.shape[-2:])
+            pi_v = np.stack([ergodic_projection(q, atol=atol).pi for q in flat]).reshape(kept.shape)
             return [
                 ("VUΠ_V ρ = Π_V ρ", pi_v @ rho),
                 ("VUΠ_V Qf V = Π_V Qf V", pi_v @ fast.qf @ v),
@@ -667,12 +687,13 @@ def adapt_diagonal(qf, v) -> np.ndarray:
     """
     q = validate_generator(qf)
     v = np.asarray(v, dtype=float)
-    require_real_collector(v)
-    if v.shape[0] != q.shape[0]:
+    require_real_collector(v, stacked=True)
+    if v.shape[-2] != q.shape[0]:
         raise ValueError("collector rows must match generator size")
-    keep = q * (v @ v.T)
-    np.fill_diagonal(keep, 0.0)
-    np.fill_diagonal(keep, -keep.sum(axis=1))
+    keep = q * (v @ np.swapaxes(v, -1, -2))
+    diagonal = np.arange(q.shape[0])
+    keep[..., diagonal, diagonal] = 0.0
+    keep[..., diagonal, diagonal] = -keep.sum(axis=-1)
     return keep
 
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -15,6 +16,11 @@ from .algebra import DEFAULT_ATOL, ActionAlphabet, ActionMatrix
 #: Bell numbers B(0)..B(12); the oracle refuses anything larger.
 BELL = (1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570, 4213597)
 MAX_ORACLE_STATES = 12
+
+#: Most candidates :attr:`Search.oracle` evaluates in one stack.  At the
+#: 12-state bound a stacked array holds at most 256·12·12 entries per label
+#: plane: 0.15 MB per plane as ``float32``, 0.3 MB as ``float64``.
+ORACLE_STACK = 256
 
 
 class ModelFormatError(ValueError):
@@ -68,7 +74,9 @@ class Partition:
     """Partition of ``{0..n-1}`` in canonical form.
 
     Blocks are sorted internally and ordered by smallest member, so
-    structural equality decides partition equality.
+    structural equality decides partition equality.  The constructor sorts
+    and validates its blocks; :meth:`from_assignment` and
+    :func:`enumerate_partitions` build theirs canonical and skip both.
     """
 
     n: int
@@ -94,6 +102,19 @@ class Partition:
             raise ValueError(f"{self.n - len(seen)} states not covered, the first is {first}")
 
     @classmethod
+    def _canonical(cls, assignment: tuple[int, ...], num_blocks: int) -> "Partition":
+        """Trusted constructor: ``assignment`` numbers the blocks ``0..num_blocks-1``
+        in order of their smallest member, so the blocks are canonical as built."""
+        blocks: list[list[int]] = [[] for _ in range(num_blocks)]
+        for state, block in enumerate(assignment):
+            blocks[block].append(state)
+        p = object.__new__(cls)
+        object.__setattr__(p, "n", len(assignment))
+        object.__setattr__(p, "blocks", tuple(map(tuple, blocks)))
+        p.__dict__["assignment"] = assignment
+        return p
+
+    @classmethod
     def identity(cls, n: int) -> "Partition":
         return cls(n, tuple((i,) for i in range(n)))
 
@@ -103,16 +124,19 @@ class Partition:
 
     @classmethod
     def from_assignment(cls, labels: Sequence) -> "Partition":
-        groups: dict = {}
-        for state, lab in enumerate(labels):
-            groups.setdefault(lab, []).append(state)
-        return cls(len(labels), tuple(tuple(g) for g in groups.values()))
+        """Group states by equal (hashable) labels; blocks are numbered in
+        order of first appearance, which is canonical."""
+        if len(labels) == 0:
+            raise ValueError("partitions need at least one state")
+        number: dict = {}
+        assignment = tuple(number.setdefault(lab, len(number)) for lab in labels)
+        return cls._canonical(assignment, len(number))
 
     @property
     def num_blocks(self) -> int:
         return len(self.blocks)
 
-    @property
+    @cached_property
     def assignment(self) -> tuple[int, ...]:
         out = [0] * self.n
         for k, block in enumerate(self.blocks):
@@ -155,13 +179,14 @@ def require_bool_collector(v: ActionMatrix) -> None:
         raise ValueError("not a collector: need exactly one full entry per row and no empty column")
 
 
-def require_real_collector(v: np.ndarray) -> None:
+def require_real_collector(v: np.ndarray, *, stacked: bool = False) -> None:
+    """A collector; with ``stacked``, also a stack of them on leading axes."""
     v = np.asarray(v, dtype=float)
     if not (
-        v.ndim == 2
+        (v.ndim == 2 or stacked and v.ndim > 2)
         and np.all((v == 0.0) | (v == 1.0))
-        and np.all(v.sum(axis=1) == 1.0)
-        and np.all(v.sum(axis=0) >= 1.0)
+        and np.all(v.sum(axis=-1) == 1.0)
+        and np.all(v.sum(axis=-2) >= 1.0)
     ):
         raise ValueError("not a collector: need exactly one unit entry per row and no empty column")
 
@@ -179,15 +204,16 @@ def collector_to_partition(v) -> Partition:
 
 
 def canonical_distributor_real(v: np.ndarray) -> np.ndarray:
-    """Row-normalized transpose: each class row averages its members."""
+    """Row-normalized transpose: each class row averages its members.
+
+    It is a distributor of every collector, so nothing is re-verified: the
+    off-diagonal entries of ``UV`` are exact zeros, and each diagonal entry
+    and row sum of ``U`` adds ``|B|`` copies of ``1/|B|``, within
+    ``|B|·2⁻⁵³`` of 1.  A stack of collectors gets a stack of distributors.
+    """
     v = np.asarray(v, dtype=float)
-    require_real_collector(v)
-    u = v.T / v.sum(axis=0)[:, None]
-    if not np.allclose(u @ v, np.eye(v.shape[1]), atol=1e-12) or not np.allclose(
-        u.sum(axis=1), 1.0, atol=1e-12
-    ):
-        raise ValueError("normalized transpose is not a distributor for this matrix")
-    return u
+    require_real_collector(v, stacked=True)
+    return np.swapaxes(v, -1, -2) / v.sum(axis=-2)[..., :, None]
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +319,7 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
     def open_block(k: int, j: int) -> Iterator[Partition]:
         """Complete the partition with ``k`` more blocks, the first numbered ``j``."""
         if k == 1:
-            yield Partition.from_assignment([j if lab == -1 else lab for lab in labels])
+            yield Partition._canonical(tuple(j if lab == -1 else lab for lab in labels), j + 1)
             return
         leader = labels.index(-1)
         labels[leader] = j
@@ -341,13 +367,26 @@ def brute_force_coarsest(model, checker: Callable) -> Partition:
 
     ``checker(model, partition)`` must return a :class:`CheckReport`.
     """
-    n = model.num_states
-    if n > MAX_ORACLE_STATES:
-        raise ValueError(f"state bound exceeded: {n} > {MAX_ORACLE_STATES} (Bell number too large)")
-    for p in enumerate_partitions(n):
+    for p in enumerate_partitions(_oracle_states(model)):
         if checker(model, p).passed:
             return p
     raise ValueError("no partition passed the checker")
+
+
+def _oracle_states(model) -> int:
+    n = model.num_states
+    if n > MAX_ORACLE_STATES:
+        raise ValueError(f"state bound exceeded: {n} > {MAX_ORACLE_STATES} (Bell number too large)")
+    return n
+
+
+def _partitions_by_block_count(n: int) -> list[int]:
+    """Stirling numbers of the second kind S(n, 1) .. S(n, n): how many
+    partitions of ``n`` states have 1 .. n blocks."""
+    row = [1]  # S(0, 0)
+    for _ in range(n):  # S(m + 1, k) = k S(m, k) + S(m, k - 1)
+        row = [k * a + b for k, (a, b) in enumerate(zip(row + [0], [0] + row))]
+    return row[1:]
 
 
 class Search:
@@ -381,7 +420,26 @@ class Search:
 
     @cached_property
     def oracle(self) -> Partition:
-        return brute_force_coarsest(self.model, self.checker)
+        """:func:`brute_force_coarsest` with :meth:`checker`, in stacks.
+
+        The candidates of :func:`enumerate_partitions` are taken in order,
+        at most ``ORACLE_STACK`` of one block count at a time.  Each stack is
+        one collector array with a leading stack axis; the kind's table is
+        evaluated on it once and every ``VUX = X`` is decided in one
+        broadcast comparison.  The first passing candidate of the first
+        stack with one is the answer, as in the one-at-a-time search.
+        """
+        n = _oracle_states(self.model)
+        candidates = enumerate_partitions(n)
+        for blocks, count in enumerate(_partitions_by_block_count(n), start=1):
+            for start in range(0, count, ORACLE_STACK):
+                stack = list(islice(candidates, min(ORACLE_STACK, count - start)))
+                member = np.array([p.assignment for p in stack])[:, :, None] == np.arange(blocks)
+                v = self.family.collectors(self.model, member)
+                passed = self.family.passes(v, self.family.canonical_distributor(v), self.table(v), self.atol)
+                if passed.any():
+                    return stack[int(np.argmax(passed))]
+        raise ValueError("no partition passed the checker")
 
     def coarsest(self) -> Partition:
         """Coarsest partition whose collector passes the bisimulation check.

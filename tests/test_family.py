@@ -12,9 +12,11 @@ PROVIDER = (
     "parse_model",
     "format_model",
     "collector",
+    "collectors",
     "canonical_distributor",
     "conditions",
     "check_rows",
+    "passes",
     "signature_keys",
     "evaluate",
     "check",

@@ -145,3 +145,35 @@ def test_partition_text_errors():
         parse_partition("partition 3\n0 1\n")  # missing state 2
     with pytest.raises(ModelFormatError):
         parse_partition("partition 2\n0 zero\n")
+
+
+def test_trusted_partitions_equal_validated_ones():
+    import random
+
+    rng = random.Random(3)
+    labels = [[rng.randrange(n) for _ in range(n)] for n in range(1, 9) for _ in range(20)]
+    built = [Partition.from_assignment(lab) for lab in labels]
+    built += [p for n in range(1, 7) for p in enumerate_partitions(n)]
+    for p in built:
+        checked = Partition(p.n, p.blocks)
+        assert p == checked and hash(p) == hash(checked)
+        assert p.blocks == checked.blocks
+        assert p.assignment == checked.assignment
+        assert [p.block_of(s) for s in range(p.n)] == list(checked.assignment)
+    with pytest.raises(ValueError, match="at least one state"):
+        Partition.from_assignment([])
+
+
+def test_canonical_distributor_is_exact_to_rounding_for_large_blocks():
+    # UV = I and U1 = 1 hold by construction, so nothing re-verifies them:
+    # off-diagonal entries are exact zeros, the rest is |B| copies of 1/|B|.
+    # Every block size up to 1000, then every 97th, and 10^4.
+    for size in [*range(1, 1001), *range(1001, 10_000, 97), 10_000]:
+        v = np.zeros((size + 1, 2))
+        v[:size, 0] = 1.0
+        v[size, 1] = 1.0
+        u = canonical_distributor_real(v)
+        uv = u @ v
+        assert uv[0, 1] == 0.0 and uv[1, 0] == 0.0, size
+        assert abs(uv[0, 0] - 1.0) <= 1e-12 and uv[1, 1] == 1.0, size
+        assert np.all(np.abs(u.sum(axis=1) - 1.0) <= 1e-12), size

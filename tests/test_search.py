@@ -9,13 +9,15 @@ from hypothesis import strategies as st
 
 from matbisim import generate
 from matbisim.mrc import Mrc
-from matbisim.lts import parse_lts
+from matbisim.lts import Lts, parse_lts
+from matbisim.family import family_of
 from matbisim.partition import (
     BELL,
     CheckReport,
     Partition,
     Search,
     brute_force_coarsest,
+    enumerate_partitions,
 )
 
 KINDS = ("strong", "weak", "branching")
@@ -190,6 +192,70 @@ def test_oracle_state_bound():
     chain = Mrc(np.full(13, 1.0 / 13.0), np.zeros((13, 13)), np.zeros(13))
     with pytest.raises(ValueError, match="state bound"):
         brute_force_coarsest(chain, Search(chain, "strong").checker)
+    with pytest.raises(ValueError, match="state bound"):
+        Search(chain, "strong").oracle
+
+
+def _outcome(search):
+    try:
+        return search()
+    except ValueError as exc:
+        return str(exc)
+
+
+def _planted_models(rng):
+    """Random systems and chains, and clones of small ones: with planted
+    lumpings every equality of a table decides some candidates."""
+    models = [generate.random_lts(rng, n=rng.randint(1, 7)) for _ in range(6)]
+    models += [generate.duplicate_states_lts(rng, generate.random_lts(rng, max_states=3))[0] for _ in range(3)]
+    models += [generate.random_mrc_fast(rng, n=rng.randint(1, 6), p_fast=rng.choice((0.2, 0.5))) for _ in range(4)]
+    models += [generate.duplicate_states_mrc(rng, generate.random_mrc_fast(rng, max_states=3))[0] for _ in range(6)]
+    models += [generate.duplicate_states_mrc(rng, generate.random_mrc(rng, max_states=3))[0] for _ in range(2)]
+    return models
+
+
+def test_stacked_oracle_matches_the_one_at_a_time_search(branching_witness):
+    import random
+
+    models = _planted_models(random.Random(13)) + [branching_witness[0]]
+    # no partition passes the strict weak reading of this pair
+    models.append(parse_lts("lts 2\nalphabet a\ninit 0\nterm 1\n0 tau 1\n"))
+    assert max(model.num_states for model in models) == 7
+    refused = 0
+    for model in models:
+        for kind, strict in [(kind, False) for kind in KINDS] + [("weak", True)]:
+            stacked = _outcome(lambda: Search(model, kind, strict_middle=strict).oracle)
+            search = Search(model, kind, strict_middle=strict)
+            single = _outcome(lambda: brute_force_coarsest(model, search.checker))
+            assert stacked == single, (kind, strict, model)
+            refused += stacked == "no partition passed the checker"
+    assert refused >= 1
+
+
+def test_stacked_rows_are_the_per_candidate_rows():
+    # one stack per model: every partition with about half as many blocks
+    # as states; each stacked row and pass flag is the candidate's own
+    import random
+
+    for model in _planted_models(random.Random(4)):
+        n, family = model.num_states, family_of(model)
+        blocks = (n + 1) // 2
+        stack = [p for p in enumerate_partitions(n) if p.num_blocks == blocks]
+        v = family.collectors(model, np.array([p.assignment for p in stack])[:, :, None] == np.arange(blocks))
+        for kind, strict in [(kind, False) for kind in KINDS] + [("weak", True)]:
+            search = Search(model, kind, strict_middle=strict)
+            rows = search.table(v)
+            passed = family.passes(v, family.canonical_distributor(v), rows, search.atol)
+            assert passed.shape == (len(stack),)
+            for s, p in enumerate(stack):
+                single = search.table(family.collector(model, p))
+                assert [row[0] for row in rows] == [row[0] for row in single]
+                for x, y in zip((m for row in rows for m in row[1:]), (m for row in single for m in row[1:])):
+                    if isinstance(model, Lts):
+                        assert np.array_equal(np.broadcast_to(x.planes, (len(stack), *y.planes.shape))[s], y.planes)
+                    else:
+                        np.testing.assert_allclose(np.broadcast_to(x, (len(stack), *y.shape))[s], y, rtol=0, atol=1e-12)
+                assert bool(passed[s]) == search.checker(model, p).passed, (kind, strict, p)
 
 
 def _counting(monkeypatch, module, name):
