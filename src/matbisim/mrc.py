@@ -72,27 +72,44 @@ def validate_generator(q, *, atol: float = DEFAULT_ATOL) -> np.ndarray:
     and the diagonal is recomputed as the negated off-diagonal row sum, so
     the result has exact zero row sums.
     """
-    q = real_matrix(q)
-    if q.ndim != 2 or q.shape[0] != q.shape[1]:
+    _require_square(q)
+    return _validated(q, atol)
+
+
+def _require_square(q) -> None:
+    if np.ndim(q) != 2:
         raise GeneratorError("generator must be square")
+
+
+def _validated(q, atol: float) -> np.ndarray:
+    """:func:`validate_generator` on a stack ``(..., n, n)``; an error names
+    the stacked member as ``member s`` when there is one."""
+    q = real_matrix(q)
+    if q.ndim < 2 or q.shape[-1] != q.shape[-2]:
+        raise GeneratorError("generator must be square")
+    diagonal = np.arange(q.shape[-1])
     off = q.copy()
-    np.fill_diagonal(off, 0.0)
+    off[..., diagonal, diagonal] = 0.0
     bad = np.argwhere(off < -atol)
     if bad.size:
-        i, j = map(int, bad[0])
-        raise GeneratorError(f"row {i}: negative rate {float(q[i, j])!r} to state {j}")
+        *member, i, j = map(int, bad[0])
+        raise GeneratorError(f"{_member(member)}row {i}: negative rate {float(q[(*member, i, j)])!r} to state {j}")
     # The bound scales with the rates: a diagonal written as minus their sum
     # misses it by a rounding of that sum.
     with np.errstate(over="ignore"):  # a sum past the largest float is refused below
-        sums = q.sum(axis=1)
-        bound = atol * np.maximum(1.0, off.sum(axis=1))
-    bad = np.flatnonzero(~(np.abs(sums) <= bound) | (bound == math.inf))
+        sums = q.sum(axis=-1)
+        bound = atol * np.maximum(1.0, off.sum(axis=-1))
+    bad = np.argwhere(~(np.abs(sums) <= bound) | (bound == math.inf))
     if bad.size:
-        i = int(bad[0])
-        raise GeneratorError(f"row {i}: row sum {float(sums[i])!r} exceeds tolerance")
+        *member, i = map(int, bad[0])
+        raise GeneratorError(f"{_member(member)}row {i}: row sum {float(sums[(*member, i)])!r} exceeds tolerance")
     off = np.clip(off, 0.0, None)
-    np.fill_diagonal(off, -off.sum(axis=1))
+    off[..., diagonal, diagonal] = -off.sum(axis=-1)
     return off
+
+
+def _member(index: list[int]) -> str:
+    return f"member {', '.join(map(str, index))}: " if index else ""
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -100,10 +117,11 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _freeze_chain(chain, n: int, **generators: np.ndarray) -> None:
-    """Validate the initial and reward vectors of an ``n``-state chain and
-    store them and the validated generators read-only."""
-    sigma = real_matrix(chain.sigma).reshape(-1)
+def _freeze_chain(chain, sigma, rho, **generators: np.ndarray) -> None:
+    """Validate the initial and reward vectors against the validated
+    generators and store all of them read-only."""
+    n = next(iter(generators.values())).shape[0]
+    sigma = real_matrix(sigma).reshape(-1)
     if sigma.shape != (n,):
         raise ValueError(f"initial vector must have {n} entries")
     if np.any(sigma < -DEFAULT_ATOL):
@@ -111,11 +129,19 @@ def _freeze_chain(chain, n: int, **generators: np.ndarray) -> None:
     sigma = np.clip(sigma, 0.0, None)
     if abs(sigma.sum() - 1.0) > DEFAULT_ATOL:
         raise ValueError(f"initial probabilities sum to {float(sigma.sum())!r}, not 1")
-    rho = real_matrix(chain.rho).reshape(-1)
+    rho = real_matrix(rho).reshape(-1)
     if rho.shape != (n,):
         raise ValueError(f"reward vector must have {n} entries")
     for name, arr in {"sigma": sigma, **generators, "rho": rho}.items():
         object.__setattr__(chain, name, _freeze(arr))
+
+
+def _trusted(cls, sigma, rho, **generators: np.ndarray):
+    """A chain of ``cls`` whose generators are stored without
+    :func:`validate_generator`, because it would return them unchanged."""
+    chain = object.__new__(cls)
+    _freeze_chain(chain, sigma, rho, **generators)
+    return chain
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,8 +153,7 @@ class Mrc:
     rho: np.ndarray
 
     def __post_init__(self):
-        q = validate_generator(self.q)
-        _freeze_chain(self, q.shape[0], q=q)
+        _freeze_chain(self, self.sigma, self.rho, q=validate_generator(self.q))
 
     @property
     def num_states(self) -> int:
@@ -153,7 +178,7 @@ class MrcFast:
         qf = validate_generator(self.qf)
         if qf.shape != qs.shape:
             raise ValueError("slow and fast generators must agree in size")
-        _freeze_chain(self, qs.shape[0], qs=qs, qf=qf)
+        _freeze_chain(self, self.sigma, self.rho, qs=qs, qf=qf)
 
     @property
     def num_states(self) -> int:
@@ -334,10 +359,7 @@ def conditions(
         rho = fast.rho.reshape(-1, 1)
 
         def branching(v: np.ndarray) -> list:
-            # the projection has no batched form, so a stack is projected per collector
-            kept = adapt_diagonal(fast.qf, v)
-            flat = kept.reshape(-1, *kept.shape[-2:])
-            pi_v = np.stack([ergodic_projection(q, atol=atol).pi for q in flat]).reshape(kept.shape)
+            pi_v = project_stack(adapt_diagonal(fast.qf, v), atol=atol)[0]
             return [
                 ("VUΠ_V ρ = Π_V ρ", pi_v @ rho),
                 ("VUΠ_V Qf V = Π_V Qf V", pi_v @ fast.qf @ v),
@@ -405,14 +427,6 @@ class ErgodicProjection:
             object.__setattr__(self, name, _freeze(real_matrix(getattr(self, name))))
 
 
-def _class_indicator(n: int, classes) -> np.ndarray:
-    """The ``n x k`` 0-1 matrix whose column ``k`` marks the states of class ``k``."""
-    c = np.zeros((n, len(classes)))
-    for k, cls in enumerate(classes):
-        c[list(cls), k] = 1.0
-    return c
-
-
 def ergodic_projection(qf, *, atol: float = DEFAULT_ATOL) -> ErgodicProjection:
     """Structural long-run projection of a generator.
 
@@ -421,48 +435,109 @@ def ergodic_projection(qf, *, atol: float = DEFAULT_ATOL) -> ErgodicProjection:
     probabilities, and rows are assembled from those pieces.  Rates at or
     below ``EDGE_TOL`` do not count as edges, which keeps numerically-zero
     generators (such as certified lumped fast parts) structurally still.
+
+    This is the stack-of-one case of :func:`project_stack`, which takes
+    generators ``(..., n, n)`` and returns every ``Π`` in one pass, each
+    bitwise equal to this function's ``pi`` of that member.
+    """
+    _require_square(qf)
+    pi, trapping, classes, weights = project_stack(qf, atol=atol)
+    states = np.flatnonzero(classes >= 0)
+    k = trapping.shape[1]
+    # Row k holds the stationary vector of recurrent class k in its columns.
+    stationary = np.zeros((k, len(classes)))
+    stationary[classes[states], states] = weights[states]
+    # A stable sort lists each class's states in increasing order.
+    grouped = states[np.argsort(classes[states], kind="stable")]
+    members = np.split(grouped, np.cumsum(np.bincount(classes[states], minlength=k)))[:-1]
+    recurrent = tuple(tuple(c.tolist()) for c in members)
+    transient = tuple(np.flatnonzero(classes < 0).tolist())
+    return ErgodicProjection(pi, recurrent, transient, trapping, stationary)
+
+
+def project_stack(q, *, atol: float = DEFAULT_ATOL):
+    """Ergodic projections of a stack of generators ``(..., n, n)``.
+
+    Returns ``Π`` stacked as ``q`` and its factors ``Π = A E`` per member:
+    the trapping probabilities ``A`` as ``(..., n, k)``, where ``k`` is the
+    most recurrent classes of any member and a member with fewer has zero
+    columns; each state's class ``(..., n)``, -1 on transient states, with
+    the classes of a member numbered by their smallest state; and each
+    state's stationary weight ``(..., n)``, 0 on transient states.
+
+    The stack is validated once and its strongly connected components are
+    found in one graph, where state ``i`` of member ``s`` is node ``s·n + i``.
+    Singleton recurrent classes have weight 1.  Each larger class and each
+    member's transient block is solved on its own submatrix, so every
+    member gets the bits it would get alone.
     """
     # SciPy is loaded on first use, so transition-system work never loads it.
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
 
-    q = validate_generator(qf, atol=atol)
-    n = q.shape[0]
+    q = _validated(q, atol)
+    lead, n = q.shape[:-2], q.shape[-1]
+    stack = math.prod(lead)
+    size = stack * n
+    q = q.reshape(stack, n, n)
     adj = q > EDGE_TOL
-    np.fill_diagonal(adj, False)
-    n_comp, labels = connected_components(csr_matrix(adj), directed=True, connection="strong")
-    src, dst = np.nonzero(adj)
+    diagonal = np.arange(n)
+    adj[:, diagonal, diagonal] = False
+    src, col = np.nonzero(adj.reshape(size, n))
+    dst = src - src % n + col
+    indptr = np.zeros(size + 1, dtype=np.intp)
+    np.cumsum(np.bincount(src, minlength=size), out=indptr[1:])
+    graph = csr_matrix((np.ones(len(dst)), dst, indptr), shape=(size, size))
+    n_comp, labels = connected_components(graph, directed=True, connection="strong")
     has_exit = np.zeros(n_comp, dtype=bool)
     has_exit[labels[src[labels[src] != labels[dst]]]] = True
     # A stable sort lists each component's states in increasing order.
-    comp_states = np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
-    recurrent = tuple(sorted(tuple(comp_states[c].tolist()) for c in np.flatnonzero(~has_exit)))
-    transient = tuple(np.flatnonzero(has_exit[labels]).tolist())
+    order = np.argsort(labels, kind="stable")
+    sizes = np.bincount(labels, minlength=n_comp)
+    starts = np.cumsum(sizes) - sizes
+    recurrent = np.flatnonzero(~has_exit)
+    recurrent = recurrent[np.argsort(order[starts[recurrent]])]  # by smallest state
+    member = order[starts[recurrent]] // n
+    counts = np.bincount(member, minlength=stack)
+    class_of = np.full(n_comp, -1)
+    class_of[recurrent] = np.arange(len(recurrent)) - (np.cumsum(counts) - counts)[member]
+    classes = class_of[labels]
 
-    # Row k holds the stationary vector of recurrent class k in its columns.
-    stationary = np.zeros((len(recurrent), n))
-    for k, cls in enumerate(recurrent):
-        idx = list(cls)
-        if len(idx) == 1:
-            mu = np.ones(1)
-        else:
-            a = q[np.ix_(idx, idx)].T.copy()
-            a[-1, :] = 1.0
-            b = np.zeros(len(idx))
-            b[-1] = 1.0
-            mu = solve_linear(a, b)
-            mu = np.clip(mu, 0.0, None)
-            mu /= mu.sum()
-        stationary[k, idx] = mu
-    trapping = _class_indicator(n, recurrent)
-    if transient:
-        tr = list(transient)
-        trap = solve_linear(q[np.ix_(tr, tr)], -(q[tr] @ trapping)).reshape(len(tr), len(recurrent))
+    weights = ((sizes[labels] == 1) & (classes >= 0)).astype(float)
+    for c in recurrent[sizes[recurrent] > 1].tolist():
+        states = order[starts[c] : starts[c] + sizes[c]]
+        s, idx = divmod(states, n)
+        a = q[s[0]][np.ix_(idx, idx)].T.copy()
+        a[-1, :] = 1.0
+        b = np.zeros(len(idx))
+        b[-1] = 1.0
+        mu = np.clip(solve_linear(a, b), 0.0, None)
+        mu /= mu.sum()
+        weights[states] = mu
+
+    width = int(counts.max(initial=0))
+    trapping = np.zeros((stack, n, width))
+    rec = np.flatnonzero(classes >= 0)
+    trapping[rec // n, rec % n, classes[rec]] = 1.0
+    transient = np.flatnonzero(classes < 0)
+    owners, first = np.unique(transient // n, return_index=True)
+    for s, tr in zip(owners.tolist(), np.split(transient % n, first[1:])):
+        k = counts[s]
+        indicator = trapping[s, :, :k].copy()
+        trap = solve_linear(q[s][np.ix_(tr, tr)], -(q[s][tr] @ indicator)).reshape(len(tr), k)
         trap = np.clip(trap, 0.0, None)
         trap /= trap.sum(axis=1, keepdims=True)
-        trapping[tr] = trap
-    # Each state is in at most one class, so each entry has one nonzero term: exact.
-    return ErgodicProjection(trapping @ stationary, recurrent, transient, trapping, stationary)
+        trapping[s, tr, :k] = trap
+
+    # Entry (i, j) is A[i, class of j]·μ_j: the one nonzero term of (AE)[i, j], so exact.
+    classes = classes.reshape(stack, 1, n)
+    pi = np.take_along_axis(trapping, np.maximum(classes, 0), axis=2) * weights.reshape(stack, 1, n)
+    return (
+        pi.reshape(*lead, n, n),
+        trapping.reshape(*lead, n, width),
+        classes.reshape(*lead, n),
+        weights.reshape(*lead, n),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -764,9 +839,11 @@ def parse_mrc(text: str, *, atol: float = DEFAULT_ATOL) -> Mrc | MrcFast:
         raise _overflow(edges, ~np.isfinite(out_s), ~np.isfinite(out_f))
     np.fill_diagonal(qs, -out_s)
     np.fill_diagonal(qf, -out_f)
+    # validate_generator would return these unchanged: the rates are
+    # nonnegative and each diagonal is minus the sum it would write.
     if fast.any():
-        return MrcFast(sigma, qs, qf, rho)
-    return Mrc(sigma, qs, rho)
+        return _trusted(MrcFast, sigma, rho, qs=qs, qf=qf)
+    return _trusted(Mrc, sigma, rho, q=qs)
 
 
 def _rate_columns(edges, n: int):

@@ -4,6 +4,7 @@ for coarsest bisimulations (iterated refinement plus an exhaustive oracle).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
@@ -180,13 +181,18 @@ def require_bool_collector(v: ActionMatrix) -> None:
 
 
 def require_real_collector(v: np.ndarray, *, stacked: bool = False) -> None:
-    """A collector; with ``stacked``, also a stack of them on leading axes."""
+    """A collector; with ``stacked``, also a stack of them on leading axes.
+
+    Rows and columns are summed as products with a ones vector, all rows of
+    a stack in one: NumPy reduces a short axis of a tall array row by row,
+    and sums of 0-1 entries are exact in any order.
+    """
     v = np.asarray(v, dtype=float)
     if not (
         (v.ndim == 2 or stacked and v.ndim > 2)
-        and np.all((v == 0.0) | (v == 1.0))
-        and np.all(v.sum(axis=-1) == 1.0)
-        and np.all(v.sum(axis=-2) >= 1.0)
+        and ((v == 0.0) | (v == 1.0)).all()
+        and (np.dot(v.reshape(math.prod(v.shape[:-1]), v.shape[-1]), np.ones(v.shape[-1])) == 1.0).all()
+        and (np.ones(v.shape[-2]) @ v >= 1.0).all()
     ):
         raise ValueError("not a collector: need exactly one unit entry per row and no empty column")
 

@@ -22,12 +22,13 @@ from matbisim.mrc import (
     limit_chain,
     parse_distributor,
     parse_mrc,
+    project_stack,
     tau_distributor_residuals,
     total_reward,
     transition_matrix,
     validate_generator,
 )
-from matbisim.partition import CheckFailed, ModelFormatError, Partition
+from matbisim.partition import CheckFailed, ModelFormatError, Partition, enumerate_partitions
 
 ABSORBING_Q = np.array([[-1.0, 1.0], [0.0, 0.0]])
 SYMMETRIC_Q = np.array([[-2.0, 2.0], [2.0, -2.0]])
@@ -285,6 +286,53 @@ def test_projection_invariants_and_long_horizon_oracle(rng):
             assert np.max(np.abs(pi - transition_matrix(q, horizon))) <= 1e-6
 
 
+def _candidate_generators(chain, blocks: int) -> np.ndarray:
+    """The fast generator restricted to every partition with ``blocks`` blocks, stacked."""
+    n = chain.num_states
+    labels = np.array([p.assignment for p in enumerate_partitions(n) if p.num_blocks == blocks])
+    return adapt_diagonal(chain.qf, (labels[:, :, None] == np.arange(blocks)).astype(float))
+
+
+def test_stacked_projection_is_each_members_projection_bitwise():
+    rng = random.Random(14)
+    transient = multi_state = 0
+    for n in range(2, 8):
+        for _ in range(2 if n < 7 else 1):
+            chain = generate.random_mrc_fast(rng, n=n, p_fast=rng.uniform(0.3, 0.8))
+            for blocks in range(1, n + 1):
+                stack = _candidate_generators(chain, blocks)
+                pi = project_stack(stack)[0]
+                assert pi.shape == stack.shape
+                for q, member in zip(stack, pi):
+                    alone = ergodic_projection(q)
+                    assert np.array_equal(member, alone.pi)
+                    transient += bool(alone.transient)
+                    multi_state += any(len(c) > 1 for c in alone.recurrent_classes)
+    assert transient > 100 and multi_state > 100
+    # all-zero stacks, with more than one leading axis: every state is its own class
+    for shape in ((1, 1, 1), (5, 4, 4), (2, 3, 6, 6)):
+        pi = project_stack(np.zeros(shape))[0]
+        assert np.array_equal(pi, np.broadcast_to(np.eye(shape[-1]), shape))
+
+
+def test_stacked_projection_refuses_a_stack_with_one_bad_member():
+    chain = generate.random_mrc_fast(random.Random(3), n=5)
+    stack = _candidate_generators(chain, 2)
+    negative = stack.copy()
+    negative[3, 0, 1] = -1.0
+    with pytest.raises(GeneratorError, match="member 3: row 0: negative rate -1.0 to state 1"):
+        project_stack(negative)
+    unbalanced = stack.copy()
+    unbalanced[5, 1, 1] += 1.0
+    with pytest.raises(GeneratorError, match="member 5: row 1: row sum"):
+        project_stack(unbalanced)
+    # a single generator keeps its messages, and ergodic_projection refuses a stack
+    with pytest.raises(GeneratorError, match="^row 0: negative rate"):
+        project_stack(negative[3])
+    with pytest.raises(GeneratorError, match="generator must be square"):
+        ergodic_projection(stack)
+
+
 # -- weak bisimulation --------------------------------------------------------------
 
 
@@ -527,6 +575,25 @@ def test_parse_mrc_errors():
         parse_mrc("mrc 2\ninit 0:1\nreward 0 0\nrate 0 1 -2\n")  # negative rate
     with pytest.raises(ModelFormatError):
         parse_mrc("mrc 2\ninit 0:1 0:0\nreward 0 0\n")  # duplicate init entry
+
+
+def test_parsed_generators_are_their_own_validation(rng):
+    # parse_mrc stores its generators without validate_generator, so that
+    # must return them unchanged, bit for bit
+    chains = [generate.random_mrc_fast(rng, n=rng.randint(1, 9), p_fast=0.5) for _ in range(20)]
+    chains += [generate.random_mrc(rng, n=rng.randint(1, 9)) for _ in range(20)]
+    chains += [generate.fast_funnel_chain(rng, base_states=b)[0] for b in (2, 20, 80)]
+    texts = [format_mrc(chain) for chain in chains]
+    # rates across ten orders of magnitude, with parallel lines summed in file order
+    wide = random.Random(7)
+    lines = [f"rate {i} {wide.randrange(30)} {10 ** wide.uniform(-3, 7)!r}" for i in range(30) for _ in range(12)]
+    lines = [line for line in lines if line.split()[1] != line.split()[2]]
+    texts.append("mrc 30\ninit 0:1\nreward " + " ".join(["1"] * 30) + "\n" + "\n".join(lines) + "\n")
+    for text in texts:
+        chain = parse_mrc(text)
+        for q in (chain.qs, chain.qf) if isinstance(chain, MrcFast) else (chain.q,):
+            assert validate_generator(q).tobytes() == q.tobytes()
+            assert not q.flags.writeable
 
 
 def test_parallel_rate_lines_accumulate():

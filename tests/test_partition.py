@@ -16,6 +16,7 @@ from matbisim.partition import (
     enumerate_partitions,
     format_partition,
     parse_partition,
+    require_real_collector,
     split_by_keys,
 )
 
@@ -72,6 +73,26 @@ def test_collector_to_partition_rejects_bad_matrices():
         collector_to_partition(ActionMatrix.from_bits(AB, [[1, 0], [1, 0]]))  # empty column
     with pytest.raises(ValueError):
         collector_to_partition(np.array([[0.5, 0.5], [1.0, 0.0]]))
+
+
+def test_real_collector_refusals_on_tall_and_stacked_collectors():
+    tall = Partition.from_assignment([s % 3 for s in range(5001)]).collector_real()
+    stack = np.array([p.collector_real() for p in enumerate_partitions(6) if p.num_blocks == 3])
+    require_real_collector(tall)
+    require_real_collector(stack, stacked=True)
+    for v, stacked, row in ((tall, False, (4000,)), (stack, True, (40, 4))):
+        half = v.copy()
+        half[row] = [0.5, 0.5, 0.0]  # the row still sums to 1
+        two = v.copy()
+        two[row] = [1.0, 1.0, 0.0]
+        empty = v.copy()
+        empty[..., 2] = 0.0
+        empty[..., 0] += v[..., 2]  # every row keeps one unit entry
+        for bad in (half, two, empty):
+            with pytest.raises(ValueError, match="not a collector"):
+                require_real_collector(bad, stacked=stacked)
+    with pytest.raises(ValueError, match="not a collector"):
+        require_real_collector(stack)
 
 
 @settings(max_examples=80)

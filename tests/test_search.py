@@ -290,6 +290,26 @@ def test_oracle_builds_the_kind_table_once_per_model(monkeypatch):
         checker(generate.random_lts(random.Random(6), n=7), Partition.identity(7))
 
 
+def test_branching_oracle_projects_each_stack_once(monkeypatch):
+    import random
+
+    from matbisim import mrc
+
+    rng = random.Random(0)
+    clones = (generate.duplicate_states_mrc(rng, generate.random_mrc(rng, n=4))[0] for _ in range(50))
+    chain = next(c for c in clones if c.num_states == 6)
+    stacks = _counting(monkeypatch, mrc, "project_stack")
+    singles = _counting(monkeypatch, mrc, "ergodic_projection")
+    candidates = _counting(monkeypatch, Search, "checker")
+    answer = Search(chain, "branching").oracle
+    # every block count up to the answer's is one stack of at most 90 candidates
+    assert answer.num_blocks == 4
+    assert len(stacks) == 4 and not singles and not candidates
+    # the one-at-a-time reference projects once per candidate it checks
+    assert brute_force_coarsest(chain, Search(chain, "branching").checker) == answer
+    assert len(stacks) - 4 == len(candidates) > 1 + 31 + 90
+
+
 def test_each_refine_command_builds_the_kind_table_once(monkeypatch, tmp_path, capsys):
     import random
 
