@@ -359,6 +359,16 @@ def solve_linear(a, b) -> np.ndarray:
     of its column raises :class:`SingularMatrixError`; this makes the
     singularity verdict deterministic and independent of elimination
     history.
+
+    Work is done only where the matrix has entries.  A step updates only
+    the rows with an entry in the pivot column (all of them as one slice
+    when every row has one, none when only the pivot is left), since the
+    others have a zero multiplier; and back-substitution divides the rows
+    with nothing above the diagonal in one step, since their dot products
+    are whole zeros.  The pivots, the
+    verdict and the values are those of the textbook loop that updates
+    every row; only the sign of a zero can differ, where an input holds
+    ``-0.0`` that a zero multiplier would have turned into ``+0.0``.
     """
     m = real_matrix(a)
     rhs = real_matrix(b)
@@ -370,19 +380,29 @@ def solve_linear(a, b) -> np.ndarray:
         raise MatrixShapeError("right-hand side has the wrong number of rows")
     rhs = rhs.reshape(n, -1)
     col_scale = np.max(np.abs(m), axis=0)
-    m = m.copy()
-    rhs = rhs.copy()
+    # Column k below the pivot is never read after step k, so no step
+    # updates it.
     for k in range(n):
-        p = k + int(np.argmax(np.abs(m[k:, k])))
-        if col_scale[k] == 0.0 or abs(m[p, k]) < PIVOT_RTOL * col_scale[k]:
+        column = np.abs(m[k:, k])
+        p = k + int(np.argmax(column))
+        if col_scale[k] == 0.0 or column[p - k] < PIVOT_RTOL * col_scale[k]:
             raise SingularMatrixError(f"pivot for column {k} below threshold")
         if p != k:
             m[[k, p]] = m[[p, k]]
             rhs[[k, p]] = rhs[[p, k]]
-        factors = m[k + 1 :, k] / m[k, k]
-        m[k + 1 :, k:] -= np.outer(factors, m[k, k:])
-        rhs[k + 1 :] -= np.outer(factors, rhs[k])
-    x = np.empty_like(rhs)
-    for k in range(n - 1, -1, -1):
+        entries = np.count_nonzero(column)
+        if entries == n - k:
+            factors = m[k + 1 :, k] / m[k, k]
+            m[k + 1 :, k + 1 :] -= np.outer(factors, m[k, k + 1 :])
+            rhs[k + 1 :] -= np.outer(factors, rhs[k])
+        elif entries > 1:
+            rows = k + 1 + np.flatnonzero(m[k + 1 :, k])
+            factors = m[rows, k] / m[k, k]
+            m[rows, k + 1 :] -= np.outer(factors, m[k, k + 1 :])
+            rhs[rows] -= np.outer(factors, rhs[k])
+    # a row's last entry is on or above the diagonal, whose pivot is nonzero
+    coupled = n - 1 - np.argmax(m[:, ::-1] != 0.0, axis=1) > np.arange(n)
+    x = np.divide(rhs, np.diagonal(m)[:, None], out=np.empty_like(rhs), where=~coupled[:, None])
+    for k in np.flatnonzero(coupled)[::-1].tolist():
         x[k] = (rhs[k] - m[k, k + 1 :] @ x[k + 1 :]) / m[k, k]
     return x[:, 0] if vector else x

@@ -291,12 +291,14 @@ def cmd_reward(cfg: argparse.Namespace) -> int:
     if family_of(model) is not mrc_mod:
         raise ValueError("reward applies to reward chains only")
     fast = mrc_mod.as_fast_chain(model)
-    limit = mrc_mod.limit_chain(fast, atol=cfg.tol) if np.any(fast.qf != 0.0) else None
-    if limit is None:
-        plain = mrc_mod.as_plain_chain(model)
-        values = [mrc_mod.total_reward(plain, t, atol=cfg.tol) for t in cfg.times]
+    if np.any(fast.qf != 0.0):
+        limit = mrc_mod.limit_chain(fast, atol=cfg.tol)
+        transition = functools.partial(limit.transition, atol=cfg.tol)
     else:
-        values = [float(model.sigma @ limit.transition(t, atol=cfg.tol) @ model.rho) for t in cfg.times]
+        limit = None
+        q = mrc_mod.validate_generator(fast.qs, atol=cfg.tol)  # once, for every horizon
+        transition = functools.partial(mrc_mod.transition_matrix, q, atol=cfg.tol, require_generator=False)
+    values = [float(model.sigma @ transition(t) @ model.rho) for t in cfg.times]
     lines = [f"R({t:g}) = {v:.12g}" for t, v in zip(cfg.times, values)]
     if limit is not None:
         lines.insert(0, "fast transitions present: reporting the limit-chain reward")

@@ -189,7 +189,9 @@ def as_fast_chain(model: Mrc | MrcFast) -> MrcFast:
     if isinstance(model, MrcFast):
         return model
     n = model.num_states
-    return MrcFast(model.sigma, model.q, np.zeros((n, n)), model.rho)
+    qf = np.zeros((n, n))
+    np.fill_diagonal(qf, -0.0)  # as validate_generator writes a zero generator
+    return _trusted(MrcFast, model.sigma, model.rho, qs=model.q, qf=qf)
 
 
 def as_plain_chain(model: Mrc | MrcFast) -> Mrc:
@@ -197,7 +199,7 @@ def as_plain_chain(model: Mrc | MrcFast) -> Mrc:
         return model
     if np.any(model.qf != 0.0):
         raise ValueError("chain has fast transitions; no plain form")
-    return Mrc(model.sigma, model.qs, model.rho)
+    return _trusted(Mrc, model.sigma, model.rho, q=model.qs)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +361,7 @@ def conditions(
         rho = fast.rho.reshape(-1, 1)
 
         def branching(v: np.ndarray) -> list:
-            pi_v = project_stack(adapt_diagonal(fast.qf, v), atol=atol)[0]
+            pi_v = project_stack(_restrict(fast.qf, v), atol=atol)[0]
             return [
                 ("VUΠ_V ρ = Π_V ρ", pi_v @ rho),
                 ("VUΠ_V Qf V = Π_V Qf V", pi_v @ fast.qf @ v),
@@ -638,7 +640,7 @@ def lump(
             qf_hat = validate_generator(w @ fast.qf @ v, atol=atol)
         except GeneratorError as exc:
             raise DistributorError(f"lumped generator invalid: {exc}") from exc
-        return MrcFast(fast.sigma @ v, qs_hat, qf_hat, w @ fast.rho)
+        return _trusted(MrcFast, fast.sigma @ v, w @ fast.rho, qs=qs_hat, qf=qf_hat)
     require_passed(evaluate(model, v, kind, atol=atol, distributor=distributor)[0])
     v = _require_collector_for(model.num_states, v)
     u = _distributor_for(v, distributor, atol)
@@ -760,7 +762,11 @@ def adapt_diagonal(qf, v) -> np.ndarray:
     recomputed as the negated sum of the retained rates of its row, the
     minimal change making the restriction a generator again.
     """
-    q = validate_generator(qf)
+    return _restrict(validate_generator(qf), v)
+
+
+def _restrict(q: np.ndarray, v) -> np.ndarray:
+    """:func:`adapt_diagonal` of ``q``, a validated generator."""
     v = np.asarray(v, dtype=float)
     require_real_collector(v, stacked=True)
     if v.shape[-2] != q.shape[0]:
@@ -904,10 +910,10 @@ def format_mrc(model: Mrc | MrcFast) -> str:
     lines.append("init " + " ".join(f"{i}:{float(model.sigma[i])!r}" for i in range(n) if model.sigma[i] != 0.0))
     lines.append("reward " + " ".join(repr(float(r)) for r in model.rho))
     for name, q in (("rate", model.qs if fast else model.q),) + ((("fast", model.qf),) if fast else ()):
-        for i in range(n):
-            for j in range(n):
-                if i != j and q[i, j] != 0.0:
-                    lines.append(f"{name} {i} {j} {float(q[i, j])!r}")
+        rate = q != 0.0
+        np.fill_diagonal(rate, False)
+        src, dst = np.nonzero(rate)  # row-major
+        lines += [f"{name} {i} {j} {x!r}" for i, j, x in zip(src.tolist(), dst.tolist(), q[src, dst].tolist())]
     return "\n".join(lines) + "\n"
 
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from matbisim.algebra import (
     ActionAlphabet,
     ActionMatrix,
+    PIVOT_RTOL,
     MatrixShapeError,
     SingularMatrixError,
     first_difference,
@@ -344,3 +345,142 @@ def test_solve_residuals_on_well_conditioned_systems(rng):
         x = solve_linear(a, b)
         assert np.max(np.abs(a @ x - b)) <= 1e-9
         assert np.allclose(x, np.linalg.solve(a, b), atol=1e-9)
+
+
+# -- the solver against the textbook loop ------------------------------------
+
+
+def _textbook_solve(a, b):
+    """Gaussian elimination with partial pivoting that updates the whole
+    trailing matrix at every step and substitutes every row by a dot product:
+    the reference :func:`solve_linear` must equal, entry for entry."""
+    m = np.array(a, dtype=float)
+    rhs = np.array(b, dtype=float)
+    n = m.shape[0]
+    vector = rhs.ndim == 1
+    rhs = rhs.reshape(n, -1)
+    col_scale = np.max(np.abs(m), axis=0)
+    for k in range(n):
+        p = k + int(np.argmax(np.abs(m[k:, k])))
+        if col_scale[k] == 0.0 or abs(m[p, k]) < PIVOT_RTOL * col_scale[k]:
+            raise SingularMatrixError(f"pivot for column {k} below threshold")
+        if p != k:
+            m[[k, p]] = m[[p, k]]
+            rhs[[k, p]] = rhs[[p, k]]
+        factors = m[k + 1 :, k] / m[k, k]
+        m[k + 1 :, k:] -= np.outer(factors, m[k, k:])
+        rhs[k + 1 :] -= np.outer(factors, rhs[k])
+    x = np.empty_like(rhs)
+    for k in range(n - 1, -1, -1):
+        x[k] = (rhs[k] - m[k, k + 1 :] @ x[k + 1 :]) / m[k, k]
+    return x[:, 0] if vector else x
+
+
+def _structured_systems(gen, n):
+    """Diagonal, permuted triangular, block-diagonal, sparse and dense
+    matrices of ``n`` states."""
+    diagonal = np.diag(gen.uniform(0.5, 2.0, n) * gen.choice([-1.0, 1.0], n))
+    upper = np.triu(gen.standard_normal((n, n))) + diagonal
+    rows, cols = np.eye(n)[gen.permutation(n)], np.eye(n)[gen.permutation(n)]
+    blocks = np.zeros((n, n))
+    start = 0
+    while start < n:
+        end = min(n, start + int(gen.integers(1, 5)))
+        blocks[start:end, start:end] = gen.standard_normal((end - start, end - start))
+        start = end
+    sparse = gen.standard_normal((n, n)) * (gen.random((n, n)) < 3.0 / n) + diagonal
+    return {
+        "diagonal": diagonal,
+        "upper": upper,
+        "lower": upper.T,
+        "row-permuted upper": rows @ upper,
+        "column-permuted lower": upper.T @ cols,
+        "permuted both ways": rows @ upper @ cols,
+        "block-diagonal": blocks + 1e-3 * diagonal,
+        "permuted block-diagonal": rows @ blocks @ rows.T + 1e-3 * diagonal,
+        "sparse": sparse,
+        "dense": gen.standard_normal((n, n)),
+    }
+
+
+def _right_hand_sides(gen, n):
+    zeros = gen.random((n, 3)) < 0.5
+    # generator right-hand sides -(Q 1_C) hold -0.0 where a row has no rate
+    return gen.standard_normal(n), gen.standard_normal((n, 4)), -np.where(zeros, 0.0, gen.random((n, 3)))
+
+
+def _assert_solves_as_the_textbook_loop(a, b, label):
+    try:
+        expected = _textbook_solve(a, b)
+    except SingularMatrixError as exc:
+        with pytest.raises(SingularMatrixError) as got:
+            solve_linear(a, b)
+        assert str(got.value) == str(exc), label
+        return
+    got = solve_linear(a, b)
+    assert got.shape == expected.shape and np.array_equal(got, expected), label
+
+
+def test_solver_equals_the_textbook_loop_on_structured_systems():
+    gen = np.random.default_rng(7)
+    swaps = 0
+    for n in (1, 2, 3, 5, 8, 13, 40, 90):
+        for name, a in _structured_systems(gen, n).items():
+            swaps += name.startswith("row") and not np.array_equal(np.argmax(np.abs(a), axis=0), np.arange(n))
+            for b in _right_hand_sides(gen, n):
+                _assert_solves_as_the_textbook_loop(a, b, (name, n, b.shape))
+    assert swaps  # the row-permuted systems do pivot
+
+
+def test_solver_equals_the_textbook_loop_on_chain_systems(monkeypatch):
+    """The transient blocks, recurrent-class systems and ``UΠV`` that the
+    projection and the candidate distributor solve."""
+    import random
+
+    from matbisim import generate, mrc
+
+    systems = []
+
+    def recorded(a, b):
+        systems.append((np.array(a), np.array(b)))
+        return solve_linear(a, b)
+
+    monkeypatch.setattr(mrc, "solve_linear", recorded)
+    rng = random.Random(3)
+    for base in (2, 3, 4, 12, 40):
+        chain, part = generate.fast_funnel_chain(rng, base_states=base)
+        mrc.default_tau_distributor(chain, part.collector_real())
+    for _ in range(60):
+        chain = generate.random_mrc_fast(rng, n=rng.randint(2, 30), p_fast=rng.choice((0.1, 0.3, 0.6)))
+        mrc.ergodic_projection(chain.qf)
+    assert len(systems) > 60
+    assert any(np.count_nonzero(np.tril(a, -1)) for a, _ in systems)  # some need elimination
+    for a, b in systems:
+        _assert_solves_as_the_textbook_loop(a, b, a.shape)
+        _assert_solves_as_the_textbook_loop(a, b[:, 0] if b.ndim == 2 else b, a.shape)
+
+
+def test_solver_refuses_as_the_textbook_loop_does():
+    gen = np.random.default_rng(11)
+    for n in (2, 3, 6, 20):
+        k = n // 2
+        zero_column = gen.standard_normal((n, n))
+        zero_column[:, k] = 0.0
+        # nothing below the diagonal in column k, and nothing on it
+        zero_pivot = np.triu(gen.standard_normal((n, n))) + 3.0 * np.eye(n)
+        zero_pivot[k, k] = 0.0
+        # a pivot just under PIVOT_RTOL times its column's largest entry,
+        # alone in its column, and after a step of elimination
+        tiny = np.diag(gen.uniform(1.0, 2.0, n))
+        tiny[0, k] = 1.0
+        tiny[k, k] = 0.99 * PIVOT_RTOL
+        eliminated = np.eye(n)
+        eliminated[k - 1 : k + 2, k - 1] = 1.0
+        eliminated[k - 1 : k + 2, k] = 1.0 + np.array([0.0, 0.5, 0.9])[: n - k + 1] * PIVOT_RTOL
+        for a in (zero_column, zero_pivot, tiny, eliminated):
+            for b in (np.ones(n), np.ones((n, 2))):
+                with pytest.raises(SingularMatrixError, match=f"^pivot for column {k} below threshold$"):
+                    solve_linear(a, b)
+                _assert_solves_as_the_textbook_loop(a, b, n)
+    with pytest.raises(SingularMatrixError, match="^pivot for column 0 below threshold$"):
+        solve_linear(np.zeros((3, 3)), np.ones(3))

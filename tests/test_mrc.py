@@ -596,6 +596,31 @@ def test_parsed_generators_are_their_own_validation(rng):
             assert not q.flags.writeable
 
 
+def _format_by_cells(model) -> str:
+    """The chain format written by visiting every cell of every generator."""
+    fast = isinstance(model, MrcFast)
+    n = model.num_states
+    lines = [f"mrc {n}"]
+    lines.append("init " + " ".join(f"{i}:{float(model.sigma[i])!r}" for i in range(n) if model.sigma[i] != 0.0))
+    lines.append("reward " + " ".join(repr(float(r)) for r in model.rho))
+    for name, q in (("rate", model.qs if fast else model.q),) + ((("fast", model.qf),) if fast else ()):
+        for i in range(n):
+            for j in range(n):
+                if i != j and q[i, j] != 0.0:
+                    lines.append(f"{name} {i} {j} {float(q[i, j])!r}")
+    return "\n".join(lines) + "\n"
+
+
+def test_format_lists_rates_as_the_cell_loop(rng):
+    chains = [generate.random_mrc_fast(rng, n=rng.randint(1, 12), p_fast=rng.choice((0.1, 0.5))) for _ in range(30)]
+    chains += [generate.random_mrc(rng, n=rng.randint(1, 12)) for _ in range(30)]
+    chains += [generate.fast_funnel_chain(rng, base_states=b)[0] for b in (2, 30)]
+    chains.append(MrcFast([1.0, 0.0], ABSORBING_Q, np.zeros((2, 2)), [1.0, 2.0]))  # a fast part with no rate
+    assert any(isinstance(c, MrcFast) for c in chains) and any(isinstance(c, Mrc) for c in chains)
+    for chain in chains:
+        assert format_mrc(chain).encode() == _format_by_cells(chain).encode()
+
+
 def test_parallel_rate_lines_accumulate():
     chain = parse_mrc("mrc 2\ninit 0:1\nreward 0 0\nrate 0 1 1\nrate 0 1 2\n")
     assert chain.q[0, 1] == 3.0

@@ -1,6 +1,7 @@
 """The scripts import the library by name, so a deleted or renamed entry
 point breaks them; run each once."""
 
+import json
 import os
 import subprocess
 import sys
@@ -20,3 +21,33 @@ def test_script_runs(argv):
     done = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout
+
+
+def test_scale_ladder_appends_one_record_per_run(tmp_path):
+    out = tmp_path / "BENCH_scale.json"
+    argv = [sys.executable, "scripts/scale.py", "--bases", "24", "--out", str(out)]
+    for runs in (1, 2):
+        done = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert len(json.loads(out.read_text())) == runs
+    record = json.loads(out.read_text())[-1]
+    points = {(p["family"], p["kind"]): p for p in record["points"]}
+    assert set(points) == {(f, k) for f in ("planted_lts", "funnel_mrc") for k in ("strong", "weak", "branching")}
+    for point in points.values():
+        assert point["status"] == "ok" and point["base"] == 24, point
+        assert 1 <= point["blocks"] <= point["states"] and point["seconds"] >= 0 and point["peak_rss_mb"] > 0
+    assert len(record["src_tree"]) == 40
+    assert record["source_lines"]["total"] == sum(v for k, v in record["source_lines"].items() if k != "total")
+
+
+def test_scale_ladder_records_the_points_over_its_limits(tmp_path):
+    out = tmp_path / "BENCH_scale.json"
+    argv = [sys.executable, "scripts/scale.py", "--bases", "24", "--out", str(out)]
+    done = subprocess.run([*argv, "--cap-s", "0.001"], cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    points = json.loads(out.read_text())[-1]["points"]
+    assert len(points) == 6 and all(p["status"] == "timeout" for p in points), points
+    done = subprocess.run([*argv, "--memory-mb", "200"], cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    funnels = [p for p in json.loads(out.read_text())[-1]["points"] if p["family"] == "funnel_mrc"]
+    assert len(funnels) == 3 and all(p["status"] == "out_of_memory" for p in funnels), funnels

@@ -18,6 +18,7 @@ from matbisim.partition import (
     Search,
     brute_force_coarsest,
     enumerate_partitions,
+    refinement_fixpoint,
 )
 
 KINDS = ("strong", "weak", "branching")
@@ -350,3 +351,35 @@ def test_weak_diagram_command_closes_internal_steps_twice(monkeypatch, capsys):
     assert main([*argv, "--kind", "weak"]) == 0
     assert "PASS" in capsys.readouterr().out
     assert len(closures) == 2
+
+
+def test_branching_search_and_reward_validate_each_generator_once(monkeypatch, tmp_path, capsys):
+    import random
+
+    from matbisim import mrc
+    from matbisim.cli import main
+
+    rng = random.Random(2)
+    clones = (generate.duplicate_states_mrc(rng, generate.random_mrc(rng, n=5))[0] for _ in range(50))
+    plain = next(c for c in clones if c.num_states > 6)
+    funnel, _ = generate.fast_funnel_chain(rng, base_states=6)
+    small, _ = generate.fast_funnel_chain(rng, base_states=3)
+    validations = _counting(monkeypatch, mrc, "validate_generator")
+    # a chain holds validated generators: its branching table restricts them
+    # as they are, in every round and every oracle stack
+    for chain in (plain, funnel):
+        search = Search(chain, "branching")
+        assert search.checker(chain, refinement_fixpoint(chain.num_states, search.signatures)).passed
+    assert small.num_states <= 6 and Search(small, "branching").oracle
+    assert not validations
+    # the reward command validates a plain generator once for all horizons
+    path = tmp_path / "plain.mrc"
+    path.write_text(mrc.format_mrc(plain))
+    assert main(["reward", str(path), "--times", "0", "0.5", "1", "2", "10"]) == 0
+    capsys.readouterr()
+    assert len(validations) == 1
+    # direct calls still validate and refuse
+    with pytest.raises(mrc.GeneratorError, match="^row 0: negative rate -1.0 to state 1$"):
+        mrc.adapt_diagonal(np.array([[1.0, -1.0], [0.0, 0.0]]), np.eye(2))
+    with pytest.raises(mrc.GeneratorError, match="^row 1: row sum 1.0 exceeds tolerance$"):
+        mrc.transition_matrix(np.array([[0.0, 0.0], [1.0, 0.0]]), 1.0)
