@@ -4,7 +4,7 @@
 Writes the bundled models, the malformed files of ``models/malformed`` and a
 seeded set of generated models into a work directory, runs every command on
 them in process through ``matbisim.cli.main`` (text and ``--json``; 90
-models and 20 malformed files, 4264 runs), and prints one line per run:
+models and 20 malformed files, 3588 runs), and prints one line per run:
 the argv, the exit code and the SHA-256 of stdout and stderr.  Only
 ``elapsed_s`` is removed from JSON output before hashing.  All paths are
 relative to the work directory, so two versions of the program give the
@@ -174,10 +174,7 @@ def runs(entries) -> list[list[str]]:
             for part in parts:
                 out.append(["check", model, "--partition", part, "--kind", kind])
                 out.append(["lump", model, "--partition", part, "--kind", kind])
-        out.append(["refine", model, "--kind", "weak", "--strict-def3"])
         for part in parts:
-            out.append(["check", model, "--partition", part, "--kind", "weak", "--strict-def3"])
-            out.append(["lump", model, "--partition", part, "--kind", "weak", "--strict-def3"])
             if dist_args:  # without one, these two runs are the kind loop's
                 out.append(["lump", model, "--partition", part, "--kind", "weak", *dist_args])
                 out.append(["lump", model, "--partition", part, "--kind", "strong", *dist_args])

@@ -39,12 +39,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=DEFAULT_ATOL, help="absolute tolerance for real comparisons")
     common.add_argument("--json", action="store_true", help="machine-readable report on stdout")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized subcommands")
-    common.add_argument(
-        "--strict-def3",
-        action="store_true",
-        help="use the literal variant of the weak middle equality (VUΠAΠV = ΠV)",
-    )
 
     parser = argparse.ArgumentParser(prog="matbisim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -87,6 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("probe", parents=[common], help="search for a branching-but-not-weak reward chain")
     p.add_argument("--count", type=int, default=1000)
     p.add_argument("--max-states", type=int, default=5)
+    p.add_argument("--seed", type=int, default=0, help="seed of the random draw")
 
     return parser
 
@@ -199,9 +194,9 @@ def cmd_check(cfg: argparse.Namespace) -> int:
     family = family_of(model)
     part = _load_partition(cfg.partition)
     v = family.collector(model, part)
-    report, rows = family.evaluate(model, v, cfg.kind, atol=cfg.tol, strict_middle=cfg.strict_def3)
+    report, rows = family.evaluate(model, v, cfg.kind, atol=cfg.tol)
     elapsed = time.perf_counter() - started
-    checksums = {"V": _digest(v), **{row[0]: _digest(row[1]) for row in rows}}
+    checksums = {"V": _digest(v), **{name: _digest(x) for name, x in rows}}
     payload = {
         "kind": cfg.kind,
         "model": str(cfg.model),
@@ -217,7 +212,7 @@ def cmd_check(cfg: argparse.Namespace) -> int:
 
 def cmd_refine(cfg: argparse.Namespace) -> int:
     model = _load_model(cfg.model, cfg.tol)
-    search = Search(model, cfg.kind, atol=cfg.tol, strict_middle=cfg.strict_def3)
+    search = Search(model, cfg.kind, atol=cfg.tol)
     part = search.coarsest()
     oracle = search.oracle if cfg.oracle else None
     # Up to tolerance the coarsest partition need not be unique; a passing
@@ -251,7 +246,7 @@ def cmd_lump(cfg: argparse.Namespace) -> int:
     w = family.read_distributor(cfg.distributor) if cfg.distributor else None
     # an explicit distributor changes only the weak quotient
     w = w if cfg.kind == "weak" else None
-    lumped = family.lump(model, v, cfg.kind, atol=cfg.tol, strict_middle=cfg.strict_def3, distributor=w)
+    lumped = family.lump(model, v, cfg.kind, atol=cfg.tol, distributor=w)
     text = _format_model(lumped)
     family.parse_model(text, atol=cfg.tol)  # the written quotient must read back
     _write_or_print(cfg, text, "model")

@@ -9,8 +9,7 @@ without branching on the model: ``parse_model``, ``format_model``,
 ``V -> [(name, X)]``), ``check_rows``, ``passes`` and ``signature_keys``
 (a verdict, a pass flag per stacked collector and refinement keys from
 evaluated rows), ``evaluate``, ``check``, ``lump``, ``read_distributor``,
-``UNIQUE_COARSEST`` and ``STRICT_MIDDLE`` (whether the weak table reads
-``strict_middle``).  Tables, distributors and ``passes`` broadcast over
+and ``UNIQUE_COARSEST``.  Tables, distributors and ``passes`` broadcast over
 leading stack axes of the collector.
 """
 

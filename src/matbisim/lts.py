@@ -213,32 +213,28 @@ def _require_distributor_for(v: ActionMatrix, u: ActionMatrix) -> None:
         raise ValueError("U1 = 1 fails: not a distributor")
 
 
-def _compare(v: ActionMatrix, u: ActionMatrix, x: ActionMatrix, rhs: ActionMatrix | None = None):
-    """``VUX`` and where it differs from ``rhs`` (default ``X``): a
-    ``(..., rows, cols)`` boolean array, stacked as ``V`` and ``X`` are."""
+def _compare(v: ActionMatrix, u: ActionMatrix, x: ActionMatrix):
+    """``VUX`` and where it differs from ``X``: a ``(..., rows, cols)``
+    boolean array, stacked as ``V`` and ``X`` are."""
     lhs = v @ (u @ x)
-    return lhs, (lhs.planes != (x if rhs is None else rhs).planes).any(axis=-3)
+    return lhs, (lhs.planes != x.planes).any(axis=-3)
 
 
 def passes(v: ActionMatrix, u: ActionMatrix, rows, atol: float = DEFAULT_ATOL) -> np.ndarray:
     """Whether every ``VUX = X`` of the evaluated rows holds, per stacked collector."""
-    return ~np.any([_compare(v, u, *row[1:])[1].any(axis=(-2, -1)) for row in rows], axis=0)
+    return ~np.any([_compare(v, u, x)[1].any(axis=(-2, -1)) for _, x in rows], axis=0)
 
 
-def conditions(
-    lts: Lts, kind: str, *, atol: float = DEFAULT_ATOL, strict_middle: bool = False
-) -> Callable[[ActionMatrix], list]:
+def conditions(lts: Lts, kind: str, *, atol: float = DEFAULT_ATOL) -> Callable[[ActionMatrix], list]:
     """The equalities of one bisimulation kind, as a map ``V -> [(name, X)]``.
 
-    Each entry states ``VUX = X``.  The strict weak middle
-    ``VUΠAΠV = ΠV`` is the one entry whose right-hand side is not its own
-    ``X``; it carries that side as a third element.  Products that do not
-    depend on the partition are computed once, when the map is built.
-    Entries are exact, so ``atol`` is unused.
+    Each entry states ``VUX = X``.  Products that do not depend on the
+    partition are computed once, when the map is built.  Entries are exact,
+    so ``atol`` is unused.
 
-    The default weak middle saturates the closed visible part
-    (``VUΠAΠV = ΠAΠV``); ``strict_middle`` switches to the literal variant
-    ``VUΠAΠV = ΠV``, kept for comparison.
+    The weak middle saturates the closed visible part (``VUΠAΠV = ΠAΠV``).
+    The paper's Definition 3, read literally, has ``VUΠAΠV = ΠV`` there;
+    that reading is not weak bisimulation (see README).
     """
     if kind == "strong":
         return lambda v: [
@@ -251,13 +247,11 @@ def conditions(
         closed_visible = pi @ lts.visible @ pi
         closed_term = pi @ lts.terminating
 
-        def weak(v: ActionMatrix) -> list:
-            pv = pi @ v
-            pav = closed_visible @ v
-            middle = ("VUΠAΠV = ΠV", pav, pv) if strict_middle else ("VUΠAΠV = ΠAΠV", pav)
-            return [("VUΠρ = Πρ", closed_term), ("VUΠV = ΠV", pv), middle]
-
-        return weak
+        return lambda v: [
+            ("VUΠρ = Πρ", closed_term),
+            ("VUΠV = ΠV", pi @ v),
+            ("VUΠAΠV = ΠAΠV", closed_visible @ v),
+        ]
     if kind == "branching":
         eye = ActionMatrix.identity(lts.alphabet, lts.num_states)
 
@@ -279,7 +273,6 @@ def evaluate(
     kind: str,
     *,
     atol: float = DEFAULT_ATOL,
-    strict_middle: bool = False,
     distributor: ActionMatrix | None = None,
 ) -> tuple[CheckReport, list]:
     """Check ``v`` against one kind; also return the evaluated equalities."""
@@ -287,17 +280,17 @@ def evaluate(
     u = canonical_distributor(v) if distributor is None else distributor
     if distributor is not None:
         _require_distributor_for(v, u)
-    rows = conditions(lts, kind, strict_middle=strict_middle)(v)
+    rows = conditions(lts, kind)(v)
     return check_rows(kind, v, u, rows), rows
 
 
 def check_rows(kind: str, v: ActionMatrix, u: ActionMatrix, rows, atol: float = DEFAULT_ATOL) -> CheckReport:
     """Verdict on evaluated equalities: the first ``VUX = X`` that fails."""
-    for name, x, *rhs in rows:
-        lhs, differs = _compare(v, u, x, *rhs)
+    for name, x in rows:
+        lhs, differs = _compare(v, u, x)
         if differs.any():
             i, j = divmod(int(np.flatnonzero(differs)[0]), differs.shape[-1])
-            sides = [v.alphabet.labels_of(m.mask_at(i, j)) for m in (lhs, rhs[0] if rhs else x)]
+            sides = [v.alphabet.labels_of(m.mask_at(i, j)) for m in (lhs, x)]
             return CheckReport(kind, False, name, Witness(i, j, *sides))
     return CheckReport(kind, True)
 
@@ -308,11 +301,10 @@ def check(
     kind: str,
     *,
     atol: float = DEFAULT_ATOL,
-    strict_middle: bool = False,
     distributor: ActionMatrix | None = None,
 ) -> CheckReport:
     """Verdict of one kind on ``v``: the first equality of its table that fails."""
-    return evaluate(lts, v, kind, atol=atol, strict_middle=strict_middle, distributor=distributor)[0]
+    return evaluate(lts, v, kind, atol=atol, distributor=distributor)[0]
 
 
 def branching_closure(lts: Lts, v: ActionMatrix) -> ActionMatrix:
@@ -355,7 +347,6 @@ def lump(
     kind: str,
     *,
     atol: float = DEFAULT_ATOL,
-    strict_middle: bool = False,
     distributor: ActionMatrix | None = None,
 ) -> Lts:
     """Quotient ``U M V`` of every matrix ``M`` by a bisimulation of the kind.
@@ -363,7 +354,7 @@ def lump(
     The strong quotient is independent of the distributor; the weak and
     branching ones depend on it, and the default is the transpose.
     """
-    require_passed(evaluate(lts, v, kind, strict_middle=strict_middle, distributor=distributor)[0])
+    require_passed(evaluate(lts, v, kind, distributor=distributor)[0])
     u = canonical_distributor(v) if distributor is None else distributor
     return Lts(
         alphabet=lts.alphabet,
@@ -425,7 +416,7 @@ def verify_weak_commutation(lts: Lts, v: ActionMatrix) -> bool:
     """
     report, rows = evaluate(lts, v, "weak")
     require_passed(report)
-    closed = {name: x for name, x, *_ in rows}
+    closed = dict(rows)
     u = v.transpose()
     lumped_closure = rt_closure(u @ lts.internal @ v)
     visible_ok = lumped_closure @ (u @ lts.visible @ v) @ lumped_closure == u @ closed["VUΠAΠV = ΠAΠV"]
@@ -460,12 +451,8 @@ def verify_branching_commutation(lts: Lts, v: ActionMatrix) -> bool:
 #: Kinds whose coarsest bisimulation is unique, so refinement finds it.
 UNIQUE_COARSEST = ("strong", "weak", "branching")
 
-#: The weak table reads ``strict_middle``; that reading has no unique
-#: coarsest solution, so the search for it is exhaustive.
-STRICT_MIDDLE = True
-
 
 def signature_keys(p: Partition, rows, atol: float = DEFAULT_ATOL) -> list:
     """Per-state rows of every evaluated ``X``; their block-constancy is the check."""
-    xs = np.concatenate([row[1].planes for row in rows], axis=2)
+    xs = np.concatenate([x.planes for _, x in rows], axis=2)
     return [state.tobytes() for state in xs.transpose(1, 0, 2)]

@@ -337,14 +337,11 @@ def check_rows(kind: str, v: np.ndarray, u: np.ndarray, rows, atol: float = DEFA
     return CheckReport(kind, True)
 
 
-def conditions(
-    model: Mrc | MrcFast, kind: str, *, atol: float = DEFAULT_ATOL, strict_middle: bool = False
-) -> Callable[[np.ndarray], list]:
+def conditions(model: Mrc | MrcFast, kind: str, *, atol: float = DEFAULT_ATOL) -> Callable[[np.ndarray], list]:
     """The equalities of one lumping kind, as a map ``V -> [(name, X)]``.
 
     Each entry states ``VUX = X``.  Products that do not depend on the
-    partition are computed once, when the map is built.  The weak middle
-    has one reading here, so ``strict_middle`` is unused.
+    partition are computed once, when the map is built.
     """
     if kind == "strong":
         # On a chain with fast transitions both generators are constrained,
@@ -384,7 +381,7 @@ def _weak_conditions(fast: MrcFast, pi: np.ndarray) -> Callable[[np.ndarray], li
 
 
 def evaluate(
-    model: Mrc | MrcFast, v, kind: str, *, atol: float = DEFAULT_ATOL, strict_middle: bool = False, distributor=None
+    model: Mrc | MrcFast, v, kind: str, *, atol: float = DEFAULT_ATOL, distributor=None
 ) -> tuple[CheckReport, list]:
     """Check ``v`` against one kind; also return the evaluated equalities."""
     v = _require_collector_for(model.num_states, v)
@@ -394,10 +391,10 @@ def evaluate(
 
 
 def check(
-    model: Mrc | MrcFast, v, kind: str, *, atol: float = DEFAULT_ATOL, strict_middle: bool = False, distributor=None
+    model: Mrc | MrcFast, v, kind: str, *, atol: float = DEFAULT_ATOL, distributor=None
 ) -> CheckReport:
     """Verdict of one kind on ``v``: the first equality of its table that misses ``atol``."""
-    return evaluate(model, v, kind, atol=atol, strict_middle=strict_middle, distributor=distributor)[0]
+    return evaluate(model, v, kind, atol=atol, distributor=distributor)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -623,7 +620,7 @@ def default_tau_distributor(model: Mrc | MrcFast, v, atol: float = DEFAULT_ATOL)
 
 
 def lump(
-    model: Mrc | MrcFast, v, kind: str, *, atol: float = DEFAULT_ATOL, strict_middle: bool = False, distributor=None
+    model: Mrc | MrcFast, v, kind: str, *, atol: float = DEFAULT_ATOL, distributor=None
 ) -> Mrc | MrcFast:
     """Quotient chain of a lumping of the kind.
 
@@ -1010,9 +1007,6 @@ def _cluster_keys(p: Partition, rows: np.ndarray, atol: float) -> list:
 
 #: Kinds whose coarsest lumping is unique, so refinement finds it.
 UNIQUE_COARSEST = ("strong", "weak")
-
-#: The weak table has one reading and ignores ``strict_middle``.
-STRICT_MIDDLE = False
 
 
 def signature_keys(p: Partition, rows, atol: float = DEFAULT_ATOL) -> list:

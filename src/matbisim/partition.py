@@ -403,17 +403,15 @@ class Search:
     all read that table.
     """
 
-    def __init__(self, model, kind: str, *, atol: float = DEFAULT_ATOL, strict_middle: bool = False):
+    def __init__(self, model, kind: str, *, atol: float = DEFAULT_ATOL):
         from .family import family_of
 
         self.model, self.kind, self.atol = model, kind, atol
         self.family = family_of(model)
-        self.table = self.family.conditions(model, kind, atol=atol, strict_middle=strict_middle)
+        self.table = self.family.conditions(model, kind, atol=atol)
         # Without a unique coarsest solution the refinement fixpoint need not
         # have the fewest blocks, so instances the oracle can afford use it.
-        self.exhaustive = (strict_middle and kind == "weak" and self.family.STRICT_MIDDLE) or (
-            kind not in self.family.UNIQUE_COARSEST and model.num_states <= MAX_ORACLE_STATES
-        )
+        self.exhaustive = kind not in self.family.UNIQUE_COARSEST and model.num_states <= MAX_ORACLE_STATES
 
     def checker(self, model, p: Partition) -> CheckReport:
         if model is not self.model:
@@ -455,9 +453,7 @@ class Search:
         so small instances fall back to the exhaustive lattice search; larger
         ones return the refinement fixpoint, which passes its own check but may
         not have the fewest blocks.  A fixpoint that fails its own check raises
-        :class:`CheckFailed`.  The strict weak reading, in a family whose weak
-        table has one (``STRICT_MIDDLE``), uses the exhaustive search, so that
-        the result is defined by the check.
+        :class:`CheckFailed`.
         """
         if self.exhaustive:
             return self.oracle

@@ -64,13 +64,6 @@ def test_check_usage_errors(tmp_path, capsys):
     assert run("frobnicate") == 2
 
 
-def test_strict_flag_changes_weak_verdict(capsys):
-    assert run("check", TAU, "--partition", TAU_MERGED, "--kind", "weak") == 0
-    capsys.readouterr()
-    assert run("check", TAU, "--partition", TAU_MERGED, "--kind", "weak", "--strict-def3") == 1
-    assert "VUΠAΠV = ΠV" in capsys.readouterr().out
-
-
 def test_refine_with_oracle(capsys):
     assert run("refine", FOUR, "--kind", "strong", "--oracle") == 0
     out = capsys.readouterr().out
@@ -218,6 +211,32 @@ def test_probe_finds_and_misses(capsys):
     assert "no counterexample" in capsys.readouterr().out
 
 
+def test_seed_belongs_to_probe_alone(capsys):
+    assert run("probe", "--seed", "0", "--count", "1") == 0
+    capsys.readouterr()
+    assert run("check", FOUR, "--partition", FOUR_IDENT, "--kind", "strong", "--seed", "1") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: matbisim")
+    assert "unrecognized arguments: --seed 1" in captured.err
+
+
+def test_literal_weak_middle_flag_is_gone(capsys):
+    # one weak reading: the flag that selected the literal Definition 3 is
+    # refused by the parser, before any handler runs
+    for args in (
+        ("check", TAU, "--partition", TAU_MERGED, "--kind", "weak"),
+        ("refine", TAU, "--kind", "weak"),
+        ("lump", TAU, "--partition", TAU_MERGED, "--kind", "weak"),
+    ):
+        assert run(*args, "--strict-def3") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: matbisim")
+        assert "unrecognized arguments: --strict-def3" in captured.err
+        assert "Traceback" not in captured.err
+
+
 def test_probe_json_counterexample_rechecks(tmp_path, capsys):
     assert run("probe", "--seed", "0", "--count", "10", "--json") == 1
     payload = json.loads(capsys.readouterr().out)
@@ -323,23 +342,6 @@ def test_refine_cuts_a_chain_of_within_tolerance_steps(tmp_path, capsys):
         part.write_text(out)
         assert run("check", chain, "--partition", part, "--kind", kind) == 0
         assert "PASS" in capsys.readouterr().out
-
-
-def test_strict_weak_reading_on_a_chain_refines(tmp_path, capsys):
-    # chains have one weak reading, so --strict-def3 leaves weak refinement
-    # as it is, beyond the exhaustive search's state bound too
-    import random
-
-    from matbisim import generate, mrc
-
-    model, _ = generate.fast_funnel_chain(random.Random(0), base_states=12)
-    assert model.num_states == 17
-    path = tmp_path / "funnel.mrc"
-    path.write_text(mrc.format_mrc(model))
-    assert run("refine", path, "--kind", "weak") == 0
-    plain = capsys.readouterr().out
-    assert run("refine", path, "--kind", "weak", "--strict-def3") == 0
-    assert capsys.readouterr().out == plain
 
 
 CHECKSUM_NAMES = {

@@ -23,7 +23,6 @@ PROVIDER = (
     "lump",
     "read_distributor",
     "UNIQUE_COARSEST",
-    "STRICT_MIDDLE",
 )
 
 

@@ -152,15 +152,6 @@ def test_weak_merges_across_internal_step():
     assert not strong.passed and strong.violated == "VUρ = ρ"
 
 
-def test_weak_strict_middle_variant_differs():
-    pair = parse_lts(TAU_PAIR)
-    v = identity_collector(pair)
-    assert lts.check(pair, v, "weak").passed
-    strict = lts.check(pair, v, "weak", strict_middle=True)
-    assert not strict.passed
-    assert strict.violated == "VUΠAΠV = ΠV"
-
-
 def test_strong_implies_weak(rng):
     hits = 0
     for _ in range(60):
