@@ -249,7 +249,10 @@ class ActionMatrix:
         self._check_alphabet(other)
         if self.cols != other.rows:
             raise MatrixShapeError(f"cannot multiply {self.shape} by {other.shape}")
-        product = np.matmul(_distinct_planes(self.planes), _distinct_planes(other.planes)) > 0
+        # BLAS may leave a stale invalid-operation flag behind; 0-1 factors
+        # have no NaN or infinity for it to report.
+        with np.errstate(invalid="ignore"):
+            product = np.matmul(_distinct_planes(self.planes), _distinct_planes(other.planes)) > 0
         if product.shape[-3] != self.alphabet.size:
             product = np.broadcast_to(product, (*product.shape[:-3], self.alphabet.size, *product.shape[-2:]))
         return ActionMatrix._wrap(self.alphabet, product)

@@ -361,8 +361,8 @@ def conditions(model: Mrc | MrcFast, kind: str, *, atol: float = DEFAULT_ATOL) -
             pi_v = project_stack(_restrict(fast.qf, v), atol=atol)[0]
             return [
                 ("VUΠ_V ρ = Π_V ρ", pi_v @ rho),
-                ("VUΠ_V Qf V = Π_V Qf V", pi_v @ fast.qf @ v),
-                ("VUΠ_V Qs V = Π_V Qs V", pi_v @ fast.qs @ v),
+                ("VUΠ_V Qf V = Π_V Qf V", pi_v @ (fast.qf @ v)),
+                ("VUΠ_V Qs V = Π_V Qs V", pi_v @ (fast.qs @ v)),
             ]
 
         return branching

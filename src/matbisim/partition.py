@@ -7,7 +7,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -22,6 +21,15 @@ MAX_ORACLE_STATES = 12
 #: 12-state bound a stacked array holds at most 256·12·12 entries per label
 #: plane: 0.15 MB per plane as ``float32``, 0.3 MB as ``float64``.
 ORACLE_STACK = 256
+
+#: Most partitions the oracle's enumerator grows and sorts at once
+#: (:func:`_label_batches`); up to 9 states the whole lattice is one batch.
+#: Larger block counts are split on their first block.  At the 12-state
+#: bound the whole lattice then peaks at about 12 MB of arrays, and one run
+#: holds at most S(11, 5) = 246,730 rows of 12 bytes (the 6-block partitions
+#: whose first block is ``{0}``).  Growing and sorting all S(12, 5) =
+#: 1,379,400 partitions in 5 blocks at once would peak at about 370 MB.
+ORACLE_BATCH = 1 << 16
 
 
 class ModelFormatError(ValueError):
@@ -76,8 +84,9 @@ class Partition:
 
     Blocks are sorted internally and ordered by smallest member, so
     structural equality decides partition equality.  The constructor sorts
-    and validates its blocks; :meth:`from_assignment` and
-    :func:`enumerate_partitions` build theirs canonical and skip both.
+    and validates its blocks.  :meth:`from_assignment`,
+    :func:`enumerate_partitions` and :attr:`Search.oracle` build theirs from
+    canonical label rows and skip both; the oracle builds one, its answer.
     """
 
     n: int
@@ -309,43 +318,114 @@ def format_partition(p: Partition) -> str:
 # ---------------------------------------------------------------------------
 
 
-def enumerate_partitions(n: int) -> Iterator[Partition]:
-    """All partitions of ``{0..n-1}``, coarsest first: lazily, in strictly
-    increasing ``(num_blocks, blocks)`` order.
+def _grow(n: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every partition of ``n`` states into ``lo..hi`` blocks as a label row,
+    with its block count, in no useful order.
 
-    For each block count ``k``, the block of the smallest unplaced state is
-    that state plus a subset of the later unplaced ones, in lexicographic
-    order of sorted tuples; the states left over are split into ``k - 1``
-    blocks the same way.  A block never takes so many states that fewer
-    than ``k - 1`` remain, so every branch yields.  The only state is one
-    block label per state and at most ``n + k`` nested generator frames.
+    A row labels each state with its block, and blocks are numbered by their
+    smallest state, so each label is at most one more than the largest before
+    it.  Rows grow a state at a time: a state joins one of the row's blocks
+    only while the states after it can still open the ``lo``-th block, and
+    opens a new one while the row has fewer than ``hi``, so every row
+    completes.
     """
-    labels = [-1] * n  # block of each state; -1 while unplaced
+    rows = np.zeros((1, n), np.int8)
+    used = np.ones(1, np.intp)
+    for s in range(1, n):
+        join = used + (n - 1 - s) >= lo
+        children = np.where(join, used, 0) + (used < hi)
+        parent = np.repeat(np.arange(len(used)), children)
+        label = np.arange(len(parent)) - (np.cumsum(children) - children)[parent]
+        label = np.where(join[parent], label, used[parent])
+        rows = rows[parent]
+        rows[:, s] = label
+        used = np.maximum(used[parent], label + 1)
+    return rows, used
 
-    def open_block(k: int, j: int) -> Iterator[Partition]:
-        """Complete the partition with ``k`` more blocks, the first numbered ``j``."""
-        if k == 1:
-            yield Partition._canonical(tuple(j if lab == -1 else lab for lab in labels), j + 1)
-            return
-        leader = labels.index(-1)
-        labels[leader] = j
-        yield from grow(k, j, leader + 1, labels.count(-1) - (k - 1))
-        labels[leader] = -1
 
-    def grow(k: int, j: int, start: int, room: int) -> Iterator[Partition]:
-        """Block ``j`` as it stands, then with each later state ``>= start``
-        added, while ``room`` more states may join it."""
-        yield from open_block(k - 1, j + 1)
-        if room == 0:
-            return
-        for s in range(start, n):
-            if labels[s] == -1:
-                labels[s] = j
-                yield from grow(k, j, s + 1, room - 1)
-                labels[s] = -1
+def _sorted_rows(n: int, lo: int, hi: int) -> np.ndarray:
+    """The rows of :func:`_grow` in increasing ``(num_blocks, blocks)``.
 
-    for k in range(1, n + 1):
-        yield from open_block(k, 0)
+    One ``lexsort`` orders them by block count, then by a key that lists the
+    states block by block, as ``blocks`` does, each as ``state - n·block``.
+    Where two partitions first differ, either both rows' states lie in one
+    block and compare as states, or one row has moved on to the next block
+    while the other's block goes on: the moved row's state then compares
+    below the other's, as the shorter of two tuples with equal heads does.
+    So comparing keys column by column compares ``blocks`` tuple by tuple.
+    """
+    rows, used = _grow(n, lo, hi)
+    in_blocks = np.sort(rows * np.int16(n) + np.arange(n, dtype=np.int16), axis=1)  # n·block + state
+    key = 2 * (in_blocks % n) - in_blocks
+    return rows[np.lexsort((*key.T[::-1], used))]
+
+
+def _block_count_pieces(n: int, k: int) -> Iterator[np.ndarray]:
+    """The label rows of ``n`` states in ``k`` blocks, in order, in pieces.
+
+    Up to ``ORACLE_BATCH`` rows are grown and sorted at once.  More are split
+    on the first block, which ``blocks`` compares first: the first blocks
+    come in order from the two-block rows, and each takes the sorted rows of
+    the states outside it in ``k - 1`` blocks, built once per number of
+    outside states.
+    """
+    if _partitions_by_block_count(n)[k - 1] <= ORACLE_BATCH:
+        yield _sorted_rows(n, k, k)
+        return
+    outside_rows: dict[int, np.ndarray] = {}
+    for first in _sorted_rows(n, 2, 2):  # label 1 marks the states outside the first block
+        outside = np.flatnonzero(first)
+        if len(outside) < k - 1:
+            continue
+        if len(outside) not in outside_rows:
+            outside_rows[len(outside)] = np.concatenate(list(_block_count_pieces(len(outside), k - 1)))
+        rest = outside_rows[len(outside)]
+        piece = np.zeros((len(rest), n), np.int8)
+        piece[:, outside] = rest + 1
+        yield piece
+
+
+def _label_batches(n: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Every partition of ``n`` states as an ``int8`` label row, in the
+    oracle's order: runs ``(k, rows)`` of rows with ``k`` blocks each, in
+    increasing ``(num_blocks, blocks)`` within and across runs.
+
+    Consecutive block counts with at most ``ORACLE_BATCH`` partitions
+    together are grown and sorted in one batch, so up to 9 states the whole
+    lattice is one.  A larger block count comes from
+    :func:`_block_count_pieces`, its pieces joined until a run has
+    ``ORACLE_BATCH`` rows or more.  Nothing is kept between calls.
+    """
+    counts = _partitions_by_block_count(n)
+    k = 1
+    while k <= n:
+        hi = k
+        while hi < n and sum(counts[k - 1 : hi + 1]) <= ORACLE_BATCH:
+            hi += 1
+        if counts[k - 1] <= ORACLE_BATCH:
+            rows = _sorted_rows(n, k, hi)
+            yield from zip(range(k, hi + 1), np.split(rows, np.cumsum(counts[k - 1 : hi - 1])))
+        else:
+            held: list[np.ndarray] = []
+            size = 0
+            for piece in _block_count_pieces(n, k):
+                held.append(piece)
+                size += len(piece)
+                if size >= ORACLE_BATCH:
+                    yield k, np.concatenate(held)
+                    held, size = [], 0
+            if held:
+                yield k, np.concatenate(held)
+        k = hi + 1
+
+
+def enumerate_partitions(n: int) -> Iterator[Partition]:
+    """All partitions of ``{0..n-1}``, coarsest first: in strictly increasing
+    ``(num_blocks, blocks)`` order, built one at a time from the label rows
+    of :func:`_label_batches`, which come a batch at a time."""
+    for blocks, rows in _label_batches(n):
+        for row in rows.tolist():
+            yield Partition._canonical(tuple(row), blocks)
 
 
 def refinement_fixpoint(n: int, signature_fn: Callable[[Partition], Sequence]) -> Partition:
@@ -368,8 +448,9 @@ def brute_force_coarsest(model, checker: Callable) -> Partition:
     Candidates come coarsest first from :func:`enumerate_partitions`, so the
     first that passes is the minimum over ``(num_blocks, blocks)``: every
     coarser partition, and every one as coarse that sorts before it, has
-    been checked and failed.  The cost is the rank of the answer, not
-    Bell(n) checks, and one candidate is held at a time.
+    been checked and failed.  The cost is the rank of the answer in checks,
+    not Bell(n).  One candidate is built and checked at a time, from label
+    rows enumerated a batch (at most ``ORACLE_BATCH`` rows) at a time.
 
     ``checker(model, partition)`` must return a :class:`CheckReport`.
     """
@@ -426,23 +507,21 @@ class Search:
     def oracle(self) -> Partition:
         """:func:`brute_force_coarsest` with :meth:`checker`, in stacks.
 
-        The candidates of :func:`enumerate_partitions` are taken in order,
-        at most ``ORACLE_STACK`` of one block count at a time.  Each stack is
-        one collector array with a leading stack axis; the kind's table is
-        evaluated on it once and every ``VUX = X`` is decided in one
-        broadcast comparison.  The first passing candidate of the first
-        stack with one is the answer, as in the one-at-a-time search.
+        The candidates are the label rows of :func:`_label_batches`, taken
+        in order, at most ``ORACLE_STACK`` of one block count at a time.
+        Each stack of rows becomes one collector array with a leading stack
+        axis; the kind's table is evaluated on it once and every ``VUX = X``
+        is decided in one broadcast comparison.  The first passing row of
+        the first stack with one is the answer, as in the one-at-a-time
+        search, and the only :class:`Partition` built.
         """
-        n = _oracle_states(self.model)
-        candidates = enumerate_partitions(n)
-        for blocks, count in enumerate(_partitions_by_block_count(n), start=1):
-            for start in range(0, count, ORACLE_STACK):
-                stack = list(islice(candidates, min(ORACLE_STACK, count - start)))
-                member = np.array([p.assignment for p in stack])[:, :, None] == np.arange(blocks)
-                v = self.family.collectors(self.model, member)
+        for blocks, rows in _label_batches(_oracle_states(self.model)):
+            for start in range(0, len(rows), ORACLE_STACK):
+                stack = rows[start : start + ORACLE_STACK]
+                v = self.family.collectors(self.model, stack[:, :, None] == np.arange(blocks))
                 passed = self.family.passes(v, self.family.canonical_distributor(v), self.table(v), self.atol)
                 if passed.any():
-                    return stack[int(np.argmax(passed))]
+                    return Partition._canonical(tuple(stack[int(np.argmax(passed))].tolist()), blocks)
         raise ValueError("no partition passed the checker")
 
     def coarsest(self) -> Partition:

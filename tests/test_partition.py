@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import islice
 
 import numpy as np
@@ -5,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matbisim import lts
+from matbisim import lts, partition
 from matbisim.algebra import ActionAlphabet, ActionMatrix
 from matbisim.partition import (
     BELL,
+    ORACLE_BATCH,
     ModelFormatError,
     Partition,
     canonical_distributor_real,
@@ -139,6 +141,59 @@ def test_enumerate_partitions_is_lazy_at_the_oracle_bound():
     head = list(islice(enumerate_partitions(12), 2049))
     assert [p.num_blocks for p in head[:2048]] == [1] + [2] * 2047
     assert head[2048] == Partition(12, ((0,), (1,), tuple(range(2, 12))))
+
+
+def _lattice_in_batches(n):
+    """The concatenated label rows of the oracle's enumerator, checked: Bell(n)
+    canonical rows whose ``(num_blocks, key)`` strictly increase, where the
+    key is block 0's states, -1, block 1's states, -1, and so on, so that
+    comparing keys compares ``blocks``."""
+    runs = list(partition._label_batches(n))
+    rows = np.concatenate([r for _, r in runs])
+    blocks = np.concatenate([np.full(len(r), k) for k, r in runs])
+    assert rows.dtype == np.int8 and len(rows) == BELL[n]
+    # restricted growth: each label at most one above every label before it
+    assert (rows[:, 0] == 0).all()
+    assert (rows[:, 1:] <= np.maximum.accumulate(rows, axis=1)[:, :-1] + 1).all()
+    assert (rows.max(axis=1) + 1 == blocks).all()
+    states = np.argsort(rows, axis=1, kind="stable")
+    key = np.full((len(rows), 2 * n), -1)
+    np.put_along_axis(key, np.arange(n) + np.take_along_axis(rows, states, axis=1), states, axis=1)
+    full = np.column_stack([blocks, key])
+    step = full[1:] - full[:-1]
+    first = (step != 0).argmax(axis=1)
+    assert (step[np.arange(len(step)), first] > 0).all()
+    return rows
+
+
+def test_label_batches_at_the_smallest_lattice_of_several_batches():
+    n = next(n for n in range(1, 13) if BELL[n] > ORACLE_BATCH)
+    rows = _lattice_in_batches(n)
+    assert [p.assignment for p in enumerate_partitions(n)] == list(map(tuple, rows.tolist()))
+
+
+def test_label_batches_split_large_block_counts_on_the_first_block(monkeypatch):
+    # with 40 rows a batch, 8 states in 2..6 blocks are built a first block
+    # at a time, and so are most of the smaller lattices they are built from
+    expected = [p.assignment for p in enumerate_partitions(8)]
+    monkeypatch.setattr(partition, "ORACLE_BATCH", 40)
+    assert list(map(tuple, _lattice_in_batches(8).tolist())) == expected
+
+
+def test_enumerating_twelve_states_through_six_blocks_stays_small():
+    # S(12, 5) = 1,379,400 rows; grown and sorted at once they need hundreds of MB
+    rows = 0
+    tracemalloc.start()
+    try:
+        for blocks, run in partition._label_batches(12):
+            if blocks > 6:
+                break
+            rows += len(run)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows == 1 + 2047 + 86526 + 611501 + 1379400 + 1323652
+    assert peak < 32 * 2**20
 
 
 def test_split_by_keys_refines_within_blocks():

@@ -355,7 +355,7 @@ def test_each_refine_command_builds_the_kind_table_once(monkeypatch, tmp_path, c
     assert refine(chain, "weak", "--oracle") == 0
     assert len(projections) == 2
 
-    searches = _counting(monkeypatch, partition, "enumerate_partitions")
+    searches = _counting(monkeypatch, partition, "_label_batches")
     assert refine(generate.random_mrc_fast(random.Random(5), n=6), "branching", "--oracle") == 0
     assert len(searches) == 1
 
