@@ -70,8 +70,6 @@ try:
     if family == "planted_lts":
         model = parse_lts(workloads.format_lts(workloads.planted_lts(rng, int(base))[0]))
     else:
-        import scipy.sparse.csgraph  # loaded by the first projection; not timed as search
-
         model = parse_mrc(workloads.format_mrc(workloads.funnel_mrc(rng, int(base))[0]))
     out["states"] = model.num_states
     t0 = time.perf_counter()

@@ -1,12 +1,16 @@
 import contextlib
 import json
+import os
 import signal
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 from matbisim.cli import main
 
-MODELS = Path(__file__).resolve().parents[1] / "models"
+ROOT = Path(__file__).resolve().parents[1]
+MODELS = ROOT / "models"
 
 FOUR = MODELS / "four_state.lts"
 FOUR_IDENT = MODELS / "four_state_identity.partition"
@@ -114,6 +118,38 @@ def test_closure_command(capsys):
     out = capsys.readouterr().out
     assert "term 0 1" in out
     assert run("closure", REWARD) == 2
+
+
+# Runs each argv of argv[1] (JSON) through cli.main in this fresh process and
+# prints the exit codes and the scipy modules loaded.
+NO_SCIPY_CHILD = r"""
+import contextlib, io, json, sys
+from matbisim.cli import main
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def test_chain_commands_load_no_scipy():
+    part = ["--partition", str(WITNESS_PART)]
+    merged = ["--partition", str(TAU_MERGED)]
+    commands = [
+        ["check", str(WITNESS), *part, "--kind", "weak"],
+        ["refine", str(WITNESS), "--kind", "branching", "--oracle"],
+        ["lump", str(FAST), *merged, "--kind", "weak"],
+        ["diagram", str(FAST), *merged],
+        ["project", str(WITNESS)],
+        ["reward", str(FAST)],
+    ]
+    argv = [sys.executable, "-c", NO_SCIPY_CHILD, json.dumps(commands)]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    assert result == {"codes": [1, 0, 0, 0, 0, 0], "scipy": []}
 
 
 def test_project_command(capsys):

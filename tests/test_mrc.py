@@ -333,6 +333,40 @@ def test_stacked_projection_refuses_a_stack_with_one_bad_member():
         ergodic_projection(stack)
 
 
+def test_strong_components_partition_the_nodes_as_scipy_does():
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    rng = np.random.default_rng(19)
+    graphs = []
+    for _ in range(1000):
+        size = int(rng.integers(1, 61))
+        adj = rng.random((size, size)) < rng.uniform(0.0, 0.3)
+        np.fill_diagonal(adj, False)
+        graphs.append((*np.nonzero(adj), size))
+    none = np.zeros(0, dtype=np.intp)
+    graphs += [(none, none, size) for size in (1, 2, 60)]
+    # stacks as project_stack builds them: node s·n + i is state i of member s
+    for members, n, density in ((256, 7, 0.2), (40, 12, 0.1), (3, 50, 0.05)):
+        adj = rng.random((members, n, n)) < density
+        adj[:, np.arange(n), np.arange(n)] = False
+        src, col = np.nonzero(adj.reshape(members * n, n))
+        graphs.append((src, src - src % n + col, members * n))
+    # rings and paths, with node ids running with and against the edges
+    line = np.arange(500)
+    for src, dst in ((line, (line + 1) % 500), (line[:-1], line[1:])):
+        graphs += [(src, dst, 500), (dst, src, 500)]
+
+    for src, dst, size in graphs:
+        count, labels = mrc._strong_components(src, dst, size)
+        graph = csr_matrix((np.ones(len(src)), (src, dst)), shape=(size, size))
+        expected_count, expected = connected_components(graph, directed=True, connection="strong")
+        assert count == expected_count and labels.shape == (size,)
+        assert set(labels.tolist()) == set(range(count))
+        # each component of one labelling is exactly one component of the other
+        assert len(set(zip(labels.tolist(), expected.tolist()))) == count
+
+
 # -- weak bisimulation --------------------------------------------------------------
 
 
