@@ -38,7 +38,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 FAMILIES = ("planted_lts", "funnel_mrc")
 KINDS = ("strong", "weak", "branching")
-OUT_OF_MEMORY = ("MemoryError", "Unable to allocate", "failed to map segment", "Memory allocation still failed")
+OUT_OF_MEMORY = (
+    "MemoryError",
+    "Unable to allocate",
+    "failed to map segment",
+    "Memory allocation still failed",
+    "pthread_create failed",
+)
 
 # A point's process: argv is root, family, base, kind, cap seconds, memory MB.
 # It prints one JSON line with its status.
@@ -97,8 +103,9 @@ def run_point(root: Path, family: str, base: int, kind: str, cap_s: float, memor
     lines = done.stdout.strip().splitlines()
     if done.returncode == 0 and lines:
         return {**point, **json.loads(lines[-1])}
-    # Loading a library, or OpenBLAS allocating its buffers, fails past the
-    # limit with an error of its own or an abort rather than MemoryError.
+    # Loading a library, or OpenBLAS allocating its buffers or starting its
+    # threads, fails past the limit with an error of its own or an abort
+    # rather than MemoryError.
     tail = done.stderr.strip().splitlines()[-1:] or [f"exit {done.returncode}"]
     memory = any(word in done.stderr for word in OUT_OF_MEMORY)
     return {**point, "status": "out_of_memory" if memory else "error", "detail": tail[0]}

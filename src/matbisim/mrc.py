@@ -458,56 +458,64 @@ def _strong_components(src, dst, size: int) -> tuple[int, np.ndarray]:
     """Strongly connected components of the digraph on nodes ``0..size-1``
     with edges ``src[e] -> dst[e]``: their number and each node's component.
 
-    Colouring SCC (Orzan 2004), a form of forward-backward (Fleischer,
-    Hendrickson & Pinar 2000), with every round vectorised over the edges:
-    trim the nodes with no in-edge or no out-edge among the unlabelled
-    nodes, each a component of its own; colour each node with the largest
-    node that reaches it; the component of each colour's root (the node that
-    is its own colour) is the nodes of that colour that reach it along
-    edges of that colour.  Repeat on the nodes left.  Each step repeats to a
-    fixpoint, so the rounds are bounded by about the longest simple path.
-    That worst case, a long ring or path, costs less than the dense
-    ``n x n`` ``Π`` that :func:`project_stack` builds for it anyway.
+    Tarjan's algorithm, iterative over CSR arrays, so it takes time linear in
+    nodes and edges whatever the graph's shape.  A node with no in-edge or
+    no out-edge is a component of its own and is labelled in NumPy first;
+    the depth-first search visits only the others, which keeps a stack of
+    mostly absorbing members cheap.
     """
+    out_degree = np.bincount(src, minlength=size)
+    ends = np.cumsum(out_degree).tolist()
+    starts = [0, *ends[:-1]]
+    heads = dst[np.argsort(src, kind="stable")].tolist()
+    alone = (out_degree == 0) | (np.bincount(dst, minlength=size) == 0)
+    count = int(np.count_nonzero(alone))
     labels = np.full(size, -1)
-    node = np.arange(size)
-    count = 0
-    while True:
-        while True:
-            active = labels < 0
-            keep = active[src] & active[dst]
-            src, dst = src[keep], dst[keep]
-            ends = (np.bincount(src, minlength=size) == 0) | (np.bincount(dst, minlength=size) == 0)
-            alone = np.flatnonzero(active & ends)
-            if not len(alone):
-                break
-            labels[alone] = np.arange(count, count + len(alone))
-            count += len(alone)
-        if not len(src):
-            return count, labels
-        # Colours only grow, so an unchanged sum is the fixpoint.
-        colour = np.where(active, node, -1)
-        total = colour.sum()
-        while True:
-            np.maximum.at(colour, dst, colour[src])
-            total, last = colour.sum(), total
-            if total == last:
-                break
-        same = colour[src] == colour[dst]
-        back_src, back_dst = src[same], dst[same]
-        found = colour == node
-        roots = np.flatnonzero(found)
-        reached = len(roots)
-        while True:
-            found[back_src[found[back_dst]]] = True
-            reached, last = np.count_nonzero(found), reached
-            if reached == last:
-                break
-        component = np.empty_like(labels)
-        component[roots] = np.arange(count, count + len(roots))
-        count += len(roots)
-        new = np.flatnonzero(found)
-        labels[new] = component[colour[new]]
+    labels[alone] = np.arange(count)
+    labels = labels.tolist()
+    # Visit order, from 2 up; 0 is unvisited and 1 is labelled in NumPy.  A
+    # visited node with no label yet is on the stack.
+    index = alone.astype(int).tolist()
+    low = [0] * size
+    stack = []
+    visited = 1
+    for root in np.flatnonzero(~alone).tolist():
+        if index[root]:
+            continue
+        visited += 1
+        index[root] = low[root] = visited
+        stack.append(root)
+        calls = [[root, starts[root]]]  # each frame: node, next edge to follow
+        while calls:
+            frame = calls[-1]
+            v, e = frame
+            end = ends[v]
+            while e < end:
+                w = heads[e]
+                e += 1
+                if not index[w]:
+                    break
+                if labels[w] < 0 and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                calls.pop()
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        labels[w] = count
+                        if w == v:
+                            break
+                    count += 1
+                if calls:
+                    u = calls[-1][0]
+                    low[u] = min(low[u], low[v])
+                continue
+            frame[1] = e
+            visited += 1
+            index[w] = low[w] = visited
+            stack.append(w)
+            calls.append([w, starts[w]])
+    return count, np.array(labels, dtype=np.intp)
 
 
 def project_stack(q, *, atol: float = DEFAULT_ATOL):
@@ -522,8 +530,8 @@ def project_stack(q, *, atol: float = DEFAULT_ATOL):
 
     The stack is validated once and its strongly connected components are
     found in one graph, where state ``i`` of member ``s`` is node ``s·n + i``,
-    by one NumPy pass (:func:`_strong_components`) whose rounds are bounded by
-    the longest simple path of the fast graph.
+    by one pass of Tarjan's algorithm (:func:`_strong_components`), linear in
+    the states and fast edges of the stack.
     Singleton recurrent classes have weight 1.  Each larger class and each
     member's transient block is solved on its own submatrix, so every
     member gets the bits it would get alone.

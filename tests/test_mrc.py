@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import mpmath
 import numpy as np
@@ -333,6 +334,16 @@ def test_stacked_projection_refuses_a_stack_with_one_bad_member():
         ergodic_projection(stack)
 
 
+def nested_two_cycles(k):
+    """A chain of k two-cycles {2i, 2i+1}, each linked to the one below it
+    (2i -> 2i-2): every node has an in- and an out-edge, and no node of a
+    lower class reaches a higher one."""
+    i = np.arange(k)
+    src = np.concatenate([2 * i, 2 * i + 1, 2 * i[1:]])
+    dst = np.concatenate([2 * i + 1, 2 * i, 2 * i[1:] - 2])
+    return src, dst, 2 * k
+
+
 def test_strong_components_partition_the_nodes_as_scipy_does():
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
@@ -356,6 +367,7 @@ def test_strong_components_partition_the_nodes_as_scipy_does():
     line = np.arange(500)
     for src, dst in ((line, (line + 1) % 500), (line[:-1], line[1:])):
         graphs += [(src, dst, 500), (dst, src, 500)]
+    graphs += [nested_two_cycles(k) for k in (600, 4800)]
 
     for src, dst, size in graphs:
         count, labels = mrc._strong_components(src, dst, size)
@@ -365,6 +377,16 @@ def test_strong_components_partition_the_nodes_as_scipy_does():
         assert set(labels.tolist()) == set(range(count))
         # each component of one labelling is exactly one component of the other
         assert len(set(zip(labels.tolist(), expected.tolist()))) == count
+
+
+def test_strong_components_take_linear_time_on_long_chains_of_components():
+    # 9600 nodes in 4800 components: linear work is milliseconds, while a
+    # pass that peels one component per sweep over the edges takes minutes.
+    src, dst, size = nested_two_cycles(4800)
+    start = time.perf_counter()
+    count, labels = mrc._strong_components(src, dst, size)
+    assert time.perf_counter() - start < 2.0
+    assert count == 4800 and (labels[0::2] == labels[1::2]).all()
 
 
 # -- weak bisimulation --------------------------------------------------------------

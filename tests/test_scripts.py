@@ -52,7 +52,9 @@ def test_scale_ladder_records_the_points_over_its_limits(tmp_path):
     assert done.returncode == 0, done.stderr
     points = json.loads(out.read_text())[-1]["points"]
     assert len(points) == 6 and all(p["status"] == "timeout" for p in points), points
-    done = subprocess.run([*argv, "--memory-mb", "100"], cwd=ROOT, capture_output=True, text=True, timeout=300)
+    # Base-1200 funnels hold 1920 x 1920 arrays and peak near 300 MB unlimited.
+    argv = [sys.executable, "scripts/scale.py", "--bases", "1200", "--out", str(out), "--memory-mb", "200"]
+    done = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     funnels = [p for p in json.loads(out.read_text())[-1]["points"] if p["family"] == "funnel_mrc"]
     assert len(funnels) == 3 and all(p["status"] == "out_of_memory" for p in funnels), funnels
