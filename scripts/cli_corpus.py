@@ -4,7 +4,7 @@
 Writes the bundled models, the malformed files of ``models/malformed`` and a
 seeded set of generated models into a work directory, runs every command on
 them in process through ``matbisim.cli.main`` (text and ``--json``; 90
-models and 20 malformed files, 3588 runs), and prints one line per run:
+models and 20 malformed files, 4140 runs), and prints one line per run:
 the argv, the exit code and the SHA-256 of stdout and stderr.  Only
 ``elapsed_s`` is removed from JSON output before hashing.  All paths are
 relative to the work directory, so two versions of the program give the
@@ -49,6 +49,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 KINDS = ("strong", "weak", "branching")
+
+#: Non-default ``--tol`` values at which every chain is refined.
+TOLERANCES = ("1e-6", "1e-16")
 
 #: Seed of the generated models; the corpus is one fixed set of runs.
 SEED = 7
@@ -185,8 +188,11 @@ def runs(entries) -> list[list[str]]:
         out.append(["closure", model])
         out.append(["project", model])
         out.append(["reward", model, "--times", "0", "0.5", "3"])
-        if model.endswith(".mrc"):
+        if chain:
             out.append(["reward", model, "--times", "1e4", "1e6"])  # long horizons
+            # --tol governs the comparisons only, far from and near the rounding error
+            for tol in TOLERANCES:
+                out += [["refine", model, "--kind", kind, "--tol", tol] for kind in KINDS]
     out.append(["lump", "four_state.lts", "--partition", "four_state_identity.partition", "--kind", "strong",
                 "--output", "out.lts"])
     out.append(["closure", "tau_pair.lts", "--output", "out.lts"])

@@ -91,14 +91,14 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
-def _load_model(path: Path, tol: float):
+def _load_model(path: Path):
     text = path.read_text()
     head = first_token(text)
     if head is None:
         raise ModelFormatError(f"{path}: empty model file")
     if head not in FAMILIES:
         raise ModelFormatError(f"{path}: unknown model header {head!r}")
-    return FAMILIES[head].parse_model(text, atol=tol)
+    return FAMILIES[head].parse_model(text)
 
 
 def _load_partition(path: Path) -> Partition:
@@ -190,7 +190,7 @@ def _write_or_print(cfg: argparse.Namespace, text: str, payload_key: str) -> Non
 
 def cmd_check(cfg: argparse.Namespace) -> int:
     started = time.perf_counter()
-    model = _load_model(cfg.model, cfg.tol)
+    model = _load_model(cfg.model)
     family = family_of(model)
     part = _load_partition(cfg.partition)
     v = family.collector(model, part)
@@ -211,7 +211,7 @@ def cmd_check(cfg: argparse.Namespace) -> int:
 
 
 def cmd_refine(cfg: argparse.Namespace) -> int:
-    model = _load_model(cfg.model, cfg.tol)
+    model = _load_model(cfg.model)
     search = Search(model, cfg.kind, atol=cfg.tol)
     part = search.coarsest()
     oracle = search.oracle if cfg.oracle else None
@@ -240,7 +240,7 @@ def cmd_refine(cfg: argparse.Namespace) -> int:
 
 
 def cmd_lump(cfg: argparse.Namespace) -> int:
-    model = _load_model(cfg.model, cfg.tol)
+    model = _load_model(cfg.model)
     family = family_of(model)
     v = family.collector(model, _load_partition(cfg.partition))
     w = family.read_distributor(cfg.distributor) if cfg.distributor else None
@@ -248,13 +248,13 @@ def cmd_lump(cfg: argparse.Namespace) -> int:
     w = w if cfg.kind == "weak" else None
     lumped = family.lump(model, v, cfg.kind, atol=cfg.tol, distributor=w)
     text = _format_model(lumped)
-    family.parse_model(text, atol=cfg.tol)  # the written quotient must read back
+    family.parse_model(text)  # the written quotient must read back
     _write_or_print(cfg, text, "model")
     return 0
 
 
 def cmd_closure(cfg: argparse.Namespace) -> int:
-    model = _load_model(cfg.model, cfg.tol)
+    model = _load_model(cfg.model)
     if family_of(model) is not lts_mod:
         raise ValueError("closure applies to transition systems only")
     text = lts_mod.format_lts(lts_mod.tau_closure(model))
@@ -263,11 +263,11 @@ def cmd_closure(cfg: argparse.Namespace) -> int:
 
 
 def cmd_project(cfg: argparse.Namespace) -> int:
-    model = _load_model(cfg.model, cfg.tol)
+    model = _load_model(cfg.model)
     if family_of(model) is not mrc_mod:
         raise ValueError("projection applies to reward chains only")
     fast = mrc_mod.as_fast_chain(model)
-    proj = mrc_mod.ergodic_projection(fast.qf, atol=cfg.tol)
+    proj = mrc_mod.ergodic_projection(fast.qf)
     lines = [np.array2string(proj.pi, precision=10, suppress_small=False)]
     lines.append("recurrent classes: " + " ".join("{" + ",".join(map(str, c)) + "}" for c in proj.recurrent_classes))
     lines.append("transient: {" + ",".join(map(str, proj.transient)) + "}")
@@ -282,7 +282,7 @@ def cmd_project(cfg: argparse.Namespace) -> int:
 
 
 def cmd_reward(cfg: argparse.Namespace) -> int:
-    model = _load_model(cfg.model, cfg.tol)
+    model = _load_model(cfg.model)
     if family_of(model) is not mrc_mod:
         raise ValueError("reward applies to reward chains only")
     fast = mrc_mod.as_fast_chain(model)
@@ -291,8 +291,8 @@ def cmd_reward(cfg: argparse.Namespace) -> int:
         transition = functools.partial(limit.transition, atol=cfg.tol)
     else:
         limit = None
-        q = mrc_mod.validate_generator(fast.qs, atol=cfg.tol)  # once, for every horizon
-        transition = functools.partial(mrc_mod.transition_matrix, q, atol=cfg.tol, require_generator=False)
+        # the chain's generator was validated when it was read
+        transition = functools.partial(mrc_mod.transition_matrix, fast.qs, atol=cfg.tol, require_generator=False)
     values = [float(model.sigma @ transition(t) @ model.rho) for t in cfg.times]
     lines = [f"R({t:g}) = {v:.12g}" for t, v in zip(cfg.times, values)]
     if limit is not None:
@@ -308,7 +308,7 @@ def cmd_reward(cfg: argparse.Namespace) -> int:
 
 
 def cmd_diagram(cfg: argparse.Namespace) -> int:
-    model = _load_model(cfg.model, cfg.tol)
+    model = _load_model(cfg.model)
     family = family_of(model)
     v = family.collector(model, _load_partition(cfg.partition))
     w = family.read_distributor(cfg.distributor) if cfg.distributor else None

@@ -162,11 +162,7 @@ def format_lts(lts: Lts) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_model(text: str, *, atol: float = DEFAULT_ATOL) -> Lts:
-    """:func:`parse_lts`; transition systems take no tolerance."""
-    return parse_lts(text)
-
-
+parse_model = parse_lts
 format_model = format_lts
 
 
@@ -225,12 +221,12 @@ def passes(v: ActionMatrix, u: ActionMatrix, rows, atol: float = DEFAULT_ATOL) -
     return ~np.any([_compare(v, u, x)[1].any(axis=(-2, -1)) for _, x in rows], axis=0)
 
 
-def conditions(lts: Lts, kind: str, *, atol: float = DEFAULT_ATOL) -> Callable[[ActionMatrix], list]:
+def conditions(lts: Lts, kind: str) -> Callable[[ActionMatrix], list]:
     """The equalities of one bisimulation kind, as a map ``V -> [(name, X)]``.
 
     Each entry states ``VUX = X``.  Products that do not depend on the
     partition are computed once, when the map is built.  Entries are exact,
-    so ``atol`` is unused.
+    so the table takes no tolerance.
 
     The weak middle saturates the closed visible part (``VUΠAΠV = ΠAΠV``).
     The paper's Definition 3, read literally, has ``VUΠAΠV = ΠV`` there;

@@ -72,44 +72,27 @@ def validate_generator(q, *, atol: float = DEFAULT_ATOL) -> np.ndarray:
     and the diagonal is recomputed as the negated off-diagonal row sum, so
     the result has exact zero row sums.
     """
-    _require_square(q)
-    return _validated(q, atol)
-
-
-def _require_square(q) -> None:
-    if np.ndim(q) != 2:
-        raise GeneratorError("generator must be square")
-
-
-def _validated(q, atol: float) -> np.ndarray:
-    """:func:`validate_generator` on a stack ``(..., n, n)``; an error names
-    the stacked member as ``member s`` when there is one."""
     q = real_matrix(q)
-    if q.ndim < 2 or q.shape[-1] != q.shape[-2]:
+    if q.ndim != 2 or q.shape[0] != q.shape[1]:
         raise GeneratorError("generator must be square")
-    diagonal = np.arange(q.shape[-1])
     off = q.copy()
-    off[..., diagonal, diagonal] = 0.0
+    np.fill_diagonal(off, 0.0)
     bad = np.argwhere(off < -atol)
     if bad.size:
-        *member, i, j = map(int, bad[0])
-        raise GeneratorError(f"{_member(member)}row {i}: negative rate {float(q[(*member, i, j)])!r} to state {j}")
+        i, j = map(int, bad[0])
+        raise GeneratorError(f"row {i}: negative rate {float(q[i, j])!r} to state {j}")
     # The bound scales with the rates: a diagonal written as minus their sum
     # misses it by a rounding of that sum.
     with np.errstate(over="ignore"):  # a sum past the largest float is refused below
-        sums = q.sum(axis=-1)
-        bound = atol * np.maximum(1.0, off.sum(axis=-1))
-    bad = np.argwhere(~(np.abs(sums) <= bound) | (bound == math.inf))
+        sums = q.sum(axis=1)
+        bound = atol * np.maximum(1.0, off.sum(axis=1))
+    bad = np.flatnonzero(~(np.abs(sums) <= bound) | (bound == math.inf))
     if bad.size:
-        *member, i = map(int, bad[0])
-        raise GeneratorError(f"{_member(member)}row {i}: row sum {float(sums[(*member, i)])!r} exceeds tolerance")
+        i = int(bad[0])
+        raise GeneratorError(f"row {i}: row sum {float(sums[i])!r} exceeds tolerance")
     off = np.clip(off, 0.0, None)
-    off[..., diagonal, diagonal] = -off.sum(axis=-1)
+    np.fill_diagonal(off, -off.sum(axis=1))
     return off
-
-
-def _member(index: list[int]) -> str:
-    return f"member {', '.join(map(str, index))}: " if index else ""
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -337,11 +320,13 @@ def check_rows(kind: str, v: np.ndarray, u: np.ndarray, rows, atol: float = DEFA
     return CheckReport(kind, True)
 
 
-def conditions(model: Mrc | MrcFast, kind: str, *, atol: float = DEFAULT_ATOL) -> Callable[[np.ndarray], list]:
+def conditions(model: Mrc | MrcFast, kind: str) -> Callable[[np.ndarray], list]:
     """The equalities of one lumping kind, as a map ``V -> [(name, X)]``.
 
     Each entry states ``VUX = X``.  Products that do not depend on the
-    partition are computed once, when the map is built.
+    partition are computed once, when the map is built.  The chain's
+    generators were validated when it was built, so the table takes no
+    tolerance: it projects them as they are.
     """
     if kind == "strong":
         # On a chain with fast transitions both generators are constrained,
@@ -353,12 +338,12 @@ def conditions(model: Mrc | MrcFast, kind: str, *, atol: float = DEFAULT_ATOL) -
         return lambda v: [("VUρ = ρ", rho), ("VUQV = QV", model.q @ v)]
     fast = as_fast_chain(model)
     if kind == "weak":
-        return _weak_conditions(fast, ergodic_projection(fast.qf, atol=atol).pi)
+        return _weak_conditions(fast, ergodic_projection(fast.qf).pi)
     if kind == "branching":
         rho = fast.rho.reshape(-1, 1)
 
         def branching(v: np.ndarray) -> list:
-            pi_v = project_stack(_restrict(fast.qf, v), atol=atol)[0]
+            pi_v = project_stack(_restrict(fast.qf, v))[0]
             return [
                 ("VUΠ_V ρ = Π_V ρ", pi_v @ rho),
                 ("VUΠ_V Qf V = Π_V Qf V", pi_v @ (fast.qf @ v)),
@@ -386,7 +371,7 @@ def evaluate(
     """Check ``v`` against one kind; also return the evaluated equalities."""
     v = _require_collector_for(model.num_states, v)
     u = _distributor_for(v, distributor, atol)
-    rows = conditions(model, kind, atol=atol)(v)
+    rows = conditions(model, kind)(v)
     return check_rows(kind, v, u, rows, atol), rows
 
 
@@ -429,6 +414,9 @@ class ErgodicProjection:
 def ergodic_projection(qf, *, atol: float = DEFAULT_ATOL) -> ErgodicProjection:
     """Structural long-run projection of a generator.
 
+    ``qf`` is validated here, to ``atol``, by :func:`validate_generator`,
+    which raises :class:`GeneratorError` on a stack or a non-generator.
+
     Recurrent classes are the strongly connected components without outgoing
     rates; each gets a stationary vector, transient states get trapping
     probabilities, and rows are assembled from those pieces.  Rates at or
@@ -436,11 +424,10 @@ def ergodic_projection(qf, *, atol: float = DEFAULT_ATOL) -> ErgodicProjection:
     generators (such as certified lumped fast parts) structurally still.
 
     This is the stack-of-one case of :func:`project_stack`, which takes
-    generators ``(..., n, n)`` and returns every ``Π`` in one pass, each
-    bitwise equal to this function's ``pi`` of that member.
+    validated generators ``(..., n, n)`` and returns every ``Π`` in one
+    pass, each bitwise equal to this function's ``pi`` of that member.
     """
-    _require_square(qf)
-    pi, trapping, classes, weights = project_stack(qf, atol=atol)
+    pi, trapping, classes, weights = project_stack(validate_generator(qf, atol=atol))
     states = np.flatnonzero(classes >= 0)
     k = trapping.shape[1]
     # Row k holds the stationary vector of recurrent class k in its columns.
@@ -518,8 +505,12 @@ def _strong_components(src, dst, size: int) -> tuple[int, np.ndarray]:
     return count, np.array(labels, dtype=np.intp)
 
 
-def project_stack(q, *, atol: float = DEFAULT_ATOL):
+def project_stack(q: np.ndarray):
     """Ergodic projections of a stack of generators ``(..., n, n)``.
+
+    Every member must be a generator as :func:`validate_generator` returns
+    it; nothing is checked here.  A chain's own generators, and their
+    restrictions by :func:`_restrict`, are.
 
     Returns ``Π`` stacked as ``q`` and its factors ``Π = A E`` per member:
     the trapping probabilities ``A`` as ``(..., n, k)``, where ``k`` is the
@@ -528,15 +519,14 @@ def project_stack(q, *, atol: float = DEFAULT_ATOL):
     the classes of a member numbered by their smallest state; and each
     state's stationary weight ``(..., n)``, 0 on transient states.
 
-    The stack is validated once and its strongly connected components are
-    found in one graph, where state ``i`` of member ``s`` is node ``s·n + i``,
-    by one pass of Tarjan's algorithm (:func:`_strong_components`), linear in
-    the states and fast edges of the stack.
+    The stack's strongly connected components are found in one graph, where
+    state ``i`` of member ``s`` is node ``s·n + i``, by one pass of Tarjan's
+    algorithm (:func:`_strong_components`), linear in the states and fast
+    edges of the stack.
     Singleton recurrent classes have weight 1.  Each larger class and each
     member's transient block is solved on its own submatrix, so every
     member gets the bits it would get alone.
     """
-    q = _validated(q, atol)
     lead, n = q.shape[:-2], q.shape[-1]
     stack = math.prod(lead)
     size = stack * n
@@ -611,7 +601,7 @@ def tau_distributor_residuals(model: Mrc | MrcFast, v, w, *, atol: float = DEFAU
     """
     fast = as_fast_chain(model)
     v = _require_collector_for(fast.num_states, v)
-    return _residuals(fast, v, w, ergodic_projection(fast.qf, atol=atol).pi, atol)[0]
+    return _residuals(fast, v, w, ergodic_projection(fast.qf).pi, atol)[0]
 
 
 def _residuals(fast: MrcFast, v: np.ndarray, w, pi: np.ndarray, atol: float) -> tuple[dict[str, float], np.ndarray | None]:
@@ -647,7 +637,7 @@ def _certified(
     fast = as_fast_chain(model)
     v = _require_collector_for(fast.num_states, v)
     u = canonical_distributor_real(v)
-    proj = ergodic_projection(fast.qf, atol=atol)
+    proj = ergodic_projection(fast.qf)
     pi = proj.pi
     require_passed(check_rows("weak", v, u, _weak_conditions(fast, pi)(v), atol))
     origin = "supplied"
@@ -697,9 +687,9 @@ def lump(
         except GeneratorError as exc:
             raise DistributorError(f"lumped generator invalid: {exc}") from exc
         return _trusted(MrcFast, fast.sigma @ v, w @ fast.rho, qs=qs_hat, qf=qf_hat)
-    require_passed(evaluate(model, v, kind, atol=atol, distributor=distributor)[0])
     v = _require_collector_for(model.num_states, v)
     u = _distributor_for(v, distributor, atol)
+    require_passed(check_rows(kind, v, u, conditions(model, kind)(v), atol))
     if isinstance(model, MrcFast):
         return MrcFast(model.sigma @ v, u @ model.qs @ v, u @ model.qf @ v, u @ model.rho)
     return Mrc(model.sigma @ v, u @ model.q @ v, u @ model.rho)
@@ -748,7 +738,7 @@ def limit_chain(model: Mrc | MrcFast, *, atol: float = DEFAULT_ATOL) -> LimitCha
     validated here and kept.
     """
     fast = as_fast_chain(model)
-    return _limit_chain(fast, ergodic_projection(fast.qf, atol=atol), atol)
+    return _limit_chain(fast, ergodic_projection(fast.qf), atol)
 
 
 def _limit_chain(fast: MrcFast, proj: ErgodicProjection, atol: float) -> LimitChain:
@@ -816,17 +806,20 @@ def adapt_diagonal(qf, v) -> np.ndarray:
 
     Cross-class off-diagonal rates are zeroed and each diagonal entry is
     recomputed as the negated sum of the retained rates of its row, the
-    minimal change making the restriction a generator again.
+    minimal change making the restriction a generator again.  A stack of
+    collectors gives a stack of restrictions.
     """
-    return _restrict(validate_generator(qf), v)
-
-
-def _restrict(q: np.ndarray, v) -> np.ndarray:
-    """:func:`adapt_diagonal` of ``q``, a validated generator."""
+    q = validate_generator(qf)
     v = np.asarray(v, dtype=float)
     require_real_collector(v, stacked=True)
     if v.shape[-2] != q.shape[0]:
         raise ValueError("collector rows must match generator size")
+    return _restrict(q, v)
+
+
+def _restrict(q: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """:func:`adapt_diagonal` of ``q``, a validated generator, by ``v``, a
+    collector or stack of collectors that fits it."""
     keep = q * (v @ np.swapaxes(v, -1, -2))
     diagonal = np.arange(q.shape[0])
     keep[..., diagonal, diagonal] = 0.0
@@ -849,7 +842,7 @@ def _number(token: str, lineno: int, what: str) -> float:
     return x
 
 
-def parse_mrc(text: str, *, atol: float = DEFAULT_ATOL) -> Mrc | MrcFast:
+def parse_mrc(text: str) -> Mrc | MrcFast:
     """Parse the line-oriented chain format.
 
     Header: ``mrc <n>``, ``init <i>:<p> ...``, ``reward <r0> ... <r_n-1>``,
@@ -879,8 +872,8 @@ def parse_mrc(text: str, *, atol: float = DEFAULT_ATOL) -> Mrc | MrcFast:
         if p < 0:
             raise ModelFormatError(f"line {ln1}: negative probability {p!r}")
         sigma[i] = p
-    # the chain's constructor holds the sum to DEFAULT_ATOL whatever ``atol`` is
-    if abs(sigma.sum() - 1.0) > min(atol, DEFAULT_ATOL):
+    # held to the chain constructor's tolerance, and named by its line
+    if abs(sigma.sum() - 1.0) > DEFAULT_ATOL:
         raise ModelFormatError(f"line {ln1}: initial probabilities sum to {float(sigma.sum())!r}, not 1")
 
     if h2[0] != "reward" or len(h2) != n + 1:

@@ -489,7 +489,7 @@ class Search:
 
         self.model, self.kind, self.atol = model, kind, atol
         self.family = family_of(model)
-        self.table = self.family.conditions(model, kind, atol=atol)
+        self.table = self.family.conditions(model, kind)
         # Without a unique coarsest solution the refinement fixpoint need not
         # have the fewest blocks, so instances the oracle can afford use it.
         self.exhaustive = kind not in self.family.UNIQUE_COARSEST and model.num_states <= MAX_ORACLE_STATES

@@ -467,7 +467,7 @@ def test_oversized_partition_is_a_short_error(tmp_path, capsys):
 def test_unallocatable_model_is_a_usage_error(capsys, monkeypatch):
     from matbisim import lts
 
-    def unallocatable(text, *, atol):
+    def unallocatable(text):
         raise MemoryError("Unable to allocate 9.31 GiB for an array with shape (100000, 100000)")
 
     monkeypatch.setattr(lts, "parse_model", unallocatable)
@@ -569,6 +569,34 @@ def test_initial_sum_is_held_to_the_default_tolerance_at_its_line(capsys):
         assert run("refine", MALFORMED / "init_sum.mrc", "--kind", "strong", "--tol", tol) == 2
         captured = capsys.readouterr()
         assert captured.err == "error: line 2: initial probabilities sum to 1.0005, not 1\n"
+
+
+def test_tiny_tolerance_does_not_revalidate_a_read_chain(tmp_path, capsys):
+    # --tol governs comparisons, not validity: the chain's generators were
+    # validated to 1e-9 when it was read, and a row that sums to 4.4e-16 is
+    # not refused again below that
+    import random
+
+    from matbisim import generate, mrc
+
+    model = tmp_path / "seed61.mrc"
+    model.write_text(mrc.format_mrc(generate.random_mrc_fast(random.Random(61), n=3, p_fast=0.8)))
+    for kind in ("weak", "branching"):
+        assert run("refine", model, "--kind", kind) == 0
+        default = capsys.readouterr()
+        assert default.out == "partition 3\n0 1 2\n"
+        assert run("refine", model, "--kind", kind, "--tol", "1e-16") == 0
+        assert capsys.readouterr() == default
+        assert default.err == ""
+
+
+def test_initial_sum_is_not_held_to_a_tiny_tolerance(tmp_path, capsys):
+    # 0.3 + 0.35 + 0.35 rounds to 1 - 1.1e-16, inside the parser's 1e-9
+    chain = tmp_path / "init.mrc"
+    chain.write_text("mrc 3\ninit 0:0.3 1:0.35 2:0.35\nreward 1 2 3\nrate 0 1 1\nrate 1 2 1\n")
+    assert run("refine", chain, "--kind", "strong", "--tol", "1e-17") == 0
+    captured = capsys.readouterr()
+    assert captured.out == "partition 3\n0\n1\n2\n" and captured.err == ""
 
 
 def test_large_rates_pass_the_row_sum_check(tmp_path, capsys):

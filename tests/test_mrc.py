@@ -316,20 +316,15 @@ def test_stacked_projection_is_each_members_projection_bitwise():
         assert np.array_equal(pi, np.broadcast_to(np.eye(shape[-1]), shape))
 
 
-def test_stacked_projection_refuses_a_stack_with_one_bad_member():
+def test_projection_validates_its_generator_and_refuses_a_stack():
+    # project_stack trusts its stack; ergodic_projection, the public entry,
+    # validates one generator and refuses a stack
     chain = generate.random_mrc_fast(random.Random(3), n=5)
     stack = _candidate_generators(chain, 2)
-    negative = stack.copy()
-    negative[3, 0, 1] = -1.0
-    with pytest.raises(GeneratorError, match="member 3: row 0: negative rate -1.0 to state 1"):
-        project_stack(negative)
-    unbalanced = stack.copy()
-    unbalanced[5, 1, 1] += 1.0
-    with pytest.raises(GeneratorError, match="member 5: row 1: row sum"):
-        project_stack(unbalanced)
-    # a single generator keeps its messages, and ergodic_projection refuses a stack
+    negative = stack[3].copy()
+    negative[0, 1] = -1.0
     with pytest.raises(GeneratorError, match="^row 0: negative rate"):
-        project_stack(negative[3])
+        ergodic_projection(negative)
     with pytest.raises(GeneratorError, match="generator must be square"):
         ergodic_projection(stack)
 

@@ -392,12 +392,13 @@ def test_branching_search_and_reward_validate_each_generator_once(monkeypatch, t
         assert search.checker(chain, refinement_fixpoint(chain.num_states, search.signatures)).passed
     assert small.num_states <= 6 and Search(small, "branching").oracle
     assert not validations
-    # the reward command validates a plain generator once for all horizons
+    # the reward command exponentiates the generator it read, validated by
+    # the parser, at every horizon without validating it again
     path = tmp_path / "plain.mrc"
     path.write_text(mrc.format_mrc(plain))
     assert main(["reward", str(path), "--times", "0", "0.5", "1", "2", "10"]) == 0
     capsys.readouterr()
-    assert len(validations) == 1
+    assert len(validations) == 0
     # direct calls still validate and refuse
     with pytest.raises(mrc.GeneratorError, match="^row 0: negative rate -1.0 to state 1$"):
         mrc.adapt_diagonal(np.array([[1.0, -1.0], [0.0, 0.0]]), np.eye(2))
