@@ -20,7 +20,9 @@ The record holds the commit of ``--root`` (with ``dirty`` when its source
 differs from that commit; null outside a git checkout), the git tree id of
 its ``src`` as measured (``src_tree``, equal to ``git rev-parse <commit>:src``
 of the commit that holds that source), the limits, each point's status,
-seconds, peak RSS in MB, states and blocks, and the line counts of
+seconds, peak RSS in MB, states, blocks and refinement rounds (the calls of
+``partition.split_by_keys``, counted by wrapping it in the point's process;
+0 where the search is the exhaustive oracle), and the line counts of
 ``src/matbisim/*.py`` (as ``wc -l`` prints them), the net-lines metric.
 Points run one at a time.
 """
@@ -69,8 +71,19 @@ signal.signal(signal.SIGALRM, expire)
 signal.setitimer(signal.ITIMER_REAL, float(cap_s))
 try:
     import workloads
-    from matbisim import parse_lts, parse_mrc
+    from matbisim import parse_lts, parse_mrc, partition
     from matbisim.partition import Search
+
+    # A refinement round is one call of split_by_keys; count them here.
+    rounds = 0
+    split_by_keys = partition.split_by_keys
+
+    def counted_split(p, keys):
+        global rounds
+        rounds += 1
+        return split_by_keys(p, keys)
+
+    partition.split_by_keys = counted_split
 
     rng = random.Random(f"size/{base}")
     if family == "planted_lts":
@@ -80,7 +93,7 @@ try:
     out["states"] = model.num_states
     t0 = time.perf_counter()
     blocks = Search(model, kind).coarsest().num_blocks
-    out.update(status="ok", seconds=round(time.perf_counter() - t0, 3), blocks=blocks)
+    out.update(status="ok", seconds=round(time.perf_counter() - t0, 3), blocks=blocks, rounds=rounds)
 except Timeout:
     out["status"] = "timeout"
 except MemoryError:

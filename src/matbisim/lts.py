@@ -29,6 +29,7 @@ from .partition import (
     parse_state,
     require_bool_collector,
     require_passed,
+    table,
     token_columns,
 )
 
@@ -228,39 +229,31 @@ def conditions(lts: Lts, kind: str) -> Callable[[ActionMatrix], list]:
     partition are computed once, when the map is built.  Entries are exact,
     so the table takes no tolerance.
 
-    The weak middle saturates the closed visible part (``VUΠAΠV = ΠAΠV``).
-    The paper's Definition 3, read literally, has ``VUΠAΠV = ΠV`` there;
-    that reading is not weak bisimulation (see README).
+    Weak is strong over the closed system :func:`tau_closure` (``Πρ``,
+    ``ΠAΠ``, ``Π``), under the weak names and order, so its middle saturates
+    the closed visible part (``VUΠAΠV = ΠAΠV``).  The paper's Definition 3,
+    read literally, has ``VUΠAΠV = ΠV`` there; that is not weak bisimulation.
     """
     if kind == "strong":
-        return lambda v: [
-            ("VUρ = ρ", lts.terminating),
-            ("VUAV = AV", lts.visible @ v),
-            ("VUSV = SV", lts.internal @ v),
-        ]
+        return table(("VUρ = ρ", lts.terminating), ("VUAV = AV", lts.visible), ("VUSV = SV", lts.internal))
     if kind == "weak":
-        pi = rt_closure(lts.internal)
-        closed_visible = pi @ lts.visible @ pi
-        closed_term = pi @ lts.terminating
-
-        return lambda v: [
-            ("VUΠρ = Πρ", closed_term),
-            ("VUΠV = ΠV", pi @ v),
-            ("VUΠAΠV = ΠAΠV", closed_visible @ v),
-        ]
+        return _weak(tau_closure(lts))
     if kind == "branching":
-        eye = ActionMatrix.identity(lts.alphabet, lts.num_states)
-
         def branching(v: ActionMatrix) -> list:
             pi_v = branching_closure(lts, v)
             return [
                 ("VUΠ_V ρ = Π_V ρ", pi_v @ lts.terminating),
-                ("VU(I + Π_V S)V = (I + Π_V S)V", (eye + pi_v @ lts.internal) @ v),
-                ("VUΠ_V AV = Π_V AV", pi_v @ lts.visible @ v),
+                ("VU(I + Π_V S)V = (I + Π_V S)V", v + pi_v @ (lts.internal @ v)),
+                ("VUΠ_V AV = Π_V AV", pi_v @ (lts.visible @ v)),
             ]
 
         return branching
     raise ValueError(f"unknown kind {kind!r}")
+
+
+def _weak(closed: Lts) -> Callable[[ActionMatrix], list]:
+    """The weak table of a system, given its closure :func:`tau_closure`."""
+    return table(("VUΠρ = Πρ", closed.terminating), ("VUΠV = ΠV", closed.internal), ("VUΠAΠV = ΠAΠV", closed.visible))
 
 
 def evaluate(
@@ -407,16 +400,15 @@ def verify_weak_commutation(lts: Lts, v: ActionMatrix) -> bool:
 
     Compares the closure of the lumped system against the lump of the
     closed system on the visible part and on termination.  Requires the
-    weak check to pass.  The closed system's ``Πρ`` and ``ΠAΠV`` are read
-    from the evaluated weak table, so ``S`` is closed once.
+    weak check to pass, read over the same closure, so ``S`` is closed once.
     """
-    report, rows = evaluate(lts, v, "weak")
-    require_passed(report)
-    closed = dict(rows)
+    _require_collector_for(lts, v)
+    closed = tau_closure(lts)
     u = v.transpose()
+    require_passed(check_rows("weak", v, u, _weak(closed)(v)))
     lumped_closure = rt_closure(u @ lts.internal @ v)
-    visible_ok = lumped_closure @ (u @ lts.visible @ v) @ lumped_closure == u @ closed["VUΠAΠV = ΠAΠV"]
-    term_ok = lumped_closure @ (u @ lts.terminating) == u @ closed["VUΠρ = Πρ"]
+    visible_ok = lumped_closure @ (u @ lts.visible @ v) @ lumped_closure == u @ (closed.visible @ v)
+    term_ok = lumped_closure @ (u @ lts.terminating) == u @ closed.terminating
     return visible_ok and term_ok
 
 

@@ -38,6 +38,7 @@ from .partition import (
     parse_state,
     require_passed,
     require_real_collector,
+    table,
     token_columns,
 )
 
@@ -327,18 +328,21 @@ def conditions(model: Mrc | MrcFast, kind: str) -> Callable[[np.ndarray], list]:
     partition are computed once, when the map is built.  The chain's
     generators were validated when it was built, so the table takes no
     tolerance: it projects them as they are.
+
+    Weak is strong over the closed matrices ``(Πρ, Π, ΠQsΠ)``, ``Π = proj(Qf)``,
+    under the weak names; ``ΠQsΠ`` need not be a generator, so this is no chain.
     """
     if kind == "strong":
         # On a chain with fast transitions both generators are constrained,
         # as the strong transition-system check constrains visible and
         # internal steps separately.
-        rho = model.rho.reshape(-1, 1)
+        rho = ("VUρ = ρ", model.rho.reshape(-1, 1))
         if isinstance(model, MrcFast):
-            return lambda v: [("VUρ = ρ", rho), ("VUQsV = QsV", model.qs @ v), ("VUQfV = QfV", model.qf @ v)]
-        return lambda v: [("VUρ = ρ", rho), ("VUQV = QV", model.q @ v)]
+            return table(rho, ("VUQsV = QsV", model.qs), ("VUQfV = QfV", model.qf))
+        return table(rho, ("VUQV = QV", model.q))
     fast = as_fast_chain(model)
     if kind == "weak":
-        return _weak_conditions(fast, ergodic_projection(fast.qf).pi)
+        return _weak(fast, ergodic_projection(fast.qf).pi)
     if kind == "branching":
         rho = fast.rho.reshape(-1, 1)
 
@@ -354,15 +358,9 @@ def conditions(model: Mrc | MrcFast, kind: str) -> Callable[[np.ndarray], list]:
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def _weak_conditions(fast: MrcFast, pi: np.ndarray) -> Callable[[np.ndarray], list]:
+def _weak(fast: MrcFast, pi: np.ndarray) -> Callable[[np.ndarray], list]:
     """The weak table, given ``Π = proj(Qf)``."""
-    smoothed_rho = pi @ fast.rho.reshape(-1, 1)
-    smoothed_slow = pi @ fast.qs @ pi
-    return lambda v: [
-        ("VUΠρ = Πρ", smoothed_rho),
-        ("VUΠV = ΠV", pi @ v),
-        ("VUΠQsΠV = ΠQsΠV", smoothed_slow @ v),
-    ]
+    return table(("VUΠρ = Πρ", pi @ fast.rho.reshape(-1, 1)), ("VUΠV = ΠV", pi), ("VUΠQsΠV = ΠQsΠV", pi @ fast.qs @ pi))
 
 
 def evaluate(
@@ -639,7 +637,7 @@ def _certified(
     u = canonical_distributor_real(v)
     proj = ergodic_projection(fast.qf)
     pi = proj.pi
-    require_passed(check_rows("weak", v, u, _weak_conditions(fast, pi)(v), atol))
+    require_passed(check_rows("weak", v, u, _weak(fast, pi)(v), atol))
     origin = "supplied"
     if w is None:
         origin = "candidate"

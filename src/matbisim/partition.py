@@ -171,6 +171,13 @@ class Partition:
         return v
 
 
+def table(constant: tuple[str, object], *named: tuple[str, object]) -> Callable[[object], list]:
+    """The table ``V -> [(name, X)]``: the ``V``-independent row ``constant``
+    first, then ``(name, M @ V)`` for each named ``M``, in the order given.
+    The matrices may be of either family, and ``V`` may be a stack."""
+    return lambda v: [constant, *((name, m @ v) for name, m in named)]
+
+
 def split_by_keys(p: Partition, keys: Sequence) -> Partition:
     """Refine ``p`` by grouping, inside each block, states with equal keys."""
     return Partition.from_assignment(list(zip(p.assignment, keys)))

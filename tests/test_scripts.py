@@ -36,6 +36,7 @@ def test_scale_ladder_appends_one_record_per_run(tmp_path):
     for point in points.values():
         assert point["status"] == "ok" and point["base"] == 24, point
         assert 1 <= point["blocks"] <= point["states"] and point["seconds"] >= 0 and point["peak_rss_mb"] > 0
+        assert point["rounds"] >= 1
     # the tree id is null outside a git checkout, as in a `git archive` export
     in_git = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "HEAD"], capture_output=True).returncode == 0
     if in_git:
