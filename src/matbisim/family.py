@@ -6,8 +6,8 @@ define the same names, so the search engine and the command line call them
 without branching on the model: ``parse_model``, ``format_model``,
 ``collector``, ``collectors`` (a stack of them, for the oracle),
 ``canonical_distributor``, ``conditions`` (the kind's table
-``V -> [(name, X)]``; strong and weak are :func:`~matbisim.partition.table`
-rows, weak over the closed matrices), ``check_rows``, ``passes`` and
+``V -> [(name, X)]``: the family's reading of the one statement of every
+kind, :func:`~matbisim.partition.kinds`), ``check_rows``, ``passes`` and
 ``signature_keys`` (a verdict, a pass flag per stacked collector and
 refinement keys from evaluated rows), ``evaluate``, ``check``, ``lump``,
 ``read_distributor``, and ``UNIQUE_COARSEST``.  Tables, distributors and

@@ -25,11 +25,11 @@ from .partition import (
     Partition,
     Witness,
     content_lines,
+    kinds,
     parse_model_header,
     parse_state,
     require_bool_collector,
     require_passed,
-    table,
     token_columns,
 )
 
@@ -223,37 +223,17 @@ def passes(v: ActionMatrix, u: ActionMatrix, rows, atol: float = DEFAULT_ATOL) -
 
 
 def conditions(lts: Lts, kind: str) -> Callable[[ActionMatrix], list]:
-    """The equalities of one bisimulation kind, as a map ``V -> [(name, X)]``.
+    """The kind's table :func:`~matbisim.partition.kinds` read over the
+    action-set semiring: ``A`` and ``S`` closed by :func:`rt_closure`, in
+    class by :func:`branching_closure`, with ``I`` in the branching middle.
+    Entries are exact, so the table takes no tolerance.
 
-    Each entry states ``VUX = X``.  Products that do not depend on the
-    partition are computed once, when the map is built.  Entries are exact,
-    so the table takes no tolerance.
-
-    Weak is strong over the closed system :func:`tau_closure` (``Πρ``,
-    ``ΠAΠ``, ``Π``), under the weak names and order, so its middle saturates
-    the closed visible part (``VUΠAΠV = ΠAΠV``).  The paper's Definition 3,
-    read literally, has ``VUΠAΠV = ΠV`` there; that is not weak bisimulation.
+    Weak is strong over the closed system :func:`tau_closure`, so its middle
+    saturates the closed visible part (``VUΠAΠV = ΠAΠV``).  The paper's
+    Definition 3, read literally, has ``VUΠAΠV = ΠV`` there; that is not
+    weak bisimulation.
     """
-    if kind == "strong":
-        return table(("VUρ = ρ", lts.terminating), ("VUAV = AV", lts.visible), ("VUSV = SV", lts.internal))
-    if kind == "weak":
-        return _weak(tau_closure(lts))
-    if kind == "branching":
-        def branching(v: ActionMatrix) -> list:
-            pi_v = branching_closure(lts, v)
-            return [
-                ("VUΠ_V ρ = Π_V ρ", pi_v @ lts.terminating),
-                ("VU(I + Π_V S)V = (I + Π_V S)V", v + pi_v @ (lts.internal @ v)),
-                ("VUΠ_V AV = Π_V AV", pi_v @ (lts.visible @ v)),
-            ]
-
-        return branching
-    raise ValueError(f"unknown kind {kind!r}")
-
-
-def _weak(closed: Lts) -> Callable[[ActionMatrix], list]:
-    """The weak table of a system, given its closure :func:`tau_closure`."""
-    return table(("VUΠρ = Πρ", closed.terminating), ("VUΠV = ΠV", closed.internal), ("VUΠAΠV = ΠAΠV", closed.visible))
+    return kinds(kind, lts.terminating, (("A", lts.visible), ("S", lts.internal)), rt_closure, branching_closure, True)
 
 
 def evaluate(
@@ -296,9 +276,9 @@ def check(
     return evaluate(lts, v, kind, atol=atol, distributor=distributor)[0]
 
 
-def branching_closure(lts: Lts, v: ActionMatrix) -> ActionMatrix:
+def branching_closure(internal: ActionMatrix, v: ActionMatrix) -> ActionMatrix:
     """Closure of the internal steps restricted to same-class pairs."""
-    return rt_closure(lts.internal.meet(v @ v.transpose()))
+    return rt_closure(internal.meet(v @ v.transpose()))
 
 
 def check_strong_relational(lts: Lts, v: ActionMatrix) -> CheckReport:
@@ -399,16 +379,17 @@ def verify_weak_commutation(lts: Lts, v: ActionMatrix) -> bool:
     """Closing internal steps and lumping commute for weak bisimulations.
 
     Compares the closure of the lumped system against the lump of the
-    closed system on the visible part and on termination.  Requires the
-    weak check to pass, read over the same closure, so ``S`` is closed once.
+    closed system on the visible part and on termination, which are the
+    weak rows ``ΠAΠV`` and ``Πρ``.  Requires the weak check to pass.
     """
     _require_collector_for(lts, v)
-    closed = tau_closure(lts)
     u = v.transpose()
-    require_passed(check_rows("weak", v, u, _weak(closed)(v)))
+    rows = conditions(lts, "weak")(v)
+    require_passed(check_rows("weak", v, u, rows))
+    (_, closed_term), _, (_, closed_visible_v) = rows
     lumped_closure = rt_closure(u @ lts.internal @ v)
-    visible_ok = lumped_closure @ (u @ lts.visible @ v) @ lumped_closure == u @ (closed.visible @ v)
-    term_ok = lumped_closure @ (u @ lts.terminating) == u @ closed.terminating
+    visible_ok = lumped_closure @ (u @ lts.visible @ v) @ lumped_closure == u @ closed_visible_v
+    term_ok = lumped_closure @ (u @ lts.terminating) == u @ closed_term
     return visible_ok and term_ok
 
 

@@ -34,11 +34,11 @@ from .partition import (
     Witness,
     canonical_distributor_real,
     content_lines,
+    kinds,
     parse_model_header,
     parse_state,
     require_passed,
     require_real_collector,
-    table,
     token_columns,
 )
 
@@ -322,45 +322,21 @@ def check_rows(kind: str, v: np.ndarray, u: np.ndarray, rows, atol: float = DEFA
 
 
 def conditions(model: Mrc | MrcFast, kind: str) -> Callable[[np.ndarray], list]:
-    """The equalities of one lumping kind, as a map ``V -> [(name, X)]``.
-
-    Each entry states ``VUX = X``.  Products that do not depend on the
-    partition are computed once, when the map is built.  The chain's
-    generators were validated when it was built, so the table takes no
-    tolerance: it projects them as they are.
-
-    Weak is strong over the closed matrices ``(Πρ, Π, ΠQsΠ)``, ``Π = proj(Qf)``,
-    under the weak names; ``ΠQsΠ`` need not be a generator, so this is no chain.
+    """The kind's table :func:`~matbisim.partition.kinds` read over the
+    reals: ``Qs`` and ``Qf`` (a plain chain's ``Q`` for strong), closed by
+    ``Π = proj(Qf)``, in class by the projection of :func:`adapt_diagonal`,
+    with no ``I`` in the branching middle.  The generators were validated
+    when the chain was built, so the table takes no tolerance.  ``ΠQsΠ``
+    need not be a generator: weak's closed matrices make no chain.
     """
-    if kind == "strong":
-        # On a chain with fast transitions both generators are constrained,
-        # as the strong transition-system check constrains visible and
-        # internal steps separately.
-        rho = ("VUρ = ρ", model.rho.reshape(-1, 1))
-        if isinstance(model, MrcFast):
-            return table(rho, ("VUQsV = QsV", model.qs), ("VUQfV = QfV", model.qf))
-        return table(rho, ("VUQV = QV", model.q))
+    return _conditions(model, kind, lambda qf: ergodic_projection(qf).pi)
+
+
+def _conditions(model: Mrc | MrcFast, kind: str, closure: Callable) -> Callable[[np.ndarray], list]:
+    """:func:`conditions` with ``Π`` taken from ``closure(Qf)``."""
     fast = as_fast_chain(model)
-    if kind == "weak":
-        return _weak(fast, ergodic_projection(fast.qf).pi)
-    if kind == "branching":
-        rho = fast.rho.reshape(-1, 1)
-
-        def branching(v: np.ndarray) -> list:
-            pi_v = project_stack(_restrict(fast.qf, v))[0]
-            return [
-                ("VUΠ_V ρ = Π_V ρ", pi_v @ rho),
-                ("VUΠ_V Qf V = Π_V Qf V", pi_v @ (fast.qf @ v)),
-                ("VUΠ_V Qs V = Π_V Qs V", pi_v @ (fast.qs @ v)),
-            ]
-
-        return branching
-    raise ValueError(f"unknown kind {kind!r}")
-
-
-def _weak(fast: MrcFast, pi: np.ndarray) -> Callable[[np.ndarray], list]:
-    """The weak table, given ``Π = proj(Qf)``."""
-    return table(("VUΠρ = Πρ", pi @ fast.rho.reshape(-1, 1)), ("VUΠV = ΠV", pi), ("VUΠQsΠV = ΠQsΠV", pi @ fast.qs @ pi))
+    generators = (("Q", model.q),) if kind == "strong" and isinstance(model, Mrc) else (("Qs", fast.qs), ("Qf", fast.qf))
+    return kinds(kind, fast.rho.reshape(-1, 1), generators, closure, lambda q, v: project_stack(_restrict(q, v))[0], False)
 
 
 def evaluate(
@@ -637,7 +613,7 @@ def _certified(
     u = canonical_distributor_real(v)
     proj = ergodic_projection(fast.qf)
     pi = proj.pi
-    require_passed(check_rows("weak", v, u, _weak(fast, pi)(v), atol))
+    require_passed(check_rows("weak", v, u, _conditions(fast, "weak", lambda _: pi)(v), atol))
     origin = "supplied"
     if w is None:
         origin = "candidate"

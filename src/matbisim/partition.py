@@ -178,6 +178,44 @@ def table(constant: tuple[str, object], *named: tuple[str, object]) -> Callable[
     return lambda v: [constant, *((name, m @ v) for name, m in named)]
 
 
+def kinds(kind: str, rho, generators, closure: Callable, in_class: Callable, unit: bool) -> Callable[[object], list]:
+    """The table ``V -> [(name, X)]`` of one bisimulation kind, each row
+    stating ``VUX = X``, for either semiring.  A family reads it by giving
+    ``rho``, the termination or reward column; ``generators``, the symbols
+    and matrices of the visible (slow) and then the internal (fast) steps,
+    which strong constrains each as it is (a plain chain gives its one
+    ``Q``); ``closure(M)``, the closure ``Π`` of the internal steps, over
+    which weak is strong; ``in_class(M, V)``, that closure kept inside the
+    classes of ``V``, for branching; and ``unit``, whether the branching
+    middle carries ``I``.  Over the action-set semiring ``I`` absorbs inert
+    internal steps; over the reals ``VUV = V`` makes it neutral, so the
+    middle is ``Π_V Qf V``.  Products that do not depend on the partition
+    are formed once, here.
+    """
+    if kind == "strong":
+        return table(("VUρ = ρ", rho), *((f"VU{a}V = {a}V", m) for a, m in generators))
+    (a, visible), (s, internal) = generators
+    if kind == "weak":
+        pi = closure(internal)
+        return table(("VUΠρ = Πρ", pi @ rho), ("VUΠV = ΠV", pi), (f"VUΠ{a}ΠV = Π{a}ΠV", pi @ visible @ pi))
+    if kind != "branching":
+        raise ValueError(f"unknown kind {kind!r}")
+    # A space ends the subscript of Π_V, and of a symbol such as Qs.
+    step, move = (f"Π_V {m}{' ' * (len(m) > 1)}" for m in (s, a))
+    middle = f"(I + {step})V" if unit else f"{step}V"
+
+    def branching(v) -> list:
+        pi_v = in_class(internal, v)
+        inert = pi_v @ (internal @ v)
+        return [
+            ("VUΠ_V ρ = Π_V ρ", pi_v @ rho),
+            (f"VU{middle} = {middle}", v + inert if unit else inert),
+            (f"VU{move}V = {move}V", pi_v @ (visible @ v)),
+        ]
+
+    return branching
+
+
 def split_by_keys(p: Partition, keys: Sequence) -> Partition:
     """Refine ``p`` by grouping, inside each block, states with equal keys."""
     return Partition.from_assignment(list(zip(p.assignment, keys)))
@@ -439,14 +477,16 @@ def refinement_fixpoint(n: int, signature_fn: Callable[[Partition], Sequence]) -
     """Iterate block splitting from the one-block partition to a fixpoint.
 
     ``signature_fn`` may depend on the current partition (the branching
-    closures do), so signatures are recomputed every round.
+    closures do), so signatures are recomputed every round.  A partition of
+    singletons cannot split, so it is returned without a confirming round.
     """
     part = Partition.single_block(n)
-    while True:
+    while not part.is_identity():
         refined = split_by_keys(part, signature_fn(part))
         if refined == part:
-            return part
+            break
         part = refined
+    return part
 
 
 def brute_force_coarsest(model, checker: Callable) -> Partition:

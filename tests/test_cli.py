@@ -387,11 +387,17 @@ CHECKSUM_NAMES = {
     (WITNESS, "strong"): {"VUρ = ρ", "VUQsV = QsV", "VUQfV = QfV"},
     (WITNESS, "weak"): {"VUΠρ = Πρ", "VUΠV = ΠV", "VUΠQsΠV = ΠQsΠV"},
     (WITNESS, "branching"): {"VUΠ_V ρ = Π_V ρ", "VUΠ_V Qf V = Π_V Qf V", "VUΠ_V Qs V = Π_V Qs V"},
+    # a chain without fast lines: its one generator Q for strong, Qs and Qf = 0 for the others
+    (REWARD, "strong"): {"VUρ = ρ", "VUQV = QV"},
+    (REWARD, "weak"): {"VUΠρ = Πρ", "VUΠV = ΠV", "VUΠQsΠV = ΠQsΠV"},
+    (REWARD, "branching"): {"VUΠ_V ρ = Π_V ρ", "VUΠ_V Qf V = Π_V Qf V", "VUΠ_V Qs V = Π_V Qs V"},
 }
 
 
-def test_check_json_checksums_name_each_equality(capsys):
-    partitions = {FOUR: FOUR_MERGE, WITNESS: WITNESS_PART}
+def test_check_json_checksums_name_each_equality(capsys, tmp_path):
+    reward_part = tmp_path / "reward.partition"
+    reward_part.write_text("partition 3\n0\n1 2\n")
+    partitions = {FOUR: FOUR_MERGE, WITNESS: WITNESS_PART, REWARD: reward_part}
     for (model, kind), names in CHECKSUM_NAMES.items():
         code = run("check", model, "--partition", partitions[model], "--kind", kind, "--json")
         payload = json.loads(capsys.readouterr().out)

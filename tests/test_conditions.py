@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from matbisim import generate, lts, mrc
 from matbisim.algebra import DEFAULT_ATOL
 from matbisim.mrc import Mrc, MrcFast, _cluster_keys
-from matbisim.partition import Partition, Search, split_by_keys
+from matbisim.partition import Partition, Search, kinds, split_by_keys
 
 KINDS = ("strong", "weak", "branching")
 
@@ -40,6 +40,26 @@ def test_lts_signatures_are_the_check():
 
 def _mrc_check(model, p, kind):
     return mrc.check(model, p.collector_real(), kind)
+
+
+def test_weak_is_strong_over_the_closed_matrices():
+    # row for row and bit for bit, matched by role: Πρ with ρ, ΠV with the
+    # closed internal steps, ΠAΠV (ΠQsΠV) with the closed visible (slow) ones
+    rng = random.Random(13)
+    for _ in range(60):
+        sys_ = generate.random_lts(rng, max_states=6)
+        v = generate.random_partition(rng, sys_.num_states).collector_bool(sys_.alphabet)
+        term, visible, internal = lts.conditions(lts.tau_closure(sys_), "strong")(v)
+        for (_, x), (_, y) in zip(lts.conditions(sys_, "weak")(v), (term, internal, visible)):
+            assert x.planes.shape == y.planes.shape and x.planes.tobytes() == y.planes.tobytes()
+    for _ in range(60):
+        chain = generate.random_mrc_fast(rng, max_states=6, p_fast=0.5)
+        v = generate.random_partition(rng, chain.num_states).collector_real()
+        pi = mrc.ergodic_projection(chain.qf).pi
+        closed = (("ΠQsΠ", pi @ chain.qs @ pi), ("Π", pi))
+        term, slow, fast = kinds("strong", pi @ chain.rho.reshape(-1, 1), closed, None, None, False)(v)
+        for (_, x), (_, y) in zip(mrc.conditions(chain, "weak")(v), (term, fast, slow)):
+            assert x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
 def test_mrc_signatures_are_the_check_on_random_chains():

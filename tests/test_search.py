@@ -43,6 +43,21 @@ def test_distinct_self_loops_force_identity():
         assert Search(sys_, kind).coarsest() == Partition.identity(3)
 
 
+def test_refinement_stops_once_every_block_is_a_singleton():
+    # a partition of singletons cannot split, so no round confirms it
+    chain = Mrc([1.0, 0.0, 0.0], np.zeros((3, 3)), [1.0, 2.0, 3.0])
+    search = Search(chain, "strong")
+    rounds = []
+
+    def counted(p):
+        rounds.append(p)
+        return search.signatures(p)
+
+    assert refinement_fixpoint(3, counted) == Partition.identity(3)
+    assert rounds == [Partition.single_block(3)]
+    assert search.coarsest() == Partition.identity(3)
+
+
 def test_one_state_and_twin_states():
     single = Mrc([1.0], np.zeros((1, 1)), [2.0])
     assert brute_force_coarsest(single, Search(single, "strong").checker) == Partition.single_block(1)
