@@ -54,6 +54,7 @@ from .mrc import (
     tau_distributor_residuals,
     total_reward,
     transition_matrix,
+    transition_matrices,
     validate_generator,
     verify_limit_commutation,
 )

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import generate, lts as lts_mod, mrc as mrc_mod
+from . import lts as lts_mod, mrc as mrc_mod
 from .algebra import ActionMatrix, DEFAULT_ATOL
 from .family import FAMILIES, family_of
 from .mrc import DistributorError, GeneratorError
@@ -288,12 +288,13 @@ def cmd_reward(cfg: argparse.Namespace) -> int:
     fast = mrc_mod.as_fast_chain(model)
     if np.any(fast.qf != 0.0):
         limit = mrc_mod.limit_chain(fast, atol=cfg.tol)
-        transition = functools.partial(limit.transition, atol=cfg.tol)
+        matrices = limit.transitions(cfg.times, atol=cfg.tol)
     else:
         limit = None
         # the chain's generator was validated when it was read
-        transition = functools.partial(mrc_mod.transition_matrix, fast.qs, atol=cfg.tol, require_generator=False)
-    values = [float(model.sigma @ transition(t) @ model.rho) for t in cfg.times]
+        matrices = mrc_mod.transition_matrices(fast.qs, cfg.times, atol=cfg.tol, require_generator=False)
+    # unlike a loop variable, map holds no matrix while the next is computed
+    values = list(map(lambda p: float(model.sigma @ p @ model.rho), matrices))
     lines = [f"R({t:g}) = {v:.12g}" for t, v in zip(cfg.times, values)]
     if limit is not None:
         lines.insert(0, "fast transitions present: reporting the limit-chain reward")
@@ -329,6 +330,8 @@ def cmd_diagram(cfg: argparse.Namespace) -> int:
 
 
 def cmd_probe(cfg: argparse.Namespace) -> int:
+    from . import generate  # only here: every other command skips compiling it
+
     result = generate.probe_branching_weak(cfg.seed, cfg.count, max_states=cfg.max_states, atol=cfg.tol)
     if result.counterexample is None:
         lines = [f"no counterexample in {result.instances} instances (seed {cfg.seed})"]

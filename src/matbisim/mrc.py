@@ -22,8 +22,10 @@ import numpy as np
 
 from .algebra import (
     DEFAULT_ATOL,
+    PADE_THETA,
     SingularMatrixError,
     max_abs_diff,
+    pade_quotient,
     real_matrix,
     solve_linear,
 )
@@ -44,18 +46,6 @@ from .partition import (
 
 #: Rates at or below this are structurally absent for the ergodic projection.
 EDGE_TOL = 1e-12
-
-#: Largest 1-norm at which the [13/13] Padé approximant of the exponential
-#: meets double precision in backward error (Higham 2005, Table 2.3).
-PADE_THETA = 5.371920351148152
-
-#: Coefficients b_0 .. b_13 of the [13/13] Padé approximant.
-_PADE_13 = (
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
-    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0,
-    1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
-)
-
 
 class GeneratorError(ValueError):
     """Matrix is not a rate generator (negative rate or bad row sum)."""
@@ -191,67 +181,71 @@ def as_plain_chain(model: Mrc | MrcFast) -> Mrc:
 # ---------------------------------------------------------------------------
 
 
-def transition_matrix(q, t: float, *, atol: float = DEFAULT_ATOL, require_generator: bool = True) -> np.ndarray:
-    """Matrix exponential ``e^(q t)`` by scaling and squaring with the
-    [13/13] Padé approximant (Higham 2005).
+def transition_matrices(q, times: Sequence[float], *, atol: float = DEFAULT_ATOL, require_generator: bool = True):
+    """Yield ``e^(q t)`` for each ``t`` of ``times``, in order.
 
     ``q t`` is scaled by ``2^-s`` until its 1-norm is at most
-    ``PADE_THETA``, the Padé quotient ``R = (V - U)^-1 (V + U)`` is
-    evaluated from the even powers ``A², A⁴, A⁶`` (six products and one
-    solve), and ``R`` is squared ``s`` times.  With ``require_generator``
-    off any square matrix is accepted (the lumped limit generator of
-    :func:`verify_limit_commutation`).
+    ``PADE_THETA``, and the Padé quotient ``R`` of the scaled step
+    (:func:`~matbisim.algebra.pade_quotient`) is squared ``s`` times.
+    Times with one scaled step ``t/2^s`` share one ``R``, evaluated at the
+    first of them, and a larger ``s`` continues the squarings of a smaller,
+    so each matrix has the bits it would have alone.  Each step keeps one
+    running power while it has times to come; a matrix is held before its
+    turn only where a later time has fewer squarings.  A yielded matrix
+    may be read again for a later time, so do not write to it.  With
+    ``require_generator`` off any square matrix is accepted (the class
+    generators of :func:`verify_limit_commutation`).
 
-    Rows of ``e^(qt)`` sum to 1 where those of ``q`` sum to 0; a horizon at
-    which the squarings lose more than ``atol`` of that is refused.
+    Rows of ``e^(qt)`` sum to 1 where those of ``q`` sum to 0; a time at
+    which the squarings lose more than ``atol`` of that is refused in its
+    turn, as is a time that is negative or not finite.
     """
-    if not math.isfinite(t):
-        raise ValueError("time must be finite")
-    if t < 0:
-        raise ValueError("time must be nonnegative")
     if require_generator:
         q = validate_generator(q, atol=atol)
     else:
         q = real_matrix(q)
         if q.ndim != 2 or q.shape[0] != q.shape[1]:
             raise ValueError("matrix must be square")
-    n = q.shape[0]
-    norm = t * float(np.max(np.sum(np.abs(q), axis=0))) if q.size else 0.0
-    if norm == 0.0:
-        return np.eye(n)
-    if not math.isfinite(norm):
-        raise ValueError(f"time {t:g} is too long for these rates")
-    squarings = max(0, math.ceil(math.log2(norm / PADE_THETA)))
-    a = q * (t / 2.0**squarings)
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a4 @ a2
-    scratch = np.empty_like(a)
+    width = float(np.max(np.sum(np.abs(q), axis=0))) if q.size else 0.0
+    plan = []  # per time: its scaled step and squarings, or None if it needs no R
+    for t in times:
+        norm = t * width
+        k = max(0, math.ceil(math.log2(norm / PADE_THETA))) if 0.0 < norm < math.inf else None
+        plan.append(None if k is None else (t / 2.0**k, k))
+    ready = {}  # time index -> e^(qt), reached before its turn
+    running = {}  # step -> squarings and the power of R reached, while the step has times to come
+    for i, t in enumerate(times):
+        if not math.isfinite(t):
+            raise ValueError("time must be finite")
+        if t < 0:
+            raise ValueError("time must be nonnegative")
+        if plan[i] is None:
+            if not math.isfinite(t * width):
+                raise ValueError(f"time {t:g} is too long for these rates")
+            yield np.eye(q.shape[0])
+            continue
+        if i not in ready:
+            step, target = plan[i]
+            done, r = running.pop(step, None) or (0, pade_quotient(q * step))
+            pending = sorted((p[1], j) for j, p in enumerate(plan) if j >= i and j not in ready and p and p[0] == step)
+            with np.errstate(over="ignore", invalid="ignore"):  # for a generator, refused below
+                for squarings, j in pending:
+                    if squarings > target:
+                        running[step] = done, r
+                        break
+                    for _ in range(squarings - done):
+                        r = r @ r
+                    done, ready[j] = squarings, r
+        r = ready.pop(i)
+        if np.max(np.abs(q.sum(axis=1))) <= atol and not np.max(np.abs(r.sum(axis=1) - 1.0)) <= atol:
+            raise ValueError(f"time {t:g} is too long for these rates")
+        yield r
+        del r  # the caller may free it before the next time is computed
 
-    def even(c6: float, c4: float, c2: float, c0: float = 0.0) -> np.ndarray:
-        out = np.multiply(a6, c6)
-        out += np.multiply(a4, c4, out=scratch)
-        out += np.multiply(a2, c2, out=scratch)
-        out.flat[:: n + 1] += c0
-        return out
 
-    b = _PADE_13
-    u = a6 @ even(b[13], b[11], b[9])
-    u += even(b[7], b[5], b[3], b[1])
-    u = a @ u
-    v = a6 @ even(b[12], b[10], b[8])
-    v += even(b[6], b[4], b[2], b[0])
-    del a, a2, a4, a6, scratch
-    v -= u  # V - U
-    u *= 2.0
-    u += v  # V + U
-    r = np.linalg.solve(v, u)
-    with np.errstate(over="ignore", invalid="ignore"):  # for a generator, refused below
-        for _ in range(squarings):
-            r = r @ r
-    if np.max(np.abs(q.sum(axis=1))) <= atol and not np.max(np.abs(r.sum(axis=1) - 1.0)) <= atol:
-        raise ValueError(f"time {t:g} is too long for these rates")
-    return r
+def transition_matrix(q, t: float, *, atol: float = DEFAULT_ATOL, require_generator: bool = True) -> np.ndarray:
+    """``e^(q t)``: :func:`transition_matrices` at one horizon."""
+    return next(transition_matrices(q, (t,), atol=atol, require_generator=require_generator))
 
 
 def total_reward(model: Mrc, t: float, *, atol: float = DEFAULT_ATOL) -> float:
@@ -700,8 +694,12 @@ class LimitChain:
         return self.projection.trapping @ self.generator @ self.projection.stationary
 
     def transition(self, t: float, *, atol: float = DEFAULT_ATOL) -> np.ndarray:
-        p = transition_matrix(self.generator, t, atol=atol, require_generator=False)
-        return self.projection.trapping @ p @ self.projection.stationary
+        return next(self.transitions((t,), atol=atol))
+
+    def transitions(self, times: Sequence[float], *, atol: float = DEFAULT_ATOL):
+        """:meth:`transition` at each of ``times``, as :func:`transition_matrices` yields them."""
+        a, e = self.projection.trapping, self.projection.stationary
+        return map(lambda p: a @ p @ e, transition_matrices(self.generator, times, atol=atol, require_generator=False))
 
 
 def limit_chain(model: Mrc | MrcFast, *, atol: float = DEFAULT_ATOL) -> LimitChain:
@@ -753,21 +751,21 @@ def verify_limit_commutation(
 
     Compares, at each sample time, the limit transition matrix of the
     lumped chain against the lumped limit transition matrix of the original
-    chain (both class-level).  Requires a passing weak check and a
-    certified distributor.
+    chain, ``W Π e^(ΠQsΠ t) V``.  Both are class-level: the second is read
+    as ``(WA) e^(G t) (EV)`` through the limit generator ``G`` and the
+    factors ``Π = A E``, with no ``n x n`` product.  Each side's times come
+    from one :func:`transition_matrices`, so times of one scaled step take
+    one Padé quotient per side; the defaults are, where ``0.5·‖G‖₁``
+    exceeds ``PADE_THETA``.  Requires a passing weak check and a certified
+    distributor.
     """
     tol = 10.0 * atol if tolerance is None else tolerance
     fast, v, w, proj, proj_hat = _certified(model, v, w, atol)
-    limit = _limit_chain(fast, proj, atol)
-    g_hat = proj_hat @ (w @ fast.qs @ v) @ proj_hat
-    for t in times:
-        if t < 0:
-            raise ValueError("times must be nonnegative")
-        lumped_limit = proj_hat @ transition_matrix(g_hat, t, atol=atol, require_generator=False)
-        limit_lumped = w @ limit.transition(t, atol=atol) @ v
-        if max_abs_diff(lumped_limit, limit_lumped) > tol:
-            return False
-    return True
+    lumped = transition_matrices(proj_hat @ (w @ fast.qs @ v) @ proj_hat, times, atol=atol, require_generator=False)
+    limit = transition_matrices(_limit_chain(fast, proj, atol).generator, times, atol=atol, require_generator=False)
+    wa, ev = w @ proj.trapping, proj.stationary @ v
+    del w, proj  # only these products of them are read below: free them before the exponentials
+    return all(max_abs_diff(proj_hat @ p_hat, wa @ p @ ev) <= tol for p_hat, p in zip(lumped, limit))
 
 
 # ---------------------------------------------------------------------------

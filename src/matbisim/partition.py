@@ -166,8 +166,7 @@ class Partition:
 
     def collector_real(self) -> np.ndarray:
         v = np.zeros((self.n, self.num_blocks))
-        for k, block in enumerate(self.blocks):
-            v[list(block), k] = 1.0
+        v[np.arange(self.n), self.assignment] = 1.0
         return v
 
 
@@ -537,18 +536,30 @@ class Search:
         self.model, self.kind, self.atol = model, kind, atol
         self.family = family_of(model)
         self.table = self.family.conditions(model, kind)
+        self._last = None  # (partition, collector, rows) of the last signatures
         # Without a unique coarsest solution the refinement fixpoint need not
         # have the fewest blocks, so instances the oracle can afford use it.
         self.exhaustive = kind not in self.family.UNIQUE_COARSEST and model.num_states <= MAX_ORACLE_STATES
 
     def checker(self, model, p: Partition) -> CheckReport:
+        """The verdict on ``p``.  The table :meth:`signatures` evaluated on
+        ``p`` in the last round is read here, and released, instead of
+        being evaluated again."""
         if model is not self.model:
             raise ValueError("checker was built for another model")
-        v = self.family.collector(model, p)
-        return self.family.check_rows(self.kind, v, self.family.canonical_distributor(v), self.table(v), self.atol)
+        last, self._last = self._last, None
+        v, rows = last[1:] if last is not None and last[0] is p else self._evaluate(p)
+        return self.family.check_rows(self.kind, v, self.family.canonical_distributor(v), rows, self.atol)
+
+    def _evaluate(self, p: Partition) -> tuple:
+        v = self.family.collector(self.model, p)
+        return v, self.table(v)
 
     def signatures(self, p: Partition) -> list:
-        return self.family.signature_keys(p, self.table(self.family.collector(self.model, p)), self.atol)
+        self._last = None  # one table at a time
+        v, rows = self._evaluate(p)
+        self._last = p, v, rows
+        return self.family.signature_keys(p, rows, self.atol)
 
     @cached_property
     def oracle(self) -> Partition:

@@ -8,6 +8,7 @@ import warnings
 from pathlib import Path
 
 from matbisim.cli import main
+from matbisim.partition import format_partition
 
 ROOT = Path(__file__).resolve().parents[1]
 MODELS = ROOT / "models"
@@ -125,6 +126,7 @@ def test_closure_command(capsys):
 NO_SCIPY_CHILD = r"""
 import contextlib, io, json, sys
 from matbisim.cli import main
+from matbisim.partition import format_partition
 codes = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -150,6 +152,39 @@ def test_chain_commands_load_no_scipy():
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout)
     assert result == {"codes": [1, 0, 0, 0, 0, 0], "scipy": []}
+
+
+def test_importing_the_cli_leaves_the_generators_unloaded():
+    # only probe reads matbisim.generate; every other command skips compiling it
+    code = "import sys, matbisim.cli; print('matbisim.generate' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
+
+
+def test_diagram_evaluates_one_pade_quotient_per_side(tmp_path, monkeypatch, capsys):
+    # the default times 0 0.5 1 2: 0 needs none, and 0.5, 1 and 2 scale to
+    # one step on both generators (1-norms 18.9 > 2·PADE_THETA), so the
+    # lumped and the original side take one quotient each, not three
+    import random
+
+    from matbisim import algebra, generate, mrc
+
+    chain, part = generate.fast_funnel_chain(random.Random(0), base_states=12)
+    model, partition = tmp_path / "funnel.mrc", tmp_path / "funnel.partition"
+    model.write_text(mrc.format_mrc(chain))
+    partition.write_text(format_partition(part))
+    calls = []
+
+    def counted(a):
+        calls.append(a.shape)
+        return algebra.pade_quotient(a)
+
+    monkeypatch.setattr(mrc, "pade_quotient", counted)
+    assert run("diagram", model, "--partition", partition, "--kind", "weak") == 0
+    assert capsys.readouterr().out.endswith(": PASS\n")
+    assert len(calls) == 2
 
 
 def test_project_command(capsys):

@@ -179,6 +179,50 @@ def test_transition_matrix_refuses_horizons_that_lose_probability_mass():
     assert refused >= 1
 
 
+def test_transition_matrices_equal_one_transition_matrix_per_time(monkeypatch):
+    # shared scaled steps, unsorted and repeated: bit for bit the matrices
+    # of one call per time, and one Padé quotient for the one step
+    from matbisim import algebra
+
+    calls = []
+
+    def counted(a):
+        calls.append(a.shape)
+        return algebra.pade_quotient(a)
+
+    times = (2.0, 0.0, 4.0, 0.5, 1.0, 2.0, 0.5, 4.0, 0.0)
+    q = 4.0 * two_edge_generator(random.Random(2))
+    assert 0.5 * np.max(np.abs(q).sum(axis=0)) > algebra.PADE_THETA  # so 0.5 .. 4 share one step
+    monkeypatch.setattr(mrc, "pade_quotient", counted)
+    shared = list(mrc.transition_matrices(q, times))
+    assert len(calls) == 1
+    for t, p in zip(times, shared, strict=True):
+        assert np.array_equal(p, transition_matrix(q, t)), t
+
+    chain, _ = generate.fast_funnel_chain(random.Random(0), base_states=12)
+    limit = limit_chain(chain)
+    g = limit.generator
+    assert 0.5 * np.max(np.abs(g).sum(axis=0)) > algebra.PADE_THETA
+    shared = list(mrc.transition_matrices(g, times, require_generator=False))
+    for t, p in zip(times, shared, strict=True):
+        assert np.array_equal(p, transition_matrix(g, t, require_generator=False)), t
+    for t, p in zip(times, limit.transitions(times), strict=True):
+        assert np.array_equal(p, limit.transition(t)), t
+
+
+def test_transition_matrices_refuse_the_first_failing_time_in_the_callers_order():
+    # 1e15 and the times past it lose mass on this chain; 4e15 shares the
+    # step of 1e15 and comes first in the caller's order
+    out = mrc.transition_matrices(ABSORBING_Q, (1.0, 4e15, 1e15))
+    assert np.array_equal(next(out), transition_matrix(ABSORBING_Q, 1.0))
+    with pytest.raises(ValueError, match=r"^time 4e\+15 is too long for these rates$"):
+        next(out)
+    with pytest.raises(ValueError, match=r"^time 1e\+17 is too long for these rates$"):
+        list(mrc.transition_matrices(ABSORBING_Q, (1e17, 1e15, -1.0)))
+    with pytest.raises(ValueError, match="^time must be nonnegative$"):
+        list(mrc.transition_matrices(ABSORBING_Q, (-1.0, 1e15)))
+
+
 def test_total_reward_examples(reward_chain):
     assert total_reward(reward_chain, 0.0) == 1.0  # exact: P(0) = I
     absorbing = Mrc([1.0, 0.0], ABSORBING_Q, [0.0, 1.0])

@@ -58,6 +58,34 @@ def test_refinement_stops_once_every_block_is_a_singleton():
     assert search.coarsest() == Partition.identity(3)
 
 
+def test_refine_evaluates_the_table_once_per_partition(monkeypatch):
+    # the fixpoint's last round evaluates the table of the partition it
+    # returns, and the final check reads those rows: the branching
+    # closure, in class, is formed once per round and not once more
+    import random
+
+    from matbisim import lts, mrc, partition
+
+    rounds, closures = [], []
+    split = partition.split_by_keys
+    monkeypatch.setattr(partition, "split_by_keys", lambda p, keys: rounds.append(p) or split(p, keys))
+    stack = mrc.project_stack
+    monkeypatch.setattr(mrc, "project_stack", lambda q: closures.append(q.shape) or stack(q))
+    chain, _ = generate.fast_funnel_chain(random.Random(1), base_states=10)
+    assert chain.num_states > 12  # refinement, not the oracle
+    assert Search(chain, "branching").coarsest().num_blocks == 10
+    assert len(closures) == len(rounds) == 2
+
+    rounds.clear()
+    in_class = lts.branching_closure
+    monkeypatch.setattr(lts, "branching_closure", lambda m, v: closures.append(v.shape) or in_class(m, v))
+    rng = random.Random(2)
+    system, _ = generate.duplicate_states_lts(rng, generate.random_lts(rng, n=8))
+    closures.clear()
+    assert Search(system, "branching").coarsest().num_blocks == 5
+    assert len(closures) == len(rounds) == 4
+
+
 def test_one_state_and_twin_states():
     single = Mrc([1.0], np.zeros((1, 1)), [2.0])
     assert brute_force_coarsest(single, Search(single, "strong").checker) == Partition.single_block(1)
