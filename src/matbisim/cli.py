@@ -286,24 +286,19 @@ def cmd_reward(cfg: argparse.Namespace) -> int:
     if family_of(model) is not mrc_mod:
         raise ValueError("reward applies to reward chains only")
     fast = mrc_mod.as_fast_chain(model)
-    if np.any(fast.qf != 0.0):
-        limit = mrc_mod.limit_chain(fast, atol=cfg.tol)
-        matrices = limit.transitions(cfg.times, atol=cfg.tol)
-    else:
-        limit = None
-        # the chain's generator was validated when it was read
-        matrices = mrc_mod.transition_matrices(fast.qs, cfg.times, atol=cfg.tol, require_generator=False)
+    limit = mrc_mod.limit_chain(fast, atol=cfg.tol) if np.any(fast.qf != 0.0) else None
+    # σ e^(Qt) ρ, or the limit chain's (σA) e^(Gt) (Eρ) on its classes, Π = A E (Qs was validated when read)
+    generator, left, right = (fast.qs, fast.sigma, fast.rho) if limit is None else (
+        limit.generator, fast.sigma @ limit.projection.trapping, limit.projection.stationary @ fast.rho)
+    is_limit = limit is not None
+    del model, fast, limit  # hold no n × n array through the exponentials
+    matrices = mrc_mod.transition_matrices(generator, cfg.times, atol=cfg.tol, require_generator=False)
     # unlike a loop variable, map holds no matrix while the next is computed
-    values = list(map(lambda p: float(model.sigma @ p @ model.rho), matrices))
+    values = list(map(lambda p: float(left @ p @ right), matrices))
     lines = [f"R({t:g}) = {v:.12g}" for t, v in zip(cfg.times, values)]
-    if limit is not None:
+    if is_limit:
         lines.insert(0, "fast transitions present: reporting the limit-chain reward")
-    payload = {
-        "model": str(cfg.model),
-        "times": list(cfg.times),
-        "values": values,
-        "limit": limit is not None,
-    }
+    payload = {"model": str(cfg.model), "times": list(cfg.times), "values": values, "limit": is_limit}
     _emit(cfg, lines, payload)
     return 0
 

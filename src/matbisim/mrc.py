@@ -15,6 +15,7 @@ horizons up to 1e6: every entry within 1e-9 absolute.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -184,20 +185,23 @@ def as_plain_chain(model: Mrc | MrcFast) -> Mrc:
 def transition_matrices(q, times: Sequence[float], *, atol: float = DEFAULT_ATOL, require_generator: bool = True):
     """Yield ``e^(q t)`` for each ``t`` of ``times``, in order.
 
-    ``q t`` is scaled by ``2^-s`` until its 1-norm is at most
-    ``PADE_THETA``, and the Padé quotient ``R`` of the scaled step
-    (:func:`~matbisim.algebra.pade_quotient`) is squared ``s`` times.
-    Times with one scaled step ``t/2^s`` share one ``R``, evaluated at the
-    first of them, and a larger ``s`` continues the squarings of a smaller,
-    so each matrix has the bits it would have alone.  Each step keeps one
-    running power while it has times to come; a matrix is held before its
-    turn only where a later time has fewer squarings.  A yielded matrix
-    may be read again for a later time, so do not write to it.  With
-    ``require_generator`` off any square matrix is accepted (the class
-    generators of :func:`verify_limit_commutation`).
+    Fresh, ``q t`` is scaled by ``2^-s`` until its 1-norm is at most
+    ``PADE_THETA``, and the Padé quotient of the scaled step
+    (:func:`~matbisim.algebra.pade_quotient`: six products and a solve) is
+    squared ``s`` times.  A time ``t = m t'``, an exact integer multiple of
+    a smaller time ``t'`` of the call, is ``(e^(q t'))^m`` by binary
+    powering (squarings first) wherever its ``⌊log₂ m⌋ + popcount(m) − 1``
+    products are fewer than those fresh, the solve counted as one; ``t'``
+    is the largest such time.  So ``0.1, 1, 10, …`` take one quotient and
+    four products per later time, and ``2^d`` times a fresh time that
+    squares at least once has the bits it would have alone.  Times are
+    reached in ascending order, and a matrix is held only while a later
+    time is powered from it or it waits for its turn; do not write to a
+    yielded one.  With ``require_generator`` off any square matrix is
+    accepted (the class generators of :func:`verify_limit_commutation`).
 
     Rows of ``e^(qt)`` sum to 1 where those of ``q`` sum to 0; a time at
-    which the squarings lose more than ``atol`` of that is refused in its
+    which the products lose more than ``atol`` of that is refused in its
     turn, as is a time that is negative or not finite.
     """
     if require_generator:
@@ -207,37 +211,36 @@ def transition_matrices(q, times: Sequence[float], *, atol: float = DEFAULT_ATOL
         if q.ndim != 2 or q.shape[0] != q.shape[1]:
             raise ValueError("matrix must be square")
     width = float(np.max(np.sum(np.abs(q), axis=0))) if q.size else 0.0
-    plan = []  # per time: its scaled step and squarings, or None if it needs no R
+    fresh = {t: math.ceil(math.log2(max(t * width / PADE_THETA, 1.0))) for t in times if 0.0 < t * width < math.inf}
+    ordered, base = sorted(fresh), {}  # base: powered time -> the time and multiple it is powered from
+    for i, t in enumerate(ordered):
+        cost = 7 + fresh[t]  # of a fresh evaluation: six products, the solve and the squarings
+        for b in reversed(ordered[:i]):
+            # the ratio may be inf, so it is bounded by the cost before it is rounded
+            if t / b < 2**cost and (m := round(t / b)) * b == t and m.bit_length() + m.bit_count() - 2 < cost:
+                base[t] = b, m
+                break
+    uses = Counter(t for t in times if t in fresh) + Counter(b for b, _ in base.values())
+    held, ahead = {}, iter(ordered)  # held: time -> e^(qt), while it has uses to come
     for t in times:
-        norm = t * width
-        k = max(0, math.ceil(math.log2(norm / PADE_THETA))) if 0.0 < norm < math.inf else None
-        plan.append(None if k is None else (t / 2.0**k, k))
-    ready = {}  # time index -> e^(qt), reached before its turn
-    running = {}  # step -> squarings and the power of R reached, while the step has times to come
-    for i, t in enumerate(times):
         if not math.isfinite(t):
             raise ValueError("time must be finite")
         if t < 0:
             raise ValueError("time must be nonnegative")
-        if plan[i] is None:
-            if not math.isfinite(t * width):
-                raise ValueError(f"time {t:g} is too long for these rates")
-            yield np.eye(q.shape[0])
-            continue
-        if i not in ready:
-            step, target = plan[i]
-            done, r = running.pop(step, None) or (0, pade_quotient(q * step))
-            pending = sorted((p[1], j) for j, p in enumerate(plan) if j >= i and j not in ready and p and p[0] == step)
+        if t in fresh:
             with np.errstate(over="ignore", invalid="ignore"):  # for a generator, refused below
-                for squarings, j in pending:
-                    if squarings > target:
-                        running[step] = done, r
-                        break
-                    for _ in range(squarings - done):
-                        r = r @ r
-                    done, ready[j] = squarings, r
-        r = ready.pop(i)
-        if np.max(np.abs(q.sum(axis=1))) <= atol and not np.max(np.abs(r.sum(axis=1) - 1.0)) <= atol:
+                while t not in held:  # a time with no base is its scaled step's quotient to the power 2^s
+                    s = next(ahead)
+                    b, m = base.get(s, (None, 2 ** fresh[s]))
+                    held[s] = np.linalg.matrix_power(pade_quotient(q * (s / m)) if b is None else held[b], m)
+                    uses[b] -= 1
+            r = held[t]
+            uses[t] -= 1
+            held = {s: p for s, p in held.items() if uses[s]}
+        else:
+            r = np.eye(q.shape[0])
+        lost = t in fresh and np.max(np.abs(q.sum(axis=1))) <= atol and not np.max(np.abs(r.sum(axis=1) - 1.0)) <= atol
+        if lost or not math.isfinite(t * width):
             raise ValueError(f"time {t:g} is too long for these rates")
         yield r
         del r  # the caller may free it before the next time is computed
@@ -754,10 +757,9 @@ def verify_limit_commutation(
     chain, ``W Π e^(ΠQsΠ t) V``.  Both are class-level: the second is read
     as ``(WA) e^(G t) (EV)`` through the limit generator ``G`` and the
     factors ``Π = A E``, with no ``n x n`` product.  Each side's times come
-    from one :func:`transition_matrices`, so times of one scaled step take
-    one Padé quotient per side; the defaults are, where ``0.5·‖G‖₁``
-    exceeds ``PADE_THETA``.  Requires a passing weak check and a certified
-    distributor.
+    from one :func:`transition_matrices`, which powers the default times
+    from 0.5: one Padé quotient per side.  Requires a passing weak check and
+    a certified distributor.
     """
     tol = 10.0 * atol if tolerance is None else tolerance
     fast, v, w, proj, proj_hat = _certified(model, v, w, atol)

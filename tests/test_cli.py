@@ -187,6 +187,28 @@ def test_diagram_evaluates_one_pade_quotient_per_side(tmp_path, monkeypatch, cap
     assert len(calls) == 2
 
 
+def test_reward_evaluates_one_pade_quotient(tmp_path, monkeypatch, capsys):
+    # each horizon from 1 on is the previous one to the tenth power, so the
+    # limit chain's class generator takes one quotient for seven times
+    import random
+
+    from matbisim import algebra, generate, mrc
+
+    chain, _ = generate.fast_funnel_chain(random.Random(0), base_states=12)
+    model = tmp_path / "funnel.mrc"
+    model.write_text(mrc.format_mrc(chain))
+    calls = []
+
+    def counted(a):
+        calls.append(a.shape)
+        return algebra.pade_quotient(a)
+
+    monkeypatch.setattr(mrc, "pade_quotient", counted)
+    assert run("reward", model, "--times", "0.1", "1", "10", "100", "1000", "10000", "100000") == 0
+    assert len(capsys.readouterr().out.splitlines()) == 8
+    assert len(calls) == 1
+
+
 def test_project_command(capsys):
     assert run("project", FAST, "--json") == 0
     payload = json.loads(capsys.readouterr().out)

@@ -223,6 +223,35 @@ def test_transition_matrices_refuse_the_first_failing_time_in_the_callers_order(
         list(mrc.transition_matrices(ABSORBING_Q, (-1.0, 1e15)))
 
 
+def test_transition_matrices_meet_tolerance_over_long_horizons():
+    # the documented range through one call: each time from 1 on is the
+    # previous one to the tenth power, so the error of the 0.1 quotient
+    # compounds; every entry stays within 1e-9 of a 50-digit reference
+    rng = random.Random(4)
+    times = (0.1, 1.0, 10.0, 1e2, 1e3, 1e4, 1e5, 1e6)
+    with mpmath.workdps(50):
+        for _ in range(5):
+            q = two_edge_generator(rng)
+            exact = mpmath.matrix(q.tolist())
+            for t, p in zip(times, mrc.transition_matrices(q, times), strict=True):
+                reference = np.array(mpmath.expm(exact * t).tolist(), dtype=float)
+                assert np.max(np.abs(p - reference)) <= 1e-9, t
+
+
+@pytest.mark.parametrize(
+    "q, times",
+    [
+        (ABSORBING_Q, (0.1, 0.3)),  # 0.3 / 0.1 is 2.9999999999999996, and 3 * 0.1 is not 0.3
+        (1e-3 * ABSORBING_Q, (1e-300, 1e10)),  # the ratio overflows to inf
+        (ABSORBING_Q, (5e-324, 1.0)),  # the ratio overflows, and 5e-324 / PADE_THETA underflows to 0
+    ],
+)
+def test_transition_matrices_power_only_exact_multiples(q, times):
+    for t, p in zip(times, mrc.transition_matrices(q, times), strict=True):
+        alone = transition_matrix(q, t)
+        assert np.max(np.abs(p - alone)) <= 1e-12 * np.max(np.abs(alone)), t
+
+
 def test_total_reward_examples(reward_chain):
     assert total_reward(reward_chain, 0.0) == 1.0  # exact: P(0) = I
     absorbing = Mrc([1.0, 0.0], ABSORBING_Q, [0.0, 1.0])
