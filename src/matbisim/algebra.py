@@ -346,6 +346,19 @@ def rt_closure(m: ActionMatrix) -> ActionMatrix:
         reach = grown
 
 
+def block_labels(member: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The column of each row's unit and the first row of that column, by
+    ``argmax`` along each axis of a ``(..., n, N)`` collector or stack of
+    them (boolean or real): each state's block and that block's first
+    member.  Both are flat over the stack: block ``j`` of member ``s`` is
+    ``s·N + j`` and its state ``i`` is ``s·n + i``."""
+    *_, n, k = member.shape
+    member = member.reshape(-1, n, k)
+    at = np.arange(len(member))[:, None]
+    block = (member.argmax(axis=2) + k * at).ravel()
+    return block, (member.argmax(axis=1) + n * at).ravel()[block]
+
+
 # ---------------------------------------------------------------------------
 # Real matrices
 # ---------------------------------------------------------------------------

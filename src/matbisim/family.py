@@ -12,6 +12,8 @@ kind, :func:`~matbisim.partition.kinds`), ``check_rows``, ``passes`` and
 refinement keys from evaluated rows), ``evaluate``, ``check``, ``lump``,
 ``read_distributor``, and ``UNIQUE_COARSEST``.  Tables, distributors and
 ``passes`` broadcast over leading stack axes of the collector.
+``check_rows`` and ``passes`` decide each ``VUX = X`` as block-constancy
+with the family's one kernel; ``u`` None is the canonical distributor.
 """
 
 from __future__ import annotations

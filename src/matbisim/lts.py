@@ -17,6 +17,7 @@ from .algebra import (
     TAU_LABEL,
     ActionAlphabet,
     ActionMatrix,
+    block_labels,
     rt_closure,
 )
 from .partition import (
@@ -31,6 +32,7 @@ from .partition import (
     require_bool_collector,
     require_passed,
     token_columns,
+    verdict,
 )
 
 @dataclass(frozen=True)
@@ -201,25 +203,38 @@ def canonical_distributor(v: ActionMatrix) -> ActionMatrix:
     return v.transpose()
 
 
-def _require_distributor_for(v: ActionMatrix, u: ActionMatrix) -> None:
-    if u.shape != (v.cols, v.rows):
-        raise ValueError("distributor shape must be the collector's transpose shape")
-    if u @ v != ActionMatrix.identity(v.alphabet, v.cols):
-        raise ValueError("UV = I fails: not a distributor")
-    if not u.planes.any(axis=2).all():
-        raise ValueError("U1 = 1 fails: not a distributor")
+def _kernel(v: ActionMatrix, u):
+    """The block-constancy kernel of ``V``, a collector or stack: for any
+    distributor, ``VUX = X`` holds plane by plane exactly when the rows of
+    ``X`` are constant on the blocks.  A miss is an entry where a row
+    differs from that of its block's first member, so the verdict forms no
+    product.  Only a failing row forms ``VUX`` (``u`` None is the
+    transpose), for its witness: the first entry where ``VUX`` and ``X``
+    differ.
+    """
+    _, rep = block_labels(v.planes)
+
+    def read(x: ActionMatrix):
+        planes = np.broadcast_to(x.planes, (*v.planes.shape[:-1], x.cols))
+        rows = planes.reshape(-1, x.cols)
+        missed = (rows[rep] != rows).reshape(planes.shape).any(axis=-3)
+        return missed, lambda: _witness(v @ ((v.transpose() if u is None else u) @ x), x)
+
+    return read
 
 
-def _compare(v: ActionMatrix, u: ActionMatrix, x: ActionMatrix):
-    """``VUX`` and where it differs from ``X``: a ``(..., rows, cols)``
-    boolean array, stacked as ``V`` and ``X`` are."""
-    lhs = v @ (u @ x)
-    return lhs, (lhs.planes != x.planes).any(axis=-3)
+def _witness(lhs: ActionMatrix, rhs: ActionMatrix, differs: Callable = np.not_equal) -> Witness:
+    """The first entry where ``differs`` holds on some label plane, with the
+    label sets of both sides there."""
+    i, j = np.argwhere(differs(lhs.planes, rhs.planes).any(axis=-3))[0].tolist()
+    return Witness(i, j, *(lhs.alphabet.labels_of(m.mask_at(i, j)) for m in (lhs, rhs)))
 
 
-def passes(v: ActionMatrix, u: ActionMatrix, rows, atol: float = DEFAULT_ATOL) -> np.ndarray:
-    """Whether every ``VUX = X`` of the evaluated rows holds, per stacked collector."""
-    return ~np.any([_compare(v, u, x)[1].any(axis=(-2, -1)) for _, x in rows], axis=0)
+def passes(v: ActionMatrix, u, rows, atol: float = DEFAULT_ATOL) -> np.ndarray:
+    """Whether every ``VUX = X`` of the evaluated rows holds, per stacked
+    collector.  The verdict is the same for every distributor ``u``."""
+    read = _kernel(v, u)
+    return ~np.any([read(x)[0].any(axis=(-2, -1)) for _, x in rows], axis=0)
 
 
 def conditions(lts: Lts, kind: str) -> Callable[[ActionMatrix], list]:
@@ -246,22 +261,21 @@ def evaluate(
 ) -> tuple[CheckReport, list]:
     """Check ``v`` against one kind; also return the evaluated equalities."""
     _require_collector_for(lts, v)
-    u = canonical_distributor(v) if distributor is None else distributor
-    if distributor is not None:
-        _require_distributor_for(v, u)
+    u = distributor
+    if u is not None:
+        if u.shape != (v.cols, v.rows):
+            raise ValueError("distributor shape must be the collector's transpose shape")
+        if u @ v != ActionMatrix.identity(v.alphabet, v.cols):
+            raise ValueError("UV = I fails: not a distributor")
+        if not u.planes.any(axis=2).all():
+            raise ValueError("U1 = 1 fails: not a distributor")
     rows = conditions(lts, kind)(v)
     return check_rows(kind, v, u, rows), rows
 
 
-def check_rows(kind: str, v: ActionMatrix, u: ActionMatrix, rows, atol: float = DEFAULT_ATOL) -> CheckReport:
+def check_rows(kind: str, v: ActionMatrix, u, rows, atol: float = DEFAULT_ATOL) -> CheckReport:
     """Verdict on evaluated equalities: the first ``VUX = X`` that fails."""
-    for name, x in rows:
-        lhs, differs = _compare(v, u, x)
-        if differs.any():
-            i, j = divmod(int(np.flatnonzero(differs)[0]), differs.shape[-1])
-            sides = [v.alphabet.labels_of(m.mask_at(i, j)) for m in (lhs, x)]
-            return CheckReport(kind, False, name, Witness(i, j, *sides))
-    return CheckReport(kind, True)
+    return verdict(kind, rows, _kernel(v, u))
 
 
 def check(
@@ -294,15 +308,8 @@ def check_strong_relational(lts: Lts, v: ActionMatrix) -> CheckReport:
     )
     for name, lhs, rhs in conditions:
         if not lhs <= rhs:
-            w = _first_inclusion_failure(lhs, rhs)
-            return CheckReport("strong-relational", False, name, w)
+            return CheckReport("strong-relational", False, name, _witness(lhs, rhs, np.greater))  # in lhs, not in rhs
     return CheckReport("strong-relational", True)
-
-
-def _first_inclusion_failure(lhs: ActionMatrix, rhs: ActionMatrix) -> Witness:
-    i, j = divmod(int(np.flatnonzero((lhs.planes & ~rhs.planes).any(axis=0))[0]), lhs.cols)
-    alph = lhs.alphabet
-    return Witness(i, j, alph.labels_of(lhs.mask_at(i, j)), alph.labels_of(rhs.mask_at(i, j)))
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +429,8 @@ UNIQUE_COARSEST = ("strong", "weak", "branching")
 
 
 def signature_keys(p: Partition, rows, atol: float = DEFAULT_ATOL) -> list:
-    """Per-state rows of every evaluated ``X``; their block-constancy is the check."""
+    """Per-state rows of every evaluated ``X``.  Blocks split where these
+    differ, so the fixpoint's rows are block-constant: the check
+    (:func:`check_rows`) then passes."""
     xs = np.concatenate([x.planes for _, x in rows], axis=2)
     return [state.tobytes() for state in xs.transpose(1, 0, 2)]

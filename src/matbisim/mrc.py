@@ -25,6 +25,7 @@ from .algebra import (
     DEFAULT_ATOL,
     PADE_THETA,
     SingularMatrixError,
+    block_labels,
     max_abs_diff,
     pade_quotient,
     real_matrix,
@@ -35,14 +36,16 @@ from .partition import (
     ModelFormatError,
     Partition,
     Witness,
-    canonical_distributor_real,
+    canonical_distributor_real as canonical_distributor,
     content_lines,
     kinds,
     parse_model_header,
     parse_state,
     require_passed,
     require_real_collector,
+    table,
     token_columns,
+    verdict,
 )
 
 #: Rates at or below this are structurally absent for the ergodic projection.
@@ -279,43 +282,49 @@ def collectors(model: Mrc | MrcFast, member: np.ndarray) -> np.ndarray:
     return member.astype(float)
 
 
-canonical_distributor = canonical_distributor_real
+def _kernel(v: np.ndarray, u, atol: float):
+    """The block-constancy kernel of ``V``, a collector or a stack of them.
+
+    Each row less that of its block's first member ``r`` is ``d = X − X[r]``,
+    and ``VUX − X = VUd − d`` since ``VUVR = VR``: exact zeros on equal rows
+    of any size.  ``VUd`` is the block mean of ``d``, by label for the
+    canonical ``U`` (``u`` None), else ``Ud`` read by label.  A miss is
+    ``|VUd − d| > atol``; the witness reads ``VUX`` there as ``VUd + X[r]``.
+    """
+    lead = v.shape[:-1]
+    block, rep = block_labels(v)
+    size = np.bincount(block)[:, None]
+
+    def read(x):
+        c = x.shape[-1]
+        x = np.broadcast_to(x, (*lead, c)).reshape(-1, c)
+        d = x - x[rep]
+        if u is None:  # one bin per block and column
+            mean = np.bincount((block[:, None] * c + np.arange(c)).ravel(), d.ravel()).reshape(-1, c) / size
+        else:
+            mean = (u @ d.reshape(*lead, c)).reshape(-1, c)
+        missed = np.abs(mean[block] - d) > atol
+
+        def witness():
+            i, j = np.argwhere(missed)[0].tolist()
+            lhs, rhs = float(mean[block[i], j] + x[rep[i], j]), float(x[i, j])
+            return Witness(i, j, lhs, rhs, abs(lhs - rhs))
+
+        return missed.reshape(*lead, c), witness
+
+    return read
 
 
-def _distributor_for(v: np.ndarray, distributor, atol: float) -> np.ndarray:
-    if distributor is None:
-        return canonical_distributor(v)
-    u = real_matrix(distributor)
-    if u.shape != (v.shape[1], v.shape[0]):
-        raise ValueError("distributor shape must be collector transposed")
-    if max_abs_diff(u @ v, np.eye(v.shape[1])) > atol:
-        raise ValueError("UV = I fails: not a distributor")
-    if float(np.max(np.abs(u.sum(axis=1) - 1.0))) > atol:
-        raise ValueError("U1 = 1 fails: not a distributor")
-    return u
-
-
-def _compare(v: np.ndarray, u: np.ndarray, x: np.ndarray, atol: float):
-    """``VUX`` and where it misses ``X`` by more than ``atol``: a
-    ``(..., rows, cols)`` boolean array, stacked as ``V`` and ``X`` are."""
-    lhs = v @ (u @ x)
-    return lhs, np.abs(lhs - x) > atol
-
-
-def passes(v: np.ndarray, u: np.ndarray, rows, atol: float = DEFAULT_ATOL) -> np.ndarray:
+def passes(v: np.ndarray, u, rows, atol: float = DEFAULT_ATOL) -> np.ndarray:
     """Whether every ``VUX = X`` of the evaluated rows holds, per stacked collector."""
-    return ~np.any([_compare(v, u, x, atol)[1].any(axis=(-2, -1)) for _, x in rows], axis=0)
+    read = _kernel(v, u, atol)
+    return ~np.any([read(x)[0].any(axis=(-2, -1)) for _, x in rows], axis=0)
 
 
-def check_rows(kind: str, v: np.ndarray, u: np.ndarray, rows, atol: float = DEFAULT_ATOL) -> CheckReport:
-    """Verdict on evaluated equalities: the first ``VUX = X`` that misses ``atol``."""
-    for name, x in rows:
-        lhs, misses = _compare(v, u, x, atol)
-        if misses.any():
-            i, j = divmod(int(np.flatnonzero(misses)[0]), misses.shape[-1])
-            lv, rv = float(lhs[i, j]), float(x[i, j])
-            return CheckReport(kind, False, name, Witness(i, j, lv, rv, abs(lv - rv)))
-    return CheckReport(kind, True)
+def check_rows(kind: str, v: np.ndarray, u, rows, atol: float = DEFAULT_ATOL) -> CheckReport:
+    """Verdict on evaluated equalities: the first ``VUX = X`` that misses
+    ``atol``, at its first missed entry, with ``|VUX − X|`` there."""
+    return verdict(kind, rows, _kernel(v, u, atol))
 
 
 def conditions(model: Mrc | MrcFast, kind: str) -> Callable[[np.ndarray], list]:
@@ -339,9 +348,17 @@ def _conditions(model: Mrc | MrcFast, kind: str, closure: Callable) -> Callable[
 def evaluate(
     model: Mrc | MrcFast, v, kind: str, *, atol: float = DEFAULT_ATOL, distributor=None
 ) -> tuple[CheckReport, list]:
-    """Check ``v`` against one kind; also return the evaluated equalities."""
+    """Check ``v`` against one kind, under ``distributor`` if one is given;
+    also return the evaluated equalities."""
     v = _require_collector_for(model.num_states, v)
-    u = _distributor_for(v, distributor, atol)
+    u = None if distributor is None else real_matrix(distributor)
+    if u is not None:
+        if u.shape != (v.shape[1], v.shape[0]):
+            raise ValueError("distributor shape must be collector transposed")
+        if max_abs_diff(u @ v, np.eye(v.shape[1])) > atol:
+            raise ValueError("UV = I fails: not a distributor")
+        if max_abs_diff(u.sum(axis=1), np.ones(len(u))) > atol:
+            raise ValueError("U1 = 1 fails: not a distributor")
     rows = conditions(model, kind)(v)
     return check_rows(kind, v, u, rows, atol), rows
 
@@ -583,7 +600,7 @@ def _residuals(fast: MrcFast, v: np.ndarray, w, pi: np.ndarray, atol: float) -> 
         raise ValueError("distributor shape must be collector transposed")
     pvw = pi @ v @ w
     out = {
-        "W1 = 1": float(np.max(np.abs(w.sum(axis=1) - 1.0))),
+        "W1 = 1": max_abs_diff(w.sum(axis=1), np.ones(len(w))),
         "WV = I": max_abs_diff(w @ v, np.eye(v.shape[1])),
         "ΠVW = ΠVWΠ": max_abs_diff(pvw, pvw @ pi),
     }
@@ -607,15 +624,15 @@ def _certified(
     """
     fast = as_fast_chain(model)
     v = _require_collector_for(fast.num_states, v)
-    u = canonical_distributor_real(v)
     proj = ergodic_projection(fast.qf)
     pi = proj.pi
-    require_passed(check_rows("weak", v, u, _conditions(fast, "weak", lambda _: pi)(v), atol))
+    require_passed(check_rows("weak", v, None, _conditions(fast, "weak", lambda _: pi)(v), atol))
     origin = "supplied"
     if w is None:
         origin = "candidate"
+        up = canonical_distributor(v) @ pi
         try:
-            w = solve_linear(u @ pi @ v, u @ pi)
+            w = solve_linear(up @ v, up)
         except SingularMatrixError as exc:
             raise DistributorError(
                 "class-level projection UΠV is singular to tolerance; supply an external distributor"
@@ -658,9 +675,9 @@ def lump(
         except GeneratorError as exc:
             raise DistributorError(f"lumped generator invalid: {exc}") from exc
         return _trusted(MrcFast, fast.sigma @ v, w @ fast.rho, qs=qs_hat, qf=qf_hat)
-    v = _require_collector_for(model.num_states, v)
-    u = _distributor_for(v, distributor, atol)
-    require_passed(check_rows(kind, v, u, conditions(model, kind)(v), atol))
+    require_passed(check(model, v, kind, atol=atol, distributor=distributor))
+    v = real_matrix(v)
+    u = canonical_distributor(v) if distributor is None else real_matrix(distributor)
     if isinstance(model, MrcFast):
         return MrcFast(model.sigma @ v, u @ model.qs @ v, u @ model.qf @ v, u @ model.rho)
     return Mrc(model.sigma @ v, u @ model.q @ v, u @ model.rho)
@@ -732,13 +749,8 @@ def check_strong_discontinuous(limit: LimitChain, v, atol: float = DEFAULT_ATOL)
     smoothed slow part and rewards.
     """
     v = _require_collector_for(limit.num_states, v)
-    u = canonical_distributor_real(v)
-    rows = (
-        ("VUΠρ = Πρ", limit.pi @ limit.rho.reshape(-1, 1)),
-        ("VUΠV = ΠV", limit.pi @ v),
-        ("VU(ΠQsΠ)V = (ΠQsΠ)V", limit.slow @ v),
-    )
-    return check_rows("strong-discontinuous", v, u, rows, atol)
+    rows = table(("VUΠρ = Πρ", limit.pi @ limit.rho.reshape(-1, 1)), ("VUΠV = ΠV", limit.pi), ("VU(ΠQsΠ)V = (ΠQsΠ)V", limit.slow))
+    return check_rows("strong-discontinuous", v, None, rows(v), atol)
 
 
 def verify_limit_commutation(
@@ -1012,21 +1024,18 @@ def _cluster_keys(p: Partition, rows: np.ndarray, atol: float) -> list:
     """Per-state keys splitting each block into groups that spread at most
     ``atol`` in every column of ``rows``.
 
-    Columns are cut one after another (:func:`_cut_column`), skipping those
-    already within ``atol`` on every block of two or more states.  Row
-    groups farther apart than ``atol`` are never merged, and a chain of
-    within-tolerance steps is cut, so every row of a stable block lies
-    within ``atol`` of the block mean.
+    Columns are cut one after another (:func:`_cut_column`).  Only those
+    where some row lies at least ``atol / 4`` from its block's first row are
+    read: a column that spreads more than ``atol`` on a block, even by a
+    rounding of its spread, is among them, and the others spread at most
+    ``atol / 2`` and cut nothing.  Row groups farther apart than ``atol``
+    are never merged, and a chain of within-tolerance steps is cut, so every
+    row of a stable block lies within ``atol`` of the block mean.
     """
-    order = np.concatenate(p.blocks)  # states block by block
-    group = np.empty(p.n, dtype=np.intp)
-    group[order] = np.repeat(np.arange(p.num_blocks), list(map(len, p.blocks)))
-    order = order[np.bincount(group)[group[order]] > 1]  # a singleton has no spread
-    starts = np.flatnonzero(np.diff(group[order], prepend=-1))
-    sorted_rows = rows[order]
-    spread = np.maximum.reduceat(sorted_rows, starts, axis=0)
-    spread -= np.minimum.reduceat(sorted_rows, starts, axis=0)
-    for col in np.flatnonzero((spread > atol).any(axis=0)).tolist():
+    group = np.array(p.assignment)
+    far = rows[np.array([block[0] for block in p.blocks])[group]]
+    far -= rows
+    for col in np.flatnonzero((np.abs(far, out=far) >= atol / 4).any(axis=0)).tolist():
         group = _cut_column(group, rows[:, col], atol)
     return group.tolist()
 
@@ -1037,5 +1046,6 @@ UNIQUE_COARSEST = ("strong", "weak")
 
 def signature_keys(p: Partition, rows, atol: float = DEFAULT_ATOL) -> list:
     """Per-state rows of every evaluated ``X``, clustered to tolerance inside
-    each block; their block-constancy is the check."""
+    each block, so that every row of a stable block lies within ``atol`` of
+    its block mean, which the check (:func:`check_rows`) compares."""
     return _cluster_keys(p, np.hstack([x for _, x in rows]), atol)

@@ -220,6 +220,18 @@ def split_by_keys(p: Partition, keys: Sequence) -> Partition:
     return Partition.from_assignment(list(zip(p.assignment, keys)))
 
 
+def verdict(kind: str, rows, read: Callable) -> CheckReport:
+    """The first ``VUX = X`` of ``rows`` that fails.  ``read``, a family's
+    block-constancy kernel, takes ``X`` to its missed entries and a thunk
+    that reports the witness."""
+    for name, x in rows:
+        missed, witness = read(x)
+        if missed.any():
+            return CheckReport(kind, False, name, witness())
+        del missed, witness  # the witness holds the row's arrays: free them before the next row
+    return CheckReport(kind, True)
+
+
 # ---------------------------------------------------------------------------
 # Collector / distributor helpers
 # ---------------------------------------------------------------------------
@@ -542,14 +554,14 @@ class Search:
         self.exhaustive = kind not in self.family.UNIQUE_COARSEST and model.num_states <= MAX_ORACLE_STATES
 
     def checker(self, model, p: Partition) -> CheckReport:
-        """The verdict on ``p``.  The table :meth:`signatures` evaluated on
-        ``p`` in the last round is read here, and released, instead of
-        being evaluated again."""
+        """The verdict on ``p`` under the canonical distributor.  The table
+        :meth:`signatures` evaluated on ``p`` in the last round is read here,
+        and released, instead of being evaluated again."""
         if model is not self.model:
             raise ValueError("checker was built for another model")
         last, self._last = self._last, None
         v, rows = last[1:] if last is not None and last[0] is p else self._evaluate(p)
-        return self.family.check_rows(self.kind, v, self.family.canonical_distributor(v), rows, self.atol)
+        return self.family.check_rows(self.kind, v, None, rows, self.atol)
 
     def _evaluate(self, p: Partition) -> tuple:
         v = self.family.collector(self.model, p)
@@ -568,16 +580,17 @@ class Search:
         The candidates are the label rows of :func:`_label_batches`, taken
         in order, at most ``ORACLE_STACK`` of one block count at a time.
         Each stack of rows becomes one collector array with a leading stack
-        axis; the kind's table is evaluated on it once and every ``VUX = X``
-        is decided in one broadcast comparison.  The first passing row of
-        the first stack with one is the answer, as in the one-at-a-time
-        search, and the only :class:`Partition` built.
+        axis; the kind's table is evaluated on it once, and the family's
+        block-constancy kernel decides every ``VUX = X`` of the stack from
+        labels it finds once.  The first passing row of the first stack with
+        one is the answer, as in the one-at-a-time search, and the only
+        :class:`Partition` built.
         """
         for blocks, rows in _label_batches(_oracle_states(self.model)):
             for start in range(0, len(rows), ORACLE_STACK):
                 stack = rows[start : start + ORACLE_STACK]
                 v = self.family.collectors(self.model, stack[:, :, None] == np.arange(blocks))
-                passed = self.family.passes(v, self.family.canonical_distributor(v), self.table(v), self.atol)
+                passed = self.family.passes(v, None, self.table(v), self.atol)
                 if passed.any():
                     return Partition._canonical(tuple(stack[int(np.argmax(passed))].tolist()), blocks)
         raise ValueError("no partition passed the checker")
