@@ -8,6 +8,7 @@ matrix keeps the whole algebra inside one alphabet.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -31,7 +32,6 @@ from .partition import (
     parse_state,
     require_bool_collector,
     require_passed,
-    token_columns,
     verdict,
 )
 
@@ -84,9 +84,25 @@ def parse_lts(text: str) -> Lts:
     Header: ``lts <n>``, ``alphabet <a1> ...``, ``init <i>``,
     ``term <i1> ...`` (possibly empty), then one ``<src> <label> <dst>``
     per transition.  The label ``tau`` feeds the internal matrix; repeated
-    transition lines are idempotent.
+    transition lines are idempotent.  The text is read whole: every state,
+    headers included, is cast in one array and range-checked at once.  Only
+    a text that fails somewhere is read again line by line, which names its
+    first bad line.
     """
-    lines = content_lines(text)
+    try:
+        (head, n), (alpha, *names), (init_kw, init), (term_kw, *term), *edges = content_lines(text, False)
+        src, labels, dst = zip(*edges, strict=True)
+        n, alphabet = int(n), ActionAlphabet(tuple(names))
+        states = np.array([init, *term, *src, *dst], dtype=np.intp)
+        if (head, alpha, init_kw, term_kw) == ("lts", "alphabet", "init", "term") and names and 0 <= states.min() and states.max() < n:
+            return _system(alphabet, n, states[0], states[1 : len(term) + 1], labels, *states[len(term) + 1 :].reshape(2, -1))
+    except (ValueError, KeyError, OverflowError):
+        pass
+    return _system(*_by_line(content_lines(text)))
+
+
+def _by_line(lines) -> tuple:
+    """The parts of :func:`parse_lts` read a line at a time, to name the first bad line."""
     if len(lines) < 4:
         raise ModelFormatError("expected header lines: lts, alphabet, init, term")
     (ln0, h0), (ln1, h1), (ln2, h2), (ln3, h3) = lines[:4]
@@ -106,46 +122,29 @@ def parse_lts(text: str) -> Lts:
 
     init = parse_state(h2[1], ln2, n)
     term = [parse_state(t, ln3, n) for t in h3[1:]]
-
-    plane_of = {name: k for k, name in enumerate(alphabet.names)}
-    plane_of[TAU_LABEL] = alphabet.size
-    src, plane, dst = _edge_columns(lines[4:], n, plane_of)
-    planes = np.zeros((alphabet.size + 1, n, n), dtype=bool)  # tau is the last plane
-    planes[plane, src, dst] = True
-    states = np.arange(n)
-    return Lts(
-        alphabet=alphabet,
-        initial=ActionMatrix.from_bits(alphabet, (states == init)[None]),
-        visible=ActionMatrix.from_planes(alphabet, planes[:-1]),
-        internal=ActionMatrix.from_bits(alphabet, planes[-1]),
-        terminating=ActionMatrix.from_bits(alphabet, np.isin(states, term)[:, None]),
-    )
-
-
-def _edge_columns(edges, n: int, plane_of: dict[str, int]):
-    """Source, label plane and target of each ``<src> <label> <dst>`` line.
-
-    The columns are converted and range-checked whole; only a file with a
-    bad line is read again line by line, which reports the first one.
-    """
-    try:
-        src, labels, dst = token_columns(edges, 3)
-        ends = np.array([list(map(int, src)), list(map(int, dst))], dtype=np.intp)
-        plane = list(map(plane_of.__getitem__, labels))
-        if ends.size == 0 or 0 <= ends.min() and ends.max() < n:
-            return ends[0], plane, ends[1]
-    except (ValueError, KeyError, OverflowError):
-        pass
-    src, plane, dst = [], [], []
-    for lineno, tokens in edges:
+    src, labels, dst = [], [], []
+    for lineno, tokens in lines[4:]:
         if len(tokens) != 3:
             raise ModelFormatError(f"line {lineno}: expected '<src> <label> <dst>'")
         src.append(parse_state(tokens[0], lineno, n))
         dst.append(parse_state(tokens[2], lineno, n))
-        if tokens[1] not in plane_of:
+        if tokens[1] not in alphabet and tokens[1] != TAU_LABEL:
             raise ModelFormatError(f"line {lineno}: unknown label {tokens[1]!r}")
-        plane.append(plane_of[tokens[1]])
-    return src, plane, dst
+        labels.append(tokens[1])
+    return alphabet, n, init, term, labels, src, dst
+
+
+def _system(alphabet: ActionAlphabet, n: int, init, term, labels, src, dst) -> Lts:
+    """The system of parsed parts, without the checks of :meth:`Lts.__post_init__`: the parser made them."""
+    plane = list(map({name: k for k, name in enumerate((*alphabet.names, TAU_LABEL))}.__getitem__, labels))  # before allocating
+    planes = np.zeros((alphabet.size + 1, n, n), dtype=bool)  # tau's plane is the last
+    planes[plane, src, dst] = True
+    ends = np.zeros((2, n), dtype=bool)
+    ends[0, init] = ends[1, term] = True
+    lts, bits = object.__new__(Lts), partial(ActionMatrix.from_bits, alphabet)
+    lts.__dict__.update(alphabet=alphabet, initial=bits(ends[:1]), terminating=bits(ends[1:].T))
+    lts.__dict__.update(visible=ActionMatrix.from_planes(alphabet, planes[:-1]), internal=bits(planes[-1]))
+    return lts
 
 
 def format_lts(lts: Lts) -> str:
@@ -252,12 +251,7 @@ def conditions(lts: Lts, kind: str) -> Callable[[ActionMatrix], list]:
 
 
 def evaluate(
-    lts: Lts,
-    v: ActionMatrix,
-    kind: str,
-    *,
-    atol: float = DEFAULT_ATOL,
-    distributor: ActionMatrix | None = None,
+    lts: Lts, v: ActionMatrix, kind: str, *, atol: float = DEFAULT_ATOL, distributor: ActionMatrix | None = None
 ) -> tuple[CheckReport, list]:
     """Check ``v`` against one kind; also return the evaluated equalities."""
     _require_collector_for(lts, v)
@@ -279,12 +273,7 @@ def check_rows(kind: str, v: ActionMatrix, u, rows, atol: float = DEFAULT_ATOL) 
 
 
 def check(
-    lts: Lts,
-    v: ActionMatrix,
-    kind: str,
-    *,
-    atol: float = DEFAULT_ATOL,
-    distributor: ActionMatrix | None = None,
+    lts: Lts, v: ActionMatrix, kind: str, *, atol: float = DEFAULT_ATOL, distributor: ActionMatrix | None = None
 ) -> CheckReport:
     """Verdict of one kind on ``v``: the first equality of its table that fails."""
     return evaluate(lts, v, kind, atol=atol, distributor=distributor)[0]
@@ -318,12 +307,7 @@ def check_strong_relational(lts: Lts, v: ActionMatrix) -> CheckReport:
 
 
 def lump(
-    lts: Lts,
-    v: ActionMatrix,
-    kind: str,
-    *,
-    atol: float = DEFAULT_ATOL,
-    distributor: ActionMatrix | None = None,
+    lts: Lts, v: ActionMatrix, kind: str, *, atol: float = DEFAULT_ATOL, distributor: ActionMatrix | None = None
 ) -> Lts:
     """Quotient ``U M V`` of every matrix ``M`` by a bisimulation of the kind.
 

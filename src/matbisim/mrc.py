@@ -28,6 +28,7 @@ from .algebra import (
     block_labels,
     max_abs_diff,
     pade_quotient,
+    power_plan,
     real_matrix,
     solve_linear,
 )
@@ -44,7 +45,6 @@ from .partition import (
     require_passed,
     require_real_collector,
     table,
-    token_columns,
     verdict,
 )
 
@@ -191,11 +191,9 @@ def transition_matrices(q, times: Sequence[float], *, atol: float = DEFAULT_ATOL
     Fresh, ``q t`` is scaled by ``2^-s`` until its 1-norm is at most
     ``PADE_THETA``, and the Padé quotient of the scaled step
     (:func:`~matbisim.algebra.pade_quotient`: six products and a solve) is
-    squared ``s`` times.  A time ``t = m t'``, an exact integer multiple of
-    a smaller time ``t'`` of the call, is ``(e^(q t'))^m`` by binary
-    powering (squarings first) wherever its ``⌊log₂ m⌋ + popcount(m) − 1``
-    products are fewer than those fresh, the solve counted as one; ``t'``
-    is the largest such time.  So ``0.1, 1, 10, …`` take one quotient and
+    squared ``s`` times.  A time that :func:`~matbisim.algebra.power_plan`
+    maps to ``(t', m)`` is ``(e^(q t'))^m`` by binary powering (squarings
+    first).  So ``0.1, 1, 10, …`` take one quotient and
     four products per later time, and ``2^d`` times a fresh time that
     squares at least once has the bits it would have alone.  Times are
     reached in ascending order, and a matrix is held only while a later
@@ -215,14 +213,7 @@ def transition_matrices(q, times: Sequence[float], *, atol: float = DEFAULT_ATOL
             raise ValueError("matrix must be square")
     width = float(np.max(np.sum(np.abs(q), axis=0))) if q.size else 0.0
     fresh = {t: math.ceil(math.log2(max(t * width / PADE_THETA, 1.0))) for t in times if 0.0 < t * width < math.inf}
-    ordered, base = sorted(fresh), {}  # base: powered time -> the time and multiple it is powered from
-    for i, t in enumerate(ordered):
-        cost = 7 + fresh[t]  # of a fresh evaluation: six products, the solve and the squarings
-        for b in reversed(ordered[:i]):
-            # the ratio may be inf, so it is bounded by the cost before it is rounded
-            if t / b < 2**cost and (m := round(t / b)) * b == t and m.bit_length() + m.bit_count() - 2 < cost:
-                base[t] = b, m
-                break
+    ordered, base = sorted(fresh), power_plan(fresh)  # base: powered time -> the time and multiple it is powered from
     uses = Counter(t for t in times if t in fresh) + Counter(b for b, _ in base.values())
     held, ahead = {}, iter(ordered)  # held: time -> e^(qt), while it has uses to come
     for t in times:
@@ -237,9 +228,12 @@ def transition_matrices(q, times: Sequence[float], *, atol: float = DEFAULT_ATOL
                     b, m = base.get(s, (None, 2 ** fresh[s]))
                     held[s] = np.linalg.matrix_power(pade_quotient(q * (s / m)) if b is None else held[b], m)
                     uses[b] -= 1
+                    if b is not None and not uses[b]:
+                        del held[b]
             r = held[t]
             uses[t] -= 1
-            held = {s: p for s, p in held.items() if uses[s]}
+            if not uses[t]:
+                del held[t]
         else:
             r = np.eye(q.shape[0])
         lost = t in fresh and np.max(np.abs(q.sum(axis=1))) <= atol and not np.max(np.abs(r.sum(axis=1) - 1.0)) <= atol
@@ -754,13 +748,8 @@ def check_strong_discontinuous(limit: LimitChain, v, atol: float = DEFAULT_ATOL)
 
 
 def verify_limit_commutation(
-    model: Mrc | MrcFast,
-    v,
-    w=None,
-    times: Sequence[float] = (0.0, 0.5, 1.0, 2.0),
-    *,
-    atol: float = DEFAULT_ATOL,
-    tolerance: float | None = None,
+    model: Mrc | MrcFast, v, w=None, times: Sequence[float] = (0.0, 0.5, 1.0, 2.0), *,
+    atol: float = DEFAULT_ATOL, tolerance: float | None = None,
 ) -> bool:
     """Taking the fast-speed limit and lumping commute.
 
@@ -835,8 +824,33 @@ def parse_mrc(text: str) -> Mrc | MrcFast:
     then ``rate <src> <dst> <value>`` (slow) and ``fast <src> <dst> <value>``
     lines.  Diagonals are derived; self-rates are rejected; parallel rate
     lines accumulate.  Without any ``fast`` line the result is a plain chain.
+    The text is read as :func:`~matbisim.lts.parse_lts` reads it: the states
+    and the reals are cast in one array each and checked at once, and only a
+    text that fails is read again line by line, to name its first bad line.
     """
-    lines = content_lines(text)
+    try:
+        (head, n), (init_kw, *init), (reward_kw, *reward), *edges = content_lines(text, False)
+        at, colons, probs = zip(*(token.partition(":") for token in init))
+        kinds, src, dst, value = zip(*edges, strict=True)
+        n, k = int(n), len(at)
+        states = np.array([*at, *src, *dst], dtype=np.intp)
+        reals = np.array([*reward, *probs, *value], dtype=float)  # the rewards, then what must be nonnegative
+        src, dst = states[k:].reshape(2, -1)
+        valid = (head, init_kw, reward_kw, len(reward), {*colons}) == ("mrc", "init", "reward", n, {":"}) and {*kinds} <= {"rate", "fast"}
+        valid = valid and 0 <= states.min() and states.max() < n and np.bincount(states[:k]).max() == 1 and (src != dst).all()
+        if valid and np.isfinite(reals).all() and (reals[n:] >= 0).all():
+            sigma = np.zeros(n)
+            sigma[states[:k]] = reals[n : n + k]
+            chain, finite = _chain(n, sigma, reals[:n], np.array(kinds) == "fast", src, dst, reals[n + k :])
+            if finite.all():  # and the chain held the init sum to DEFAULT_ATOL
+                return chain
+    except (ValueError, OverflowError):
+        pass
+    return _by_line(content_lines(text))
+
+
+def _by_line(lines) -> Mrc | MrcFast:
+    """:func:`parse_mrc` a line at a time, to name the first bad line."""
     if len(lines) < 3:
         raise ModelFormatError("expected header lines: mrc, init, reward")
     (ln0, h0), (ln1, h1), (ln2, h2) = lines[:3]
@@ -845,7 +859,7 @@ def parse_mrc(text: str) -> Mrc | MrcFast:
     if h1[0] != "init" or len(h1) < 2:
         raise ModelFormatError(f"line {ln1}: expected 'init <state>:<probability> ...'")
     sigma = np.zeros(n)
-    seen: set[int] = set()
+    seen = set()
     for token in h1[1:]:
         if ":" not in token:
             raise ModelFormatError(f"line {ln1}: expected '<state>:<probability>', got {token!r}")
@@ -867,45 +881,6 @@ def parse_mrc(text: str) -> Mrc | MrcFast:
     rho = np.array([_number(tok, ln2, "reward") for tok in h2[1:]])
 
     edges = lines[3:]
-    fast, src, dst, value = _rate_columns(edges, n)
-    qs = np.zeros((n, n))
-    qf = np.zeros((n, n))
-    slow = ~fast
-    with np.errstate(over="ignore"):
-        # in file order, so parallel rate lines sum as one line at a time would
-        np.add.at(qs, (src[slow], dst[slow]), value[slow])
-        np.add.at(qf, (src[fast], dst[fast]), value[fast])
-        out_s, out_f = qs.sum(axis=1), qf.sum(axis=1)
-    if not (np.isfinite(out_s).all() and np.isfinite(out_f).all()):
-        raise _overflow(edges, ~np.isfinite(out_s), ~np.isfinite(out_f))
-    np.fill_diagonal(qs, -out_s)
-    np.fill_diagonal(qf, -out_f)
-    # validate_generator would return these unchanged: the rates are
-    # nonnegative and each diagonal is minus the sum it would write.
-    if fast.any():
-        return _trusted(MrcFast, sigma, rho, qs=qs, qf=qf)
-    return _trusted(Mrc, sigma, rho, q=qs)
-
-
-def _rate_columns(edges, n: int):
-    """Fast flag, source, target and value of each ``rate|fast`` line.
-
-    The columns are converted and checked whole; only a file with a bad
-    line is read again line by line, which reports the first one.
-    """
-    try:
-        kinds, src, dst, value = token_columns(edges, 4)
-        ends = np.array([list(map(int, src)), list(map(int, dst))], dtype=np.intp)
-        value = np.array(list(map(float, value)))
-        if (
-            set(kinds) <= {"rate", "fast"}
-            and (ends.size == 0 or 0 <= ends.min() and ends.max() < n)
-            and not (ends[0] == ends[1]).any()
-            and (np.isfinite(value) & (value >= 0)).all()
-        ):
-            return np.array(kinds, dtype=str) == "fast", ends[0], ends[1], value
-    except (ValueError, OverflowError):
-        pass
     fast, src, dst, value = [], [], [], []
     for lineno, tokens in edges:
         if len(tokens) != 4 or tokens[0] not in ("rate", "fast"):
@@ -918,14 +893,30 @@ def _rate_columns(edges, n: int):
         value.append(_number(tokens[3], lineno, "rate"))
         if value[-1] < 0:
             raise ModelFormatError(f"line {lineno}: negative rate {value[-1]!r}")
-    return np.array(fast, dtype=bool), np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp), np.array(value)
+    chain, finite = _chain(n, sigma, rho, np.array(fast, dtype=bool), *np.array([src, dst], dtype=np.intp).reshape(2, -1), np.array(value))
+    if not finite.all():
+        raise _overflow(edges, *~finite)
+    return chain
+
+
+def _chain(n: int, sigma, rho, fast, src, dst, value) -> tuple:
+    """The chain of parsed columns, and whether the rates out of each state
+    of ``Qs`` and of ``Qf`` sum to a float; parallel lines add in file order."""
+    cells = src * n + dst  # without weights NumPy counts in integers
+    qs, qf = (np.bincount(cells[kind], value[kind], n * n).reshape(n, n).astype(float, copy=False) for kind in (~fast, fast))
+    with np.errstate(over="ignore"):  # the caller refuses a row that passes the largest float
+        for q in (qs, qf):
+            np.fill_diagonal(q, -q.sum(axis=1))
+    # validate_generator would return these unchanged: nonnegative rates, each diagonal minus their sum
+    chain = _trusted(MrcFast, sigma, rho, qs=qs, qf=qf) if fast.any() else _trusted(Mrc, sigma, rho, q=qs)
+    return chain, np.isfinite([qs.diagonal(), qf.diagonal()])
 
 
 def _overflow(edges, slow_rows, fast_rows) -> ModelFormatError:
     """The error for rows whose rates sum past the largest float.  It names
     the line at which such a row's total, summed in file order, overflows,
     or the last line of such a row if only NumPy's summation order does."""
-    totals: dict[tuple[str, int], float] = {}
+    totals = {}
     for lineno, (kind, src, _, value) in edges:
         state = int(src)
         if (fast_rows if kind == "fast" else slow_rows)[state]:

@@ -266,12 +266,11 @@ def collector_to_partition(v) -> Partition:
     """Recover the partition encoded by a collector (boolean or real)."""
     if isinstance(v, ActionMatrix):
         require_bool_collector(v)
-        labels = v.support().argmax(axis=1).tolist()
+        v = v.support()
     else:
-        arr = np.asarray(v, dtype=float)
-        require_real_collector(arr)
-        labels = [int(np.argmax(row)) for row in arr]
-    return Partition.from_assignment(labels)
+        v = np.asarray(v, dtype=float)
+        require_real_collector(v)
+    return Partition.from_assignment(v.argmax(axis=1).tolist())
 
 
 def canonical_distributor_real(v: np.ndarray) -> np.ndarray:
@@ -292,30 +291,21 @@ def canonical_distributor_real(v: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def content_lines(text: str) -> list[tuple[int, list[str]]]:
-    """Token lists of non-empty lines, with 1-based line numbers; '#' starts a comment."""
+def content_lines(text: str, numbered: bool = True):
+    """Token lists of non-empty lines, with 1-based line numbers in a list if
+    ``numbered``, else lazily; '#' starts a comment."""
     lines = text.splitlines()
     if "#" in text:
-        lines = [raw.split("#", 1)[0] for raw in lines]
-    return [(lineno, tokens) for lineno, tokens in enumerate(map(str.split, lines), start=1) if tokens]
+        lines = (raw.split("#", 1)[0] for raw in lines)
+    rows = map(str.split, lines)
+    if not numbered:
+        return filter(None, rows)
+    return [(lineno, tokens) for lineno, tokens in enumerate(rows, start=1) if tokens]
 
 
 def first_token(text: str) -> str | None:
     """First token of :func:`content_lines`, without tokenizing the rest."""
-    for raw in text.splitlines():
-        body = raw.split("#", 1)[0].split()
-        if body:
-            return body[0]
-    return None
-
-
-def token_columns(lines: list[tuple[int, list[str]]], width: int) -> list[tuple[str, ...]]:
-    """The tokens of ``lines`` column by column; ValueError unless every
-    line has ``width`` tokens."""
-    rows = [tokens for _, tokens in lines]
-    if rows and set(map(len, rows)) != {width}:
-        raise ValueError(f"a line without {width} tokens")
-    return list(zip(*rows)) if rows else [()] * width
+    return next(content_lines(text, False), [None])[0]
 
 
 def _parse_int(token: str, lineno: int, what: str) -> int:
@@ -353,10 +343,16 @@ def parse_partition(text: str) -> Partition:
     if len(header) != 2:
         raise ModelFormatError(f"line {lineno}: expected 'partition <n>'")
     n = _parse_int(header[1], lineno, "state count")
-    try:
-        blocks = [tuple(map(int, tokens)) for _, tokens in lines[1:]]
-    except ValueError:  # name the first token that is not an integer
-        blocks = [tuple(_parse_int(t, lineno, "state index") for t in tokens) for lineno, tokens in lines[1:]]
+    blocks = [tokens for _, tokens in lines[1:]]
+    try:  # each of 0..n-1 once, by one cast and one count; any fault is named by the constructor
+        states = np.array([s for tokens in blocks for s in tokens], dtype=np.intp)
+        if len(states) == n and states.max() < n and np.bincount(states, minlength=n).all():
+            label = np.empty(n, np.intp)
+            label[states] = np.repeat(np.arange(len(blocks)), list(map(len, blocks)))
+            return Partition.from_assignment(label.tolist())
+    except (ValueError, OverflowError):
+        pass
+    blocks = [tuple(_parse_int(t, lineno, "state index") for t in tokens) for lineno, tokens in lines[1:]]
     try:
         return Partition(n, tuple(blocks))
     except ValueError as exc:

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import json
 import os
 import signal
@@ -7,7 +8,10 @@ import sys
 import warnings
 from pathlib import Path
 
-from matbisim.cli import main
+import numpy as np
+
+from matbisim.algebra import ActionAlphabet, ActionMatrix
+from matbisim.cli import _digest, main
 from matbisim.partition import format_partition
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -508,6 +512,48 @@ def test_check_json_checksums_and_witnesses_are_pinned(capsys):
         assert payload["violated"] == violated, where
         assert payload["witness"] == witness, where
         assert payload["checksums"] == checksums, where
+
+
+def _plain_digest(obj):
+    """The checksum text form of README's "Checksums", joined in plain Python."""
+    if isinstance(obj, ActionMatrix):
+        rows = (",".join(map(str, row)) for row in obj.data)
+        text = "bool|" + "|".join(obj.alphabet.names) + "#" + ";".join(rows)
+    else:
+        arr = np.asarray(obj, dtype=float)
+        text = "real|" + "x".join(map(str, arr.shape)) + "#" + ",".join("%.17g" % x for x in arr.ravel().tolist())
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def test_digest_hashes_the_plain_text_form():
+    rng = np.random.default_rng(5)
+    special = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, np.inf, -np.inf, np.nan, 0.1, 1.0]
+    payload = np.array([0x7FF8000000000001, 0xFFF8000000000000], dtype=np.uint64).view(np.float64)  # two more NaNs
+    reals = [
+        np.array([[2.5]]),
+        np.array([[-0.0]]),
+        np.array([[0.0]]),
+        np.array(special)[:, None],  # one column
+        np.array([special, special[::-1]]),
+        payload[None],
+        rng.choice(special + [3.0], size=(300, 251)),  # more than 65536 entries, rows across the chunk ends
+        np.where(rng.random((3, 70000)) < 0.01, rng.random((3, 70000)), 0.0),
+        np.arange(12.0),  # a vector, whose shape has one number
+    ]
+    for x in reals:
+        assert _digest(x) == _plain_digest(x), x.shape
+    small, wide = ActionAlphabet(("a", "b", "c")), ActionAlphabet(tuple(f"l{k}" for k in range(70)))
+    actions = [
+        ActionMatrix.from_planes(small, np.ones((3, 1, 1), bool)),
+        ActionMatrix.from_planes(small, np.zeros((3, 1, 1), bool)),
+        ActionMatrix.from_planes(small, rng.random((3, 9, 1)) < 0.5),  # one column: every entry ends a row
+        ActionMatrix.from_planes(small, rng.random((3, 10000, 7)) < 0.3),  # rows of 7 across the chunk ends
+        ActionMatrix.from_planes(small, rng.random((3, 1, 70000)) < 0.01),  # one row longer than a chunk
+        ActionMatrix.from_planes(wide, rng.random((70, 30, 40)) < 0.5),  # masks past 64 bits
+        ActionMatrix.from_planes(wide, np.eye(70, dtype=bool)[:, None, :].repeat(2, axis=1)),
+    ]
+    for m in actions:
+        assert _digest(m) == _plain_digest(m), m.shape
 
 
 def test_probe_arguments_are_bounded(capsys):

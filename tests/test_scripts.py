@@ -59,3 +59,21 @@ def test_scale_ladder_records_the_points_over_its_limits(tmp_path):
     assert done.returncode == 0, done.stderr
     funnels = [p for p in json.loads(out.read_text())[-1]["points"] if p["family"] == "funnel_mrc"]
     assert len(funnels) == 3 and all(p["status"] == "out_of_memory" for p in funnels), funnels
+
+
+def test_source_size_lists_every_module_with_its_step(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "a.py").write_text("x = 1  # a comment\n\n\ndef f():\n    '''one token'''\n    return x\n")
+    (package / "b.py").write_text("")
+    done = subprocess.run([sys.executable, "scripts/source_size.py", "--src", str(package)], cwd=ROOT, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    header, *rows, total = done.stdout.splitlines()
+    assert header.split() == ["module", "lines", "tokens", "next_step", "to_step"]
+    # a.py: NAME OP NUMBER NEWLINE, then def f ( ) : NEWLINE INDENT STRING NEWLINE return x NEWLINE DEDENT ENDMARKER
+    assert [row.split() for row in rows] == [["a.py", "6", "18", "4096", "4078"], ["b.py", "0", "1", "4096", "4095"]]
+    assert total.split() == ["total", "6"]
+    done = subprocess.run([sys.executable, "scripts/source_size.py"], cwd=ROOT, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    modules = {row.split()[0] for row in done.stdout.splitlines()[1:-1]}
+    assert {"cli.py", "lts.py", "mrc.py", "partition.py"} <= modules
