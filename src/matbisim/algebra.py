@@ -17,10 +17,8 @@ small pivoted solver with a deterministic singularity threshold, and the
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -436,35 +434,6 @@ def solve_linear(a, b) -> np.ndarray:
     for k in np.flatnonzero(coupled)[::-1].tolist():
         x[k] = (rhs[k] - m[k, k + 1 :] @ x[k + 1 :]) / m[k, k]
     return x[:, 0] if vector else x
-
-
-def power_plan(squarings: dict[float, int]) -> dict[float, tuple[float, int]]:
-    """``t -> (t', m)`` for each time ``t = m·t'`` (exactly, in floating point)
-    whose binary powering, ``⌊log₂ m⌋ + popcount(m) − 1`` products, is cheaper
-    than a fresh evaluation's ``7 + s`` (``s``, its squarings), at the largest
-    such ``t'``.  The smaller times are scanned, or ``t/m`` and neighbours looked
-    up for the ``Fib(9 + s) − 2`` cheap ``m`` in increasing order, if fewer."""
-    ordered, plan = sorted(squarings), {}
-    for i, t in enumerate(ordered):
-        cost = 7 + squarings[t]
-        candidates = reversed(ordered[:i])
-        if 3 * (((1 + 5**0.5) / 2) ** (cost + 2) / 5**0.5 - 2) < i:  # three lookups for each of Fib(cost + 2) − 2
-            cheap = itertools.takewhile((t / ordered[0] + 1).__ge__, _cheap(cost))
-            near = (b for m in cheap for b in (math.nextafter(t / m, t), t / m, math.nextafter(t / m, 0)))
-            candidates = (b for b in near if b in squarings and b < t)
-        for b in candidates:
-            # the ratio may be inf, so it is bounded by the cost before it is rounded
-            if t / b < 2**cost and (m := round(t / b)) * b == t and m.bit_length() + m.bit_count() - 2 < cost:
-                plan[t] = b, m
-                break
-    return plan
-
-
-@cache
-def _cheap(cost: int) -> tuple[int, ...]:
-    """The ``m`` of :func:`power_plan`: at most ``cost − k`` ones below the top bit of ``k`` bits."""
-    ones = ((k, j) for k in range(2, cost + 1) for j in range(min(cost - k, k - 1) + 1))
-    return tuple(sorted((1 << k - 1) + sum(1 << b for b in low) for k, j in ones for low in itertools.combinations(range(k - 1), j)))
 
 
 def pade_quotient(a: np.ndarray) -> np.ndarray:

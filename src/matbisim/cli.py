@@ -4,7 +4,6 @@ reward / diagram / probe over the text model formats."""
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import hashlib
 import json
@@ -33,7 +32,7 @@ from .partition import (
 SCHEMA_VERSION = 1
 
 #: Entries of a checksummed matrix gathered into text at once.
-CHUNK = 1 << 16
+CHUNK = 1 << 14
 
 
 @functools.cache
@@ -111,33 +110,38 @@ def _load_partition(path: Path) -> Partition:
 
 def _digest(obj) -> str:
     """First 16 hex digits of the SHA-256 of a matrix's text form (README, "Checksums").
-    Each distinct nonzero entry is formatted once, and the text is gathered ``CHUNK``
-    entries at a time from a table of the formatted values, by each entry's code."""
-    if isinstance(obj, ActionMatrix):  # each entry's bit mask (bit l for label l) as little-endian bytes
+    The text is gathered ``CHUNK`` entries at a time from a table of the chunk's
+    distinct nonzero entries, each formatted once, by each entry's code."""
+    if isinstance(obj, ActionMatrix):
         planes = obj.planes.reshape(obj.alphabet.size, -1)
-        packed = np.zeros((len(planes) + 7 >> 3, planes.shape[1]), np.uint8)  # np.packbits is slower along this axis
-        for label, plane in enumerate(planes):
-            packed[label >> 3] |= plane.view(np.uint8) << (label & 7)
-        keys, nonzero = np.ascontiguousarray(packed.T).view(f"S{len(packed)}").ravel(), packed.any(axis=0)
-        head, width, row_end = "bool|" + "|".join(obj.alphabet.names), obj.cols, ";"
+        head, size, width, row_end = "bool|" + "|".join(obj.alphabet.names), planes.shape[1], obj.cols, ";"
+
+        def keys(start):  # each entry's bit mask (bit l for label l) as little-endian bytes
+            part = planes[:, start : start + CHUNK]
+            packed = np.zeros((len(part) + 7 >> 3, part.shape[1]), np.uint8)  # np.packbits is slower along this axis
+            for label, plane in enumerate(part):
+                packed[label >> 3] |= plane.view(np.uint8) << (label & 7)
+            return np.ascontiguousarray(packed.T).view(f"S{len(packed)}").ravel(), packed.any(axis=0)
+
         text = lambda masks: [str(int.from_bytes(m, "little")) for m in masks.tolist()]
     else:  # bit patterns keep -0.0, NaN payloads and subnormals apart
-        keys = np.asarray(obj, dtype=float).ravel().view(np.int64)
-        nonzero, head, width, row_end = keys != 0, "real|" + "x".join(map(str, np.shape(obj))), 1, ""
+        bits = np.asarray(obj, dtype=float).ravel().view(np.int64)
+        head, size, width, row_end = "real|" + "x".join(map(str, np.shape(obj))), bits.size, 1, ""
+        keys = lambda start: (bits[start : start + CHUNK], bits[start : start + CHUNK] != 0)
         text = lambda bits: list(map("{:.17g}".format, bits.view(np.float64).tolist()))
-    distinct, inverse = np.unique(keys[nonzero], return_inverse=True)  # zero, code 0, is not sorted
-    texts = ["0", *text(distinct)]
-    # code c is texts[c] and ",", and c + len(texts) is texts[c] and the row's end
-    table = np.array([t + sep for sep in "," + row_end for t in texts], dtype=bytes)
-    digest, taken = hashlib.sha256(head.encode() + b"#"), 0
-    for start in range(0, keys.size, CHUNK):
-        nz = nonzero[start : start + CHUNK]
-        code, count = np.zeros(len(nz), np.intp), np.count_nonzero(nz)
-        code[nz], taken = inverse[taken : taken + count] + 1, taken + count
+    digest = hashlib.sha256(head.encode() + b"#")
+    for start in range(0, size, CHUNK):
+        key, nonzero = keys(start)
+        distinct, inverse = np.unique(key[nonzero], return_inverse=True)  # zero, code 0, is not sorted
+        texts = ["0", *text(distinct)]
+        # code c is texts[c] and ",", and c + len(texts) is texts[c] and the row's end
+        table = np.array([t + sep for sep in "," + row_end for t in texts], dtype=bytes)
+        code = np.zeros(len(key), np.intp)
+        code[nonzero] = inverse + 1
         if row_end:
             code[width - 1 - start % width :: width] += len(texts)
         chunk = table[code].tobytes().translate(None, b"\0")
-        digest.update(chunk if start + CHUNK < keys.size else chunk[:-1])  # nothing follows the last entry
+        digest.update(chunk if start + CHUNK < size else chunk[:-1])  # nothing follows the last entry
     return digest.hexdigest()[:16]
 
 
@@ -156,7 +160,16 @@ def _emit(cfg: argparse.Namespace, text_lines: list[str], payload: dict) -> None
 
 
 def _report_payload(report: CheckReport) -> dict:
-    witness = None if report.witness is None else dataclasses.asdict(report.witness)  # label tuples print as lists
+    witness = None
+    if report.witness is not None:
+        w = report.witness
+        witness = {
+            "row": w.row,
+            "col": w.col,
+            "lhs": list(w.lhs) if isinstance(w.lhs, tuple) else w.lhs,
+            "rhs": list(w.rhs) if isinstance(w.rhs, tuple) else w.rhs,
+            "residual": w.residual,
+        }
     return {"verdict": "pass" if report.passed else "fail", "violated": report.violated, "witness": witness}
 
 
@@ -176,10 +189,14 @@ def _format_model(model) -> str:
 
 
 def _write_or_print(cfg: argparse.Namespace, text: str, payload_key: str) -> None:
-    if cfg.output is None:
-        return _emit(cfg, [text.rstrip("\n")], {payload_key: text})
-    cfg.output.write_text(text)
-    _emit(cfg, [f"wrote {cfg.output}"], {payload_key: text, "output": str(cfg.output)})
+    if cfg.output is not None:
+        cfg.output.write_text(text)
+        if not cfg.json:
+            print(f"wrote {cfg.output}")
+        else:
+            _emit(cfg, [], {payload_key: text, "output": str(cfg.output)})
+    else:
+        _emit(cfg, [text.rstrip("\n")], {payload_key: text})
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +273,8 @@ def cmd_closure(cfg: argparse.Namespace) -> int:
     model = _load_model(cfg.model)
     if family_of(model) is not lts_mod:
         raise ValueError("closure applies to transition systems only")
-    _write_or_print(cfg, lts_mod.format_lts(lts_mod.tau_closure(model)), "model")
+    text = lts_mod.format_lts(lts_mod.tau_closure(model))
+    _write_or_print(cfg, text, "model")
     return 0
 
 

@@ -251,7 +251,12 @@ def conditions(lts: Lts, kind: str) -> Callable[[ActionMatrix], list]:
 
 
 def evaluate(
-    lts: Lts, v: ActionMatrix, kind: str, *, atol: float = DEFAULT_ATOL, distributor: ActionMatrix | None = None
+    lts: Lts,
+    v: ActionMatrix,
+    kind: str,
+    *,
+    atol: float = DEFAULT_ATOL,
+    distributor: ActionMatrix | None = None,
 ) -> tuple[CheckReport, list]:
     """Check ``v`` against one kind; also return the evaluated equalities."""
     _require_collector_for(lts, v)
@@ -273,7 +278,12 @@ def check_rows(kind: str, v: ActionMatrix, u, rows, atol: float = DEFAULT_ATOL) 
 
 
 def check(
-    lts: Lts, v: ActionMatrix, kind: str, *, atol: float = DEFAULT_ATOL, distributor: ActionMatrix | None = None
+    lts: Lts,
+    v: ActionMatrix,
+    kind: str,
+    *,
+    atol: float = DEFAULT_ATOL,
+    distributor: ActionMatrix | None = None,
 ) -> CheckReport:
     """Verdict of one kind on ``v``: the first equality of its table that fails."""
     return evaluate(lts, v, kind, atol=atol, distributor=distributor)[0]
@@ -307,7 +317,12 @@ def check_strong_relational(lts: Lts, v: ActionMatrix) -> CheckReport:
 
 
 def lump(
-    lts: Lts, v: ActionMatrix, kind: str, *, atol: float = DEFAULT_ATOL, distributor: ActionMatrix | None = None
+    lts: Lts,
+    v: ActionMatrix,
+    kind: str,
+    *,
+    atol: float = DEFAULT_ATOL,
+    distributor: ActionMatrix | None = None,
 ) -> Lts:
     """Quotient ``U M V`` of every matrix ``M`` by a bisimulation of the kind.
 

@@ -28,7 +28,6 @@ from .algebra import (
     block_labels,
     max_abs_diff,
     pade_quotient,
-    power_plan,
     real_matrix,
     solve_linear,
 )
@@ -191,9 +190,11 @@ def transition_matrices(q, times: Sequence[float], *, atol: float = DEFAULT_ATOL
     Fresh, ``q t`` is scaled by ``2^-s`` until its 1-norm is at most
     ``PADE_THETA``, and the Padé quotient of the scaled step
     (:func:`~matbisim.algebra.pade_quotient`: six products and a solve) is
-    squared ``s`` times.  A time that :func:`~matbisim.algebra.power_plan`
-    maps to ``(t', m)`` is ``(e^(q t'))^m`` by binary powering (squarings
-    first).  So ``0.1, 1, 10, …`` take one quotient and
+    squared ``s`` times.  A time ``t = m t'``, an exact integer multiple of
+    a smaller time ``t'`` of the call, is ``(e^(q t'))^m`` by binary
+    powering (squarings first) wherever its ``⌊log₂ m⌋ + popcount(m) − 1``
+    products are fewer than those fresh, the solve counted as one; ``t'``
+    is the largest such time.  So ``0.1, 1, 10, …`` take one quotient and
     four products per later time, and ``2^d`` times a fresh time that
     squares at least once has the bits it would have alone.  Times are
     reached in ascending order, and a matrix is held only while a later
@@ -213,7 +214,14 @@ def transition_matrices(q, times: Sequence[float], *, atol: float = DEFAULT_ATOL
             raise ValueError("matrix must be square")
     width = float(np.max(np.sum(np.abs(q), axis=0))) if q.size else 0.0
     fresh = {t: math.ceil(math.log2(max(t * width / PADE_THETA, 1.0))) for t in times if 0.0 < t * width < math.inf}
-    ordered, base = sorted(fresh), power_plan(fresh)  # base: powered time -> the time and multiple it is powered from
+    ordered, base = sorted(fresh), {}  # base: powered time -> the time and multiple it is powered from
+    for i, t in enumerate(ordered):
+        cost = 7 + fresh[t]  # of a fresh evaluation: six products, the solve and the squarings
+        for b in reversed(ordered[:i]):
+            # the ratio may be inf, so it is bounded by the cost before it is rounded
+            if t / b < 2**cost and (m := round(t / b)) * b == t and m.bit_length() + m.bit_count() - 2 < cost:
+                base[t] = b, m
+                break
     uses = Counter(t for t in times if t in fresh) + Counter(b for b, _ in base.values())
     held, ahead = {}, iter(ordered)  # held: time -> e^(qt), while it has uses to come
     for t in times:
@@ -228,12 +236,9 @@ def transition_matrices(q, times: Sequence[float], *, atol: float = DEFAULT_ATOL
                     b, m = base.get(s, (None, 2 ** fresh[s]))
                     held[s] = np.linalg.matrix_power(pade_quotient(q * (s / m)) if b is None else held[b], m)
                     uses[b] -= 1
-                    if b is not None and not uses[b]:
-                        del held[b]
             r = held[t]
             uses[t] -= 1
-            if not uses[t]:
-                del held[t]
+            held = {s: p for s, p in held.items() if uses[s]}
         else:
             r = np.eye(q.shape[0])
         lost = t in fresh and np.max(np.abs(q.sum(axis=1))) <= atol and not np.max(np.abs(r.sum(axis=1) - 1.0)) <= atol
@@ -748,8 +753,13 @@ def check_strong_discontinuous(limit: LimitChain, v, atol: float = DEFAULT_ATOL)
 
 
 def verify_limit_commutation(
-    model: Mrc | MrcFast, v, w=None, times: Sequence[float] = (0.0, 0.5, 1.0, 2.0), *,
-    atol: float = DEFAULT_ATOL, tolerance: float | None = None,
+    model: Mrc | MrcFast,
+    v,
+    w=None,
+    times: Sequence[float] = (0.0, 0.5, 1.0, 2.0),
+    *,
+    atol: float = DEFAULT_ATOL,
+    tolerance: float | None = None,
 ) -> bool:
     """Taking the fast-speed limit and lumping commute.
 
@@ -859,7 +869,7 @@ def _by_line(lines) -> Mrc | MrcFast:
     if h1[0] != "init" or len(h1) < 2:
         raise ModelFormatError(f"line {ln1}: expected 'init <state>:<probability> ...'")
     sigma = np.zeros(n)
-    seen = set()
+    seen: set[int] = set()
     for token in h1[1:]:
         if ":" not in token:
             raise ModelFormatError(f"line {ln1}: expected '<state>:<probability>', got {token!r}")
@@ -893,7 +903,7 @@ def _by_line(lines) -> Mrc | MrcFast:
         value.append(_number(tokens[3], lineno, "rate"))
         if value[-1] < 0:
             raise ModelFormatError(f"line {lineno}: negative rate {value[-1]!r}")
-    chain, finite = _chain(n, sigma, rho, np.array(fast, dtype=bool), *np.array([src, dst], dtype=np.intp).reshape(2, -1), np.array(value))
+    chain, finite = _chain(n, sigma, rho, np.array(fast, dtype=bool), *np.array([src, dst], dtype=np.intp), np.array(value))
     if not finite.all():
         raise _overflow(edges, *~finite)
     return chain
@@ -916,7 +926,7 @@ def _overflow(edges, slow_rows, fast_rows) -> ModelFormatError:
     """The error for rows whose rates sum past the largest float.  It names
     the line at which such a row's total, summed in file order, overflows,
     or the last line of such a row if only NumPy's summation order does."""
-    totals = {}
+    totals: dict[tuple[str, int], float] = {}
     for lineno, (kind, src, _, value) in edges:
         state = int(src)
         if (fast_rows if kind == "fast" else slow_rows)[state]:

@@ -266,11 +266,12 @@ def collector_to_partition(v) -> Partition:
     """Recover the partition encoded by a collector (boolean or real)."""
     if isinstance(v, ActionMatrix):
         require_bool_collector(v)
-        v = v.support()
+        labels = v.support().argmax(axis=1).tolist()
     else:
-        v = np.asarray(v, dtype=float)
-        require_real_collector(v)
-    return Partition.from_assignment(v.argmax(axis=1).tolist())
+        arr = np.asarray(v, dtype=float)
+        require_real_collector(arr)
+        labels = [int(np.argmax(row)) for row in arr]
+    return Partition.from_assignment(labels)
 
 
 def canonical_distributor_real(v: np.ndarray) -> np.ndarray:

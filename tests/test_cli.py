@@ -5,13 +5,14 @@ import os
 import signal
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 
 from matbisim.algebra import ActionAlphabet, ActionMatrix
-from matbisim.cli import _digest, main
+from matbisim.cli import CHUNK, _digest, main
 from matbisim.partition import format_partition
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -554,6 +555,16 @@ def test_digest_hashes_the_plain_text_form():
     ]
     for m in actions:
         assert _digest(m) == _plain_digest(m), m.shape
+    # dense and all distinct, every entry formatted: the memory is the chunk's, not the matrix's
+    dense = rng.random((500, 500))
+    tracemalloc.start()
+    try:
+        digest = _digest(dense)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert digest == _plain_digest(dense)
+    assert peak < 400 * CHUNK < dense.size * 100, peak
 
 
 def test_probe_arguments_are_bounded(capsys):

@@ -8,7 +8,6 @@ import pytest
 import scipy.linalg
 
 from matbisim import generate, mrc
-from matbisim.algebra import PADE_THETA, power_plan
 from matbisim.mrc import (
     DistributorError,
     GeneratorError,
@@ -251,43 +250,6 @@ def test_transition_matrices_power_only_exact_multiples(q, times):
     for t, p in zip(times, mrc.transition_matrices(q, times), strict=True):
         alone = transition_matrix(q, t)
         assert np.max(np.abs(p - alone)) <= 1e-12 * np.max(np.abs(alone)), t
-
-
-def _scanned_plan(squarings):
-    """The rule of ``power_plan`` read literally: scan every smaller time,
-    largest first, for the first that ``t`` is a cheap exact multiple of."""
-    ordered, plan = sorted(squarings), {}
-    for i, t in enumerate(ordered):
-        cost = 7 + squarings[t]
-        for b in reversed(ordered[:i]):
-            if t / b < 2**cost and (m := round(t / b)) * b == t and m.bit_length() + m.bit_count() - 2 < cost:
-                plan[t] = b, m
-                break
-    return plan
-
-
-def test_power_plan_picks_the_bases_of_the_scan():
-    rng = random.Random(11)
-    grids = [
-        [k * 0.01 for k in range(1, 301)],
-        list(np.linspace(0.0, 30.0, 300)),
-        [rng.uniform(0.0, 30.0) for _ in range(300)],
-        [10.0 ** rng.uniform(-8, 8) for _ in range(200)] + [0.1, 1, 10, 100, 1e3, 1e4, 1e5],
-        [1e-3, 7e5, 5e-324, 1e-300, 1e300],
-    ]
-    for _ in range(20):  # multiples of a few bases, and times one or two ulps off them
-        base = rng.uniform(1e-3, 10.0)
-        grids.append([base * m * (1 + rng.choice([0, 0, 2**-52, -(2**-53), 2**-51])) for m in range(1, 200)])
-    for times in grids:
-        for width in (0.01, 2.0, 1e3):
-            squarings = {t: math.ceil(math.log2(max(t * width / PADE_THETA, 1.0))) for t in times if 0.0 < t * width < math.inf}
-            assert power_plan(squarings) == _scanned_plan(squarings)
-    # dense grids of cheap multiples look up a few dozen multiples, not every smaller time
-    squarings = {k * 0.01: 0 for k in range(1, 10001)}
-    started = time.perf_counter()
-    plan = power_plan(squarings)
-    assert time.perf_counter() - started < 3.0  # a scan of every smaller time takes minutes
-    assert plan[100.0] == (50.0, 2)
 
 
 def test_total_reward_examples(reward_chain):
