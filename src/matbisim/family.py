@@ -7,13 +7,15 @@ without branching on the model: ``parse_model``, ``format_model``,
 ``collector``, ``collectors`` (a stack of them, for the oracle),
 ``canonical_distributor``, ``conditions`` (the kind's table
 ``V -> [(name, X)]``: the family's reading of the one statement of every
-kind, :func:`~matbisim.partition.kinds`), ``check_rows``, ``passes`` and
-``signature_keys`` (a verdict, a pass flag per stacked collector and
-refinement keys from evaluated rows), ``evaluate``, ``check``, ``lump``,
-``read_distributor``, and ``UNIQUE_COARSEST``.  Tables, distributors and
-``passes`` broadcast over leading stack axes of the collector.
-``check_rows`` and ``passes`` decide each ``VUX = X`` as block-constancy
-with the family's one kernel; ``u`` None is the canonical distributor.
+kind, :func:`~matbisim.partition.kinds`), ``kernel`` (the block-constancy
+reading of each ``VUX = X``; ``u`` None is the canonical distributor),
+``require_collector`` and ``require_distributor`` (its input checks),
+``signature_keys`` (refinement keys from evaluated rows), ``evaluate``,
+``check``, ``lump``, ``read_distributor``, and ``UNIQUE_COARSEST``.
+Tables, distributors and kernels broadcast over leading stack axes of the
+collector.  ``evaluate`` and ``check`` are stated once, in
+:mod:`~matbisim.partition`, which also turns a family's kernel into a
+verdict (``verdict``) or a pass flag per stacked collector (``passes``).
 """
 
 from __future__ import annotations

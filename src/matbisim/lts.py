@@ -26,7 +26,9 @@ from .partition import (
     ModelFormatError,
     Partition,
     Witness,
+    check,
     content_lines,
+    evaluate,
     kinds,
     parse_model_header,
     parse_state,
@@ -179,12 +181,25 @@ def read_distributor(path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _require_collector_for(lts: Lts, v: ActionMatrix) -> None:
+def require_collector(lts: Lts, v: ActionMatrix) -> ActionMatrix:
     if v.alphabet != lts.alphabet:
         raise ValueError("collector must share the system alphabet")
     if v.rows != lts.num_states:
         raise ValueError(f"collector has {v.rows} rows for a {lts.num_states}-state system")
     require_bool_collector(v)
+    return v
+
+
+def require_distributor(v: ActionMatrix, u: ActionMatrix, atol: float) -> ActionMatrix:
+    """``u``, once it is a distributor of ``v``; entries are exact, so
+    ``atol`` is not read."""
+    if u.shape != (v.cols, v.rows):
+        raise ValueError("distributor shape must be the collector's transpose shape")
+    if u @ v != ActionMatrix.identity(v.alphabet, v.cols):
+        raise ValueError("UV = I fails: not a distributor")
+    if not u.planes.any(axis=2).all():
+        raise ValueError("U1 = 1 fails: not a distributor")
+    return u
 
 
 def collector(lts: Lts, p: Partition) -> ActionMatrix:
@@ -202,14 +217,14 @@ def canonical_distributor(v: ActionMatrix) -> ActionMatrix:
     return v.transpose()
 
 
-def _kernel(v: ActionMatrix, u):
+def kernel(v: ActionMatrix, u, atol: float):
     """The block-constancy kernel of ``V``, a collector or stack: for any
     distributor, ``VUX = X`` holds plane by plane exactly when the rows of
     ``X`` are constant on the blocks.  A miss is an entry where a row
     differs from that of its block's first member, so the verdict forms no
-    product.  Only a failing row forms ``VUX`` (``u`` None is the
-    transpose), for its witness: the first entry where ``VUX`` and ``X``
-    differ.
+    product; entries are exact, so ``atol`` is not read.  Only a failing
+    row forms ``VUX`` (``u`` None is the transpose), for its witness: the
+    first entry where ``VUX`` and ``X`` differ.
     """
     _, rep = block_labels(v.planes)
 
@@ -229,13 +244,6 @@ def _witness(lhs: ActionMatrix, rhs: ActionMatrix, differs: Callable = np.not_eq
     return Witness(i, j, *(lhs.alphabet.labels_of(m.mask_at(i, j)) for m in (lhs, rhs)))
 
 
-def passes(v: ActionMatrix, u, rows, atol: float = DEFAULT_ATOL) -> np.ndarray:
-    """Whether every ``VUX = X`` of the evaluated rows holds, per stacked
-    collector.  The verdict is the same for every distributor ``u``."""
-    read = _kernel(v, u)
-    return ~np.any([read(x)[0].any(axis=(-2, -1)) for _, x in rows], axis=0)
-
-
 def conditions(lts: Lts, kind: str) -> Callable[[ActionMatrix], list]:
     """The kind's table :func:`~matbisim.partition.kinds` read over the
     action-set semiring: ``A`` and ``S`` closed by :func:`rt_closure`, in
@@ -250,45 +258,6 @@ def conditions(lts: Lts, kind: str) -> Callable[[ActionMatrix], list]:
     return kinds(kind, lts.terminating, (("A", lts.visible), ("S", lts.internal)), rt_closure, branching_closure, True)
 
 
-def evaluate(
-    lts: Lts,
-    v: ActionMatrix,
-    kind: str,
-    *,
-    atol: float = DEFAULT_ATOL,
-    distributor: ActionMatrix | None = None,
-) -> tuple[CheckReport, list]:
-    """Check ``v`` against one kind; also return the evaluated equalities."""
-    _require_collector_for(lts, v)
-    u = distributor
-    if u is not None:
-        if u.shape != (v.cols, v.rows):
-            raise ValueError("distributor shape must be the collector's transpose shape")
-        if u @ v != ActionMatrix.identity(v.alphabet, v.cols):
-            raise ValueError("UV = I fails: not a distributor")
-        if not u.planes.any(axis=2).all():
-            raise ValueError("U1 = 1 fails: not a distributor")
-    rows = conditions(lts, kind)(v)
-    return check_rows(kind, v, u, rows), rows
-
-
-def check_rows(kind: str, v: ActionMatrix, u, rows, atol: float = DEFAULT_ATOL) -> CheckReport:
-    """Verdict on evaluated equalities: the first ``VUX = X`` that fails."""
-    return verdict(kind, rows, _kernel(v, u))
-
-
-def check(
-    lts: Lts,
-    v: ActionMatrix,
-    kind: str,
-    *,
-    atol: float = DEFAULT_ATOL,
-    distributor: ActionMatrix | None = None,
-) -> CheckReport:
-    """Verdict of one kind on ``v``: the first equality of its table that fails."""
-    return evaluate(lts, v, kind, atol=atol, distributor=distributor)[0]
-
-
 def branching_closure(internal: ActionMatrix, v: ActionMatrix) -> ActionMatrix:
     """Closure of the internal steps restricted to same-class pairs."""
     return rt_closure(internal.meet(v @ v.transpose()))
@@ -298,7 +267,7 @@ def check_strong_relational(lts: Lts, v: ActionMatrix) -> CheckReport:
     """Strong check via the relation ``R = V Vᵀ``; cross-validates the
     saturation form (``RA ≤ AR`` plus the analogous internal and
     termination inequalities)."""
-    _require_collector_for(lts, v)
+    require_collector(lts, v)
     r = v @ v.transpose()
     conditions = (
         ("Rρ ≤ ρ", r @ lts.terminating, lts.terminating),
@@ -329,7 +298,7 @@ def lump(
     The strong quotient is independent of the distributor; the weak and
     branching ones depend on it, and the default is the transpose.
     """
-    require_passed(evaluate(lts, v, kind, distributor=distributor)[0])
+    require_passed(check(lts, v, kind, distributor=distributor))
     u = canonical_distributor(v) if distributor is None else distributor
     return Lts(
         alphabet=lts.alphabet,
@@ -372,7 +341,7 @@ def verify_closure_identities(lts: Lts, v: ActionMatrix) -> bool:
     because the class-level closure may connect classes that no
     state-level internal path connects.
     """
-    _require_collector_for(lts, v)
+    require_collector(lts, v)
     u = v.transpose()
     pi = rt_closure(lts.internal)
     first = u @ pi @ v == rt_closure(u @ lts.internal @ v)
@@ -388,10 +357,10 @@ def verify_weak_commutation(lts: Lts, v: ActionMatrix) -> bool:
     closed system on the visible part and on termination, which are the
     weak rows ``ΠAΠV`` and ``Πρ``.  Requires the weak check to pass.
     """
-    _require_collector_for(lts, v)
+    require_collector(lts, v)
     u = v.transpose()
     rows = conditions(lts, "weak")(v)
-    require_passed(check_rows("weak", v, u, rows))
+    require_passed(verdict("weak", rows, kernel(v, u, DEFAULT_ATOL)))
     (_, closed_term), _, (_, closed_visible_v) = rows
     lumped_closure = rt_closure(u @ lts.internal @ v)
     visible_ok = lumped_closure @ (u @ lts.visible @ v) @ lumped_closure == u @ closed_visible_v
@@ -430,6 +399,6 @@ UNIQUE_COARSEST = ("strong", "weak", "branching")
 def signature_keys(p: Partition, rows, atol: float = DEFAULT_ATOL) -> list:
     """Per-state rows of every evaluated ``X``.  Blocks split where these
     differ, so the fixpoint's rows are block-constant: the check
-    (:func:`check_rows`) then passes."""
+    (:func:`kernel`) then passes."""
     xs = np.concatenate([x.planes for _, x in rows], axis=2)
     return [state.tobytes() for state in xs.transpose(1, 0, 2)]

@@ -37,7 +37,9 @@ from .partition import (
     Partition,
     Witness,
     canonical_distributor_real as canonical_distributor,
+    check,
     content_lines,
+    evaluate,
     kinds,
     parse_model_header,
     parse_state,
@@ -263,12 +265,24 @@ def total_reward(model: Mrc, t: float, *, atol: float = DEFAULT_ATOL) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _require_collector_for(n: int, v: np.ndarray) -> np.ndarray:
+def require_collector(model, v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     require_real_collector(v)
-    if v.shape[0] != n:
-        raise ValueError(f"collector has {v.shape[0]} rows for a {n}-state chain")
+    if v.shape[0] != model.num_states:
+        raise ValueError(f"collector has {v.shape[0]} rows for a {model.num_states}-state chain")
     return v
+
+
+def require_distributor(v: np.ndarray, u, atol: float) -> np.ndarray:
+    """``u`` as a real matrix, once it is a distributor of ``v`` to ``atol``."""
+    u = real_matrix(u)
+    if u.shape != (v.shape[1], v.shape[0]):
+        raise ValueError("distributor shape must be collector transposed")
+    if max_abs_diff(u @ v, np.eye(v.shape[1])) > atol:
+        raise ValueError("UV = I fails: not a distributor")
+    if max_abs_diff(u.sum(axis=1), np.ones(len(u))) > atol:
+        raise ValueError("U1 = 1 fails: not a distributor")
+    return u
 
 
 def collector(model: Mrc | MrcFast, p: Partition) -> np.ndarray:
@@ -281,7 +295,7 @@ def collectors(model: Mrc | MrcFast, member: np.ndarray) -> np.ndarray:
     return member.astype(float)
 
 
-def _kernel(v: np.ndarray, u, atol: float):
+def kernel(v: np.ndarray, u, atol: float):
     """The block-constancy kernel of ``V``, a collector or a stack of them.
 
     Each row less that of its block's first member ``r`` is ``d = X − X[r]``,
@@ -314,18 +328,6 @@ def _kernel(v: np.ndarray, u, atol: float):
     return read
 
 
-def passes(v: np.ndarray, u, rows, atol: float = DEFAULT_ATOL) -> np.ndarray:
-    """Whether every ``VUX = X`` of the evaluated rows holds, per stacked collector."""
-    read = _kernel(v, u, atol)
-    return ~np.any([read(x)[0].any(axis=(-2, -1)) for _, x in rows], axis=0)
-
-
-def check_rows(kind: str, v: np.ndarray, u, rows, atol: float = DEFAULT_ATOL) -> CheckReport:
-    """Verdict on evaluated equalities: the first ``VUX = X`` that misses
-    ``atol``, at its first missed entry, with ``|VUX − X|`` there."""
-    return verdict(kind, rows, _kernel(v, u, atol))
-
-
 def conditions(model: Mrc | MrcFast, kind: str) -> Callable[[np.ndarray], list]:
     """The kind's table :func:`~matbisim.partition.kinds` read over the
     reals: ``Qs`` and ``Qf`` (a plain chain's ``Q`` for strong), closed by
@@ -342,31 +344,6 @@ def _conditions(model: Mrc | MrcFast, kind: str, closure: Callable) -> Callable[
     fast = as_fast_chain(model)
     generators = (("Q", model.q),) if kind == "strong" and isinstance(model, Mrc) else (("Qs", fast.qs), ("Qf", fast.qf))
     return kinds(kind, fast.rho.reshape(-1, 1), generators, closure, lambda q, v: project_stack(_restrict(q, v))[0], False)
-
-
-def evaluate(
-    model: Mrc | MrcFast, v, kind: str, *, atol: float = DEFAULT_ATOL, distributor=None
-) -> tuple[CheckReport, list]:
-    """Check ``v`` against one kind, under ``distributor`` if one is given;
-    also return the evaluated equalities."""
-    v = _require_collector_for(model.num_states, v)
-    u = None if distributor is None else real_matrix(distributor)
-    if u is not None:
-        if u.shape != (v.shape[1], v.shape[0]):
-            raise ValueError("distributor shape must be collector transposed")
-        if max_abs_diff(u @ v, np.eye(v.shape[1])) > atol:
-            raise ValueError("UV = I fails: not a distributor")
-        if max_abs_diff(u.sum(axis=1), np.ones(len(u))) > atol:
-            raise ValueError("U1 = 1 fails: not a distributor")
-    rows = conditions(model, kind)(v)
-    return check_rows(kind, v, u, rows, atol), rows
-
-
-def check(
-    model: Mrc | MrcFast, v, kind: str, *, atol: float = DEFAULT_ATOL, distributor=None
-) -> CheckReport:
-    """Verdict of one kind on ``v``: the first equality of its table that misses ``atol``."""
-    return evaluate(model, v, kind, atol=atol, distributor=distributor)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +564,7 @@ def tau_distributor_residuals(model: Mrc | MrcFast, v, w, *, atol: float = DEFAU
     the projection identity.
     """
     fast = as_fast_chain(model)
-    v = _require_collector_for(fast.num_states, v)
+    v = require_collector(fast, v)
     return _residuals(fast, v, w, ergodic_projection(fast.qf).pi, atol)[0]
 
 
@@ -622,10 +599,10 @@ def _certified(
     and the projection of ``WQfV``; each projection is computed once.
     """
     fast = as_fast_chain(model)
-    v = _require_collector_for(fast.num_states, v)
+    v = require_collector(fast, v)
     proj = ergodic_projection(fast.qf)
     pi = proj.pi
-    require_passed(check_rows("weak", v, None, _conditions(fast, "weak", lambda _: pi)(v), atol))
+    require_passed(verdict("weak", _conditions(fast, "weak", lambda _: pi)(v), kernel(v, None, atol)))
     origin = "supplied"
     if w is None:
         origin = "candidate"
@@ -747,9 +724,9 @@ def check_strong_discontinuous(limit: LimitChain, v, atol: float = DEFAULT_ATOL)
     The projection itself must be class-saturated, in addition to the
     smoothed slow part and rewards.
     """
-    v = _require_collector_for(limit.num_states, v)
+    v = require_collector(limit, v)
     rows = table(("VUΠρ = Πρ", limit.pi @ limit.rho.reshape(-1, 1)), ("VUΠV = ΠV", limit.pi), ("VU(ΠQsΠ)V = (ΠQsΠ)V", limit.slow))
-    return check_rows("strong-discontinuous", v, None, rows(v), atol)
+    return verdict("strong-discontinuous", rows(v), kernel(v, None, atol))
 
 
 def verify_limit_commutation(
@@ -971,10 +948,7 @@ def parse_distributor(text: str) -> np.ndarray:
     for lineno, tokens in lines[1:]:
         if len(tokens) != n:
             raise ModelFormatError(f"line {lineno}: expected {n} values")
-        try:
-            rows.append([float(t) for t in tokens])
-        except ValueError:
-            raise ModelFormatError(f"line {lineno}: values must be numbers") from None
+        rows.append([_number(t, lineno, "value") for t in tokens])
     return real_matrix(rows)
 
 
@@ -1048,5 +1022,5 @@ UNIQUE_COARSEST = ("strong", "weak")
 def signature_keys(p: Partition, rows, atol: float = DEFAULT_ATOL) -> list:
     """Per-state rows of every evaluated ``X``, clustered to tolerance inside
     each block, so that every row of a stable block lies within ``atol`` of
-    its block mean, which the check (:func:`check_rows`) compares."""
+    its block mean, which the check (:func:`kernel`) compares."""
     return _cluster_keys(p, np.hstack([x for _, x in rows]), atol)

@@ -232,6 +232,31 @@ def verdict(kind: str, rows, read: Callable) -> CheckReport:
     return CheckReport(kind, True)
 
 
+def passes(rows, read: Callable) -> np.ndarray:
+    """Whether every ``VUX = X`` of ``rows`` holds, per stacked collector,
+    by the family kernel ``read`` of :func:`verdict`."""
+    return ~np.any([read(x)[0].any(axis=(-2, -1)) for _, x in rows], axis=0)
+
+
+def evaluate(model, v, kind: str, *, atol: float = DEFAULT_ATOL, distributor=None) -> tuple[CheckReport, list]:
+    """Check ``v`` against one kind, under ``distributor`` if one is given;
+    also return the evaluated equalities.  The model's family validates
+    ``v`` and ``distributor``, builds the kind's table and reads it with
+    its kernel, to ``atol`` over the reals and exactly over action sets."""
+    from .family import family_of
+
+    family = family_of(model)
+    v = family.require_collector(model, v)
+    u = None if distributor is None else family.require_distributor(v, distributor, atol)
+    rows = family.conditions(model, kind)(v)
+    return verdict(kind, rows, family.kernel(v, u, atol)), rows
+
+
+def check(model, v, kind: str, *, atol: float = DEFAULT_ATOL, distributor=None) -> CheckReport:
+    """Verdict of one kind on ``v``: the first equality of its table that fails."""
+    return evaluate(model, v, kind, atol=atol, distributor=distributor)[0]
+
+
 # ---------------------------------------------------------------------------
 # Collector / distributor helpers
 # ---------------------------------------------------------------------------
@@ -344,15 +369,6 @@ def parse_partition(text: str) -> Partition:
     if len(header) != 2:
         raise ModelFormatError(f"line {lineno}: expected 'partition <n>'")
     n = _parse_int(header[1], lineno, "state count")
-    blocks = [tokens for _, tokens in lines[1:]]
-    try:  # each of 0..n-1 once, by one cast and one count; any fault is named by the constructor
-        states = np.array([s for tokens in blocks for s in tokens], dtype=np.intp)
-        if len(states) == n and states.max() < n and np.bincount(states, minlength=n).all():
-            label = np.empty(n, np.intp)
-            label[states] = np.repeat(np.arange(len(blocks)), list(map(len, blocks)))
-            return Partition.from_assignment(label.tolist())
-    except (ValueError, OverflowError):
-        pass
     blocks = [tuple(_parse_int(t, lineno, "state index") for t in tokens) for lineno, tokens in lines[1:]]
     try:
         return Partition(n, tuple(blocks))
@@ -558,7 +574,7 @@ class Search:
             raise ValueError("checker was built for another model")
         last, self._last = self._last, None
         v, rows = last[1:] if last is not None and last[0] is p else self._evaluate(p)
-        return self.family.check_rows(self.kind, v, None, rows, self.atol)
+        return verdict(self.kind, rows, self.family.kernel(v, None, self.atol))
 
     def _evaluate(self, p: Partition) -> tuple:
         v = self.family.collector(self.model, p)
@@ -587,7 +603,7 @@ class Search:
             for start in range(0, len(rows), ORACLE_STACK):
                 stack = rows[start : start + ORACLE_STACK]
                 v = self.family.collectors(self.model, stack[:, :, None] == np.arange(blocks))
-                passed = self.family.passes(v, None, self.table(v), self.atol)
+                passed = passes(self.table(v), self.family.kernel(v, None, self.atol))
                 if passed.any():
                     return Partition._canonical(tuple(stack[int(np.argmax(passed))].tolist()), blocks)
         raise ValueError("no partition passed the checker")

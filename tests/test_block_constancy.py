@@ -9,9 +9,9 @@ import random
 import numpy as np
 import pytest
 
-from matbisim import CheckReport, MrcFast, Partition, Search, Witness, generate, lts, mrc
+from matbisim import DEFAULT_ATOL, CheckReport, MrcFast, Partition, Search, Witness, generate, lts, mrc
 from matbisim.cli import main
-from matbisim.partition import enumerate_partitions
+from matbisim.partition import enumerate_partitions, passes, verdict
 
 KINDS = ("strong", "weak", "branching")
 
@@ -68,11 +68,11 @@ def test_lts_kernel_gives_the_dense_verdict_and_witness():
                 rows = table(v)
                 for u in (None, generate.random_bool_distributor(rng, p, system.alphabet)):
                     reference = dense_lts(kind, v, v.transpose() if u is None else u, rows)
-                    assert lts.check_rows(kind, v, u, rows) == reference
+                    assert verdict(kind, rows, lts.kernel(v, u, DEFAULT_ATOL)) == reference
                     failed += not reference.passed
             blocks, labels = _stack(system.num_states)
             v = lts.collectors(system, labels[:, :, None] == np.arange(blocks))
-            passed = lts.passes(v, None, table(v))
+            passed = passes(table(v), lts.kernel(v, None, DEFAULT_ATOL))
             for s, row in enumerate(labels):
                 single = Partition.from_assignment(row.tolist()).collector_bool(system.alphabet)
                 assert passed[s] == dense_lts(kind, single, single.transpose(), table(single)).passed
@@ -92,7 +92,7 @@ def test_mrc_kernel_gives_the_dense_verdict_and_witness_away_from_the_tolerance(
                 rows = table(v)
                 for u in (None, generate.random_real_distributor(rng, p)):
                     first, worst, near = dense_mrc(v, mrc.canonical_distributor(v) if u is None else u, rows, atol)
-                    report = mrc.check_rows(kind, v, u, rows, atol)
+                    report = verdict(kind, rows, mrc.kernel(v, u, atol))
                     if abs(worst - atol) <= 1e-6 * atol:
                         skipped += 1
                         continue
@@ -108,7 +108,7 @@ def test_mrc_kernel_gives_the_dense_verdict_and_witness_away_from_the_tolerance(
                     assert w.residual > atol
             blocks, labels = _stack(chain.num_states)
             v = mrc.collectors(chain, labels[:, :, None] == np.arange(blocks))
-            passed = mrc.passes(v, None, table(v), atol)
+            passed = passes(table(v), mrc.kernel(v, None, atol))
             for s, row in enumerate(labels):
                 v = Partition.from_assignment(row.tolist()).collector_real()
                 first, worst, _ = dense_mrc(v, mrc.canonical_distributor(v), table(v), atol)

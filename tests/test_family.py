@@ -6,7 +6,7 @@ import inspect
 
 import pytest
 
-from matbisim import family, lts, mrc
+from matbisim import family, lts, mrc, partition
 
 PROVIDER = (
     "parse_model",
@@ -15,8 +15,9 @@ PROVIDER = (
     "collectors",
     "canonical_distributor",
     "conditions",
-    "check_rows",
-    "passes",
+    "kernel",
+    "require_collector",
+    "require_distributor",
     "signature_keys",
     "evaluate",
     "check",
@@ -42,6 +43,11 @@ def test_both_families_provide_the_listed_name(name):
         assert _parameters(ours) == _parameters(theirs)
     else:
         assert type(ours) is type(theirs)
+
+
+def test_both_families_check_through_the_one_shared_path():
+    assert lts.evaluate is mrc.evaluate is partition.evaluate
+    assert lts.check is mrc.check is partition.check
 
 
 def test_family_lookup_by_header_and_by_type(four_state, fast_absorbing):

@@ -766,6 +766,9 @@ def test_parse_distributor():
         parse_distributor("dist 2 2\n1 0\n")
     with pytest.raises(ModelFormatError):
         parse_distributor("dist 1 2\n1 0 0\n")
+    for bad in ("nan", "1e400", "x"):
+        with pytest.raises(ModelFormatError, match="^line 2:"):
+            parse_distributor(f"dist 1 2\n{bad} 0\n")
 
 
 def test_weak_lump_and_diagram_project_twice(monkeypatch, rng):

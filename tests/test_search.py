@@ -18,6 +18,7 @@ from matbisim.partition import (
     Search,
     brute_force_coarsest,
     enumerate_partitions,
+    passes,
     refinement_fixpoint,
 )
 
@@ -309,7 +310,7 @@ def test_stacked_rows_are_the_per_candidate_rows():
         for kind in KINDS:
             search = Search(model, kind)
             rows = search.table(v)
-            passed = family.passes(v, family.canonical_distributor(v), rows, search.atol)
+            passed = passes(rows, family.kernel(v, family.canonical_distributor(v), search.atol))
             assert passed.shape == (len(stack),)
             for s, p in enumerate(stack):
                 single = search.table(family.collector(model, p))
