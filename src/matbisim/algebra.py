@@ -380,6 +380,75 @@ def max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b))) if a.size else 0.0
 
 
+@dataclass(frozen=True, eq=False)
+class Factored:
+    """The real ``n x n`` matrix ``L A M E``, kept as its factors and read
+    through ``@``; an ergodic projection is ``Π = A E``.
+
+    ``A`` (``trapping``, ``n x k``) has the unit row of its class on each
+    state with one (``classes`` at least 0) and convex combinations of unit
+    rows on the others (-1).  ``E`` (``k x n``) holds each state's
+    ``weights`` entry in its class's row.  ``M`` (``k x k``) and ``L``
+    (``n x n``) are identities while None.
+
+    ``F @ x`` is ``L (A (M (E x)))`` for an array ``x``, ``x @ F`` is held
+    as ``L = x``, and ``F @ F'`` over the same ``A`` and ``E`` is
+    ``L A (M (E L' A) M') E``.  So ``Π @ (Qs @ Π)`` is ``A G E`` with the
+    class generator ``G = (E Qs) A``, and ``(ΠQsΠ) @ V`` is ``A (G (E V))``:
+    no ``n x n`` array is formed.
+    """
+
+    trapping: np.ndarray
+    classes: np.ndarray
+    weights: np.ndarray
+    middle: np.ndarray | None = None
+    left: np.ndarray | None = None
+
+    __array_ufunc__ = None  # so that NumPy defers ``x @ F`` to ``F.__rmatmul__``
+
+    @cached_property
+    def grouped(self):
+        """The states with a class, grouped by class in increasing order;
+        where each class starts among them; and the states without one."""
+        states = np.flatnonzero(self.classes >= 0)
+        grouped = states[np.argsort(self.classes[states], kind="stable")]
+        return grouped, np.flatnonzero(np.diff(self.classes[grouped], prepend=-1)), np.flatnonzero(self.classes < 0)
+
+    def e(self, x):
+        """``E x`` on the last-but-one axis: each class's rows of ``x``
+        summed by weight, a gather where every class has one state (of
+        weight 1)."""
+        grouped, starts, _ = self.grouped
+        y = x[..., grouped, :]
+        return y if len(starts) == len(grouped) else np.add.reduceat(y * self.weights[grouped, None], starts, axis=-2)
+
+    def a(self, y):
+        """``A y``: class rows copied onto the states with a class, and only
+        the other states' rows multiplied."""
+        transient = self.grouped[2]
+        out = y[..., np.maximum(self.classes, 0), :]
+        out[..., transient, :] = self.trapping[transient] @ y
+        return out
+
+    def times_e(self, z):
+        """``z E``: the column of each state's class times its weight, and
+        exact zeros on states without a class."""
+        return np.where(self.classes >= 0, z[..., self.classes] * self.weights, 0.0)
+
+    def __matmul__(self, x):
+        if isinstance(x, Factored):
+            middle = self.e(x.trapping) if x.left is None else self.e(x.left) @ x.trapping
+            middle = middle if self.middle is None else self.middle @ middle
+            middle = middle if x.middle is None else middle @ x.middle
+            return Factored(self.trapping, self.classes, self.weights, middle, self.left)
+        y = self.e(x)
+        y = self.a(y if self.middle is None else self.middle @ y)
+        return y if self.left is None else self.left @ y
+
+    def __rmatmul__(self, x):
+        return Factored(self.trapping, self.classes, self.weights, self.middle, x if self.left is None else x @ self.left)
+
+
 def solve_linear(a, b) -> np.ndarray:
     """Solve ``a @ x = b`` by Gaussian elimination with partial pivoting.
 

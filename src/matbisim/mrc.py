@@ -3,13 +3,19 @@ transitions: transient analysis, ordinary/weak/branching lumping checks,
 ergodic projections, limit chains, and the distributor certification
 needed for weak lumping.
 
+The ergodic projection ``Π`` of the fast generator is kept as its factors
+``Π = A E``, the trapping probabilities ``A`` and the stationary vectors
+``E`` of the recurrent classes, and is read through ``@``
+(:class:`~matbisim.algebra.Factored`); the ``n x n`` array is built only on
+request.  So the weak rows are ``A (E ρ)``, ``A (E V)`` and ``A (G (E V))``
+for the class generator ``G = E Qs A``, and no weak chain command forms
+``Π`` or ``ΠQsΠ``.
+
 Transient analysis takes the matrix exponential by scaling and squaring
 with the [13/13] Padé approximant (Higham 2005).  The limit chain is
-exponentiated on its recurrent classes: with ``Π = A E`` split into
-trapping probabilities ``A`` and stationary vectors ``E``, its transition
-matrix ``Π e^(ΠQsΠ t)`` is ``A e^(G t) E`` for the class generator
-``G = E Qs A``.  Tested against a 50-digit reference for rates 0.3–3 and
-horizons up to 1e6: every entry within 1e-9 absolute.
+exponentiated on its recurrent classes: its transition matrix
+``Π e^(ΠQsΠ t)`` is ``A e^(G t) E``.  Tested against a 50-digit reference
+for rates 0.3–3 and horizons up to 1e6: every entry within 1e-9 absolute.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -24,6 +31,7 @@ import numpy as np
 from .algebra import (
     DEFAULT_ATOL,
     PADE_THETA,
+    Factored,
     SingularMatrixError,
     block_labels,
     max_abs_diff,
@@ -66,8 +74,12 @@ def validate_generator(q, *, atol: float = DEFAULT_ATOL) -> np.ndarray:
     A row may sum to at most ``atol`` times its rate sum (at least 1) away
     from zero.  Off-diagonal entries in ``[-atol, 0)`` are clamped to zero
     and the diagonal is recomputed as the negated off-diagonal row sum, so
-    the result has exact zero row sums.
+    the result has exact zero row sums.  A read-only generator that this
+    would return bit for bit, as a chain stores its own, is returned as it
+    is (:func:`_is_validated`), so that no ``n x n`` copy is made.
     """
+    if _is_validated(q, atol):
+        return q
     q = real_matrix(q)
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
         raise GeneratorError("generator must be square")
@@ -89,6 +101,35 @@ def validate_generator(q, *, atol: float = DEFAULT_ATOL) -> np.ndarray:
     off = np.clip(off, 0.0, None)
     np.fill_diagonal(off, -off.sum(axis=1))
     return off
+
+
+def _is_validated(q, atol: float) -> bool:
+    """Whether ``q`` is a read-only C-ordered float array that
+    :func:`validate_generator` would return unchanged and without refusing
+    it: no off-diagonal entry below ``+0.0``, each diagonal entry the
+    negated sum of the others, and each row sum finite and within the bound.
+
+    The off-diagonal sums are taken on copies of about 2^15 entries at a
+    time, their diagonal zeroed; NumPy sums each row on its own, so they
+    have the bits of the sums over the whole matrix.
+    """
+    if type(q) is not np.ndarray or q.dtype != float or q.ndim != 2 or q.flags.writeable or not q.flags.c_contiguous:
+        return False
+    n = len(q)
+    if q.shape[1] != n:
+        return False
+    step = max(1, 2**15 // n)
+    offsum = np.empty(n)
+    with np.errstate(all="ignore"):  # a sum that is not finite is refused below
+        for i in range(0, n, step):
+            off = q[i : i + step].copy()
+            off.flat[i :: n + 1] = 0.0  # entry (r, i + r) of the block
+            if np.signbit(off).any():
+                return False
+            offsum[i : i + step] = off.sum(axis=1)
+        bound = atol * np.maximum(1.0, offsum)
+        sums = np.abs(q.sum(axis=1))
+    return bool(np.isfinite(bound).all() and (sums <= bound).all() and q.diagonal().tobytes() == (-offsum).tobytes())
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -333,10 +374,12 @@ def conditions(model: Mrc | MrcFast, kind: str) -> Callable[[np.ndarray], list]:
     reals: ``Qs`` and ``Qf`` (a plain chain's ``Q`` for strong), closed by
     ``Π = proj(Qf)``, in class by the projection of :func:`adapt_diagonal`,
     with no ``I`` in the branching middle.  The generators were validated
-    when the chain was built, so the table takes no tolerance.  ``ΠQsΠ``
-    need not be a generator: weak's closed matrices make no chain.
+    when the chain was built, so the table takes no tolerance.  ``Π`` is
+    the :class:`ErgodicProjection` itself, so the weak rows are read through
+    its factors and ``ΠQsΠ`` is ``A G E``; it need not be a generator: weak's
+    closed matrices make no chain.
     """
-    return _conditions(model, kind, lambda qf: ergodic_projection(qf).pi)
+    return _conditions(model, kind, ergodic_projection)
 
 
 def _conditions(model: Mrc | MrcFast, kind: str, closure: Callable) -> Callable[[np.ndarray], list]:
@@ -351,9 +394,9 @@ def _conditions(model: Mrc | MrcFast, kind: str, closure: Callable) -> Callable[
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class ErgodicProjection:
-    """Long-run occupation operator of a fast generator.
+class ErgodicProjection(Factored):
+    """Long-run occupation operator ``Π`` of a fast generator, kept as its
+    factors ``Π = A E`` and read through ``@`` (:class:`~matbisim.algebra.Factored`).
 
     ``pi`` is stochastic and idempotent, annihilates the generator on both
     sides, and its rows mix the stationary vectors of the recurrent classes
@@ -361,18 +404,29 @@ class ErgodicProjection:
     where the ``n x k`` ``trapping`` has indicator rows on recurrent states
     and trapping probabilities on transient ones, row ``k`` of the
     ``k x n`` ``stationary`` is the stationary vector of class ``k``, and
-    ``stationary @ trapping`` is the identity.
+    ``stationary @ trapping`` is the identity.  ``E`` is stored as each
+    state's class (-1 on transient states) and stationary weight; ``pi``,
+    ``stationary``, ``recurrent_classes`` and ``transient`` are built when
+    first read.
     """
 
-    pi: np.ndarray
-    recurrent_classes: tuple[tuple[int, ...], ...]
-    transient: tuple[int, ...]
-    trapping: np.ndarray
-    stationary: np.ndarray
+    @cached_property
+    def pi(self) -> np.ndarray:
+        # Entry (i, j) is A[i, class of j]·μ_j: the one nonzero term of (AE)[i, j], so exact.
+        return _freeze(self.times_e(self.trapping))
 
-    def __post_init__(self):
-        for name in ("pi", "trapping", "stationary"):
-            object.__setattr__(self, name, _freeze(real_matrix(getattr(self, name))))
+    @cached_property
+    def stationary(self) -> np.ndarray:
+        return _freeze(self.times_e(np.eye(self.trapping.shape[1])))
+
+    @cached_property
+    def recurrent_classes(self) -> tuple[tuple[int, ...], ...]:
+        grouped, starts, _ = self.grouped
+        return tuple(tuple(c.tolist()) for c in np.split(grouped, starts[1:]))
+
+    @cached_property
+    def transient(self) -> tuple[int, ...]:
+        return tuple(self.grouped[2].tolist())
 
 
 def ergodic_projection(qf, *, atol: float = DEFAULT_ATOL) -> ErgodicProjection:
@@ -390,19 +444,9 @@ def ergodic_projection(qf, *, atol: float = DEFAULT_ATOL) -> ErgodicProjection:
     This is the stack-of-one case of :func:`project_stack`, which takes
     validated generators ``(..., n, n)`` and returns every ``Π`` in one
     pass, each bitwise equal to this function's ``pi`` of that member.
+    Only the factors are computed here.
     """
-    pi, trapping, classes, weights = project_stack(validate_generator(qf, atol=atol))
-    states = np.flatnonzero(classes >= 0)
-    k = trapping.shape[1]
-    # Row k holds the stationary vector of recurrent class k in its columns.
-    stationary = np.zeros((k, len(classes)))
-    stationary[classes[states], states] = weights[states]
-    # A stable sort lists each class's states in increasing order.
-    grouped = states[np.argsort(classes[states], kind="stable")]
-    members = np.split(grouped, np.cumsum(np.bincount(classes[states], minlength=k)))[:-1]
-    recurrent = tuple(tuple(c.tolist()) for c in members)
-    transient = tuple(np.flatnonzero(classes < 0).tolist())
-    return ErgodicProjection(pi, recurrent, transient, trapping, stationary)
+    return ErgodicProjection(*map(_freeze, _factors(validate_generator(qf, atol=atol))))
 
 
 def _strong_components(src, dst, size: int) -> tuple[int, np.ndarray]:
@@ -470,18 +514,28 @@ def _strong_components(src, dst, size: int) -> tuple[int, np.ndarray]:
 
 
 def project_stack(q: np.ndarray):
-    """Ergodic projections of a stack of generators ``(..., n, n)``.
+    """Ergodic projections of a stack of generators ``(..., n, n)``: ``Π``
+    and the factors of :func:`_factors`."""
+    trapping, classes, weights = _factors(q)
+    # Entry (i, j) is A[i, class of j]·μ_j: the one nonzero term of (AE)[i, j], so exact.
+    pi = np.take_along_axis(trapping, np.maximum(classes, 0)[..., None, :], axis=-1) * weights[..., None, :]
+    return pi, trapping, classes, weights
+
+
+def _factors(q: np.ndarray):
+    """The factors ``Π = A E`` of the ergodic projections of a stack of
+    generators ``(..., n, n)``.
 
     Every member must be a generator as :func:`validate_generator` returns
     it; nothing is checked here.  A chain's own generators, and their
     restrictions by :func:`_restrict`, are.
 
-    Returns ``Π`` stacked as ``q`` and its factors ``Π = A E`` per member:
-    the trapping probabilities ``A`` as ``(..., n, k)``, where ``k`` is the
-    most recurrent classes of any member and a member with fewer has zero
-    columns; each state's class ``(..., n)``, -1 on transient states, with
-    the classes of a member numbered by their smallest state; and each
-    state's stationary weight ``(..., n)``, 0 on transient states.
+    Returns, per member, the trapping probabilities ``A`` as ``(..., n, k)``,
+    where ``k`` is the most recurrent classes of any member and a member
+    with fewer has zero columns; each state's class ``(..., n)``, -1 on
+    transient states, with the classes of a member numbered by their
+    smallest state; and each state's stationary weight ``(..., n)``, 0 on
+    transient states.
 
     The stack's strongly connected components are found in one graph, where
     state ``i`` of member ``s`` is node ``s·n + i``, by one pass of Tarjan's
@@ -535,21 +589,12 @@ def project_stack(q: np.ndarray):
     owners, first = np.unique(transient // n, return_index=True)
     for s, tr in zip(owners.tolist(), np.split(transient % n, first[1:])):
         k = counts[s]
-        indicator = trapping[s, :, :k].copy()
-        trap = solve_linear(q[s][np.ix_(tr, tr)], -(q[s][tr] @ indicator)).reshape(len(tr), k)
+        trap = solve_linear(q[s][np.ix_(tr, tr)], -(q[s][tr] @ trapping[s, :, :k])).reshape(len(tr), k)
         trap = np.clip(trap, 0.0, None)
         trap /= trap.sum(axis=1, keepdims=True)
         trapping[s, tr, :k] = trap
 
-    # Entry (i, j) is A[i, class of j]·μ_j: the one nonzero term of (AE)[i, j], so exact.
-    classes = classes.reshape(stack, 1, n)
-    pi = np.take_along_axis(trapping, np.maximum(classes, 0), axis=2) * weights.reshape(stack, 1, n)
-    return (
-        pi.reshape(*lead, n, n),
-        trapping.reshape(*lead, n, width),
-        classes.reshape(*lead, n),
-        weights.reshape(*lead, n),
-    )
+    return trapping.reshape(*lead, n, width), classes.reshape(*lead, n), weights.reshape(*lead, n)
 
 
 # ---------------------------------------------------------------------------
@@ -565,24 +610,30 @@ def tau_distributor_residuals(model: Mrc | MrcFast, v, w, *, atol: float = DEFAU
     """
     fast = as_fast_chain(model)
     v = require_collector(fast, v)
-    return _residuals(fast, v, w, ergodic_projection(fast.qf).pi, atol)[0]
+    return _residuals(fast, v, w, ergodic_projection(fast.qf), atol)[0]
 
 
-def _residuals(fast: MrcFast, v: np.ndarray, w, pi: np.ndarray, atol: float) -> tuple[dict[str, float], np.ndarray | None]:
-    """The residuals given ``Π``; also ``proj(WQfV)``, or None when ``WQfV``
-    is not a generator."""
+def _residuals(fast: MrcFast, v: np.ndarray, w, proj: ErgodicProjection, atol: float) -> tuple[dict[str, float], np.ndarray | None]:
+    """The residuals given ``Π = A E``; also ``proj(WQfV)``, or None when
+    ``WQfV`` is not a generator.
+
+    ``ΠVW − ΠVWΠ`` is ``A (R − RAE)`` for ``R = (EV) W``, and its largest
+    entry is that of ``R − RAE``: each row of ``A`` is a convex combination
+    of unit rows, and each class has a unit row.  ``WΠV`` is ``(WA)(EV)``.
+    """
     w = real_matrix(w)
     if w.shape != (v.shape[1], v.shape[0]):
         raise ValueError("distributor shape must be collector transposed")
-    pvw = pi @ v @ w
+    ev = proj.e(v)
+    r = ev @ w
     out = {
         "W1 = 1": max_abs_diff(w.sum(axis=1), np.ones(len(w))),
         "WV = I": max_abs_diff(w @ v, np.eye(v.shape[1])),
-        "ΠVW = ΠVWΠ": max_abs_diff(pvw, pvw @ pi),
+        "ΠVW = ΠVWΠ": max_abs_diff(r, proj.times_e(r @ proj.trapping)),
     }
     try:
         proj_hat = ergodic_projection(w @ fast.qf @ v, atol=atol).pi
-        out["proj(WQfV) = WΠV"] = max_abs_diff(proj_hat, w @ pi @ v)
+        out["proj(WQfV) = WΠV"] = max_abs_diff(proj_hat, (w @ proj.trapping) @ ev)
     except GeneratorError:
         proj_hat = None
         out["proj(WQfV) = WΠV"] = math.inf
@@ -593,7 +644,8 @@ def _certified(
     model: Mrc | MrcFast, v, w, atol: float
 ) -> tuple[MrcFast, np.ndarray, np.ndarray, ErgodicProjection, np.ndarray]:
     """Check weak, take the supplied ``w`` or the candidate ``(UΠV)^-1 UΠ``,
-    and certify it.
+    and certify it.  With ``Π = A E`` the candidate is
+    ``((UA)(EV))^-1 (UA) · E``.
 
     Returns the fast chain, the collector, ``w``, the projection of ``Qf``
     and the projection of ``WQfV``; each projection is computed once.
@@ -601,20 +653,19 @@ def _certified(
     fast = as_fast_chain(model)
     v = require_collector(fast, v)
     proj = ergodic_projection(fast.qf)
-    pi = proj.pi
-    require_passed(verdict("weak", _conditions(fast, "weak", lambda _: pi)(v), kernel(v, None, atol)))
+    require_passed(verdict("weak", _conditions(fast, "weak", lambda _: proj)(v), kernel(v, None, atol)))
     origin = "supplied"
     if w is None:
         origin = "candidate"
-        up = canonical_distributor(v) @ pi
+        ua = canonical_distributor(v) @ proj.trapping
         try:
-            w = solve_linear(up @ v, up)
+            w = proj.times_e(solve_linear(ua @ proj.e(v), ua))
         except SingularMatrixError as exc:
             raise DistributorError(
                 "class-level projection UΠV is singular to tolerance; supply an external distributor"
             ) from exc
     w = real_matrix(w)
-    residuals, proj_hat = _residuals(fast, v, w, pi, atol)
+    residuals, proj_hat = _residuals(fast, v, w, proj, atol)
     name, worst = max(residuals.items(), key=lambda kv: kv[1])
     if worst > atol:
         raise DistributorError(f"{origin} distributor failed certification: {name} residual {worst:g}")
@@ -674,15 +725,18 @@ class LimitChain:
     ``ΠQsΠ = A G E`` and ``E A = I``, ``Π e^(ΠQsΠ t) = A e^(G t) E``.
     """
 
-    pi: np.ndarray
     generator: np.ndarray
     sigma: np.ndarray
     rho: np.ndarray
     projection: ErgodicProjection
 
     @property
+    def pi(self) -> np.ndarray:
+        return self.projection.pi
+
+    @property
     def num_states(self) -> int:
-        return self.pi.shape[0]
+        return len(self.sigma)
 
     @property
     def slow(self) -> np.ndarray:
@@ -710,12 +764,12 @@ def limit_chain(model: Mrc | MrcFast, *, atol: float = DEFAULT_ATOL) -> LimitCha
 
 
 def _limit_chain(fast: MrcFast, proj: ErgodicProjection, atol: float) -> LimitChain:
-    g = proj.stationary @ fast.qs @ proj.trapping
+    g = proj.e(fast.qs) @ proj.trapping  # as in the weak table's (E Qs) A
     try:
         validate_generator(g, atol=max(atol, 1e-12) * max(1, fast.num_states))
     except GeneratorError as exc:
         raise GeneratorError(f"limit generator restricted to recurrent classes is invalid: {exc}") from exc
-    return LimitChain(proj.pi, _freeze(g), fast.sigma, fast.rho, proj)
+    return LimitChain(_freeze(g), fast.sigma, fast.rho, proj)
 
 
 def check_strong_discontinuous(limit: LimitChain, v, atol: float = DEFAULT_ATOL) -> CheckReport:
@@ -753,7 +807,7 @@ def verify_limit_commutation(
     fast, v, w, proj, proj_hat = _certified(model, v, w, atol)
     lumped = transition_matrices(proj_hat @ (w @ fast.qs @ v) @ proj_hat, times, atol=atol, require_generator=False)
     limit = transition_matrices(_limit_chain(fast, proj, atol).generator, times, atol=atol, require_generator=False)
-    wa, ev = w @ proj.trapping, proj.stationary @ v
+    wa, ev = w @ proj.trapping, proj.e(v)
     del w, proj  # only these products of them are read below: free them before the exponentials
     return all(max_abs_diff(proj_hat @ p_hat, wa @ p @ ev) <= tol for p_hat, p in zip(lumped, limit))
 
@@ -942,6 +996,8 @@ def parse_distributor(text: str) -> np.ndarray:
         big_n, n = int(header[1]), int(header[2])
     except ValueError:
         raise ModelFormatError(f"line {ln0}: dimensions must be integers") from None
+    if min(big_n, n) < 1:
+        raise ModelFormatError(f"line {ln0}: dimensions must be at least 1")
     if len(lines) - 1 != big_n:
         raise ModelFormatError(f"expected {big_n} rows, found {len(lines) - 1}")
     rows = []

@@ -189,14 +189,17 @@ def kinds(kind: str, rho, generators, closure: Callable, in_class: Callable, uni
     middle carries ``I``.  Over the action-set semiring ``I`` absorbs inert
     internal steps; over the reals ``VUV = V`` makes it neutral, so the
     middle is ``Π_V Qf V``.  Products that do not depend on the partition
-    are formed once, here.
+    are formed once, here; weak's closed visible steps as ``Π (M Π)`` for
+    the visible ``M``, so that a closure read through its factors (reward
+    chains) is never formed as an array.  Over action sets the product is
+    exact, so the order does not change a bit.
     """
     if kind == "strong":
         return table(("VUρ = ρ", rho), *((f"VU{a}V = {a}V", m) for a, m in generators))
     (a, visible), (s, internal) = generators
     if kind == "weak":
         pi = closure(internal)
-        return table(("VUΠρ = Πρ", pi @ rho), ("VUΠV = ΠV", pi), (f"VUΠ{a}ΠV = Π{a}ΠV", pi @ visible @ pi))
+        return table(("VUΠρ = Πρ", pi @ rho), ("VUΠV = ΠV", pi), (f"VUΠ{a}ΠV = Π{a}ΠV", pi @ (visible @ pi)))
     if kind != "branching":
         raise ValueError(f"unknown kind {kind!r}")
     # A space ends the subscript of Π_V, and of a symbol such as Qs.

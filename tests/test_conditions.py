@@ -55,8 +55,10 @@ def test_weak_is_strong_over_the_closed_matrices():
     for _ in range(60):
         chain = generate.random_mrc_fast(rng, max_states=6, p_fast=0.5)
         v = generate.random_partition(rng, chain.num_states).collector_real()
-        pi = mrc.ergodic_projection(chain.qf).pi
-        closed = (("ΠQsΠ", pi @ chain.qs @ pi), ("Π", pi))
+        # Π read through its factors Π = A E, as the weak table reads it; the
+        # dense evaluation is compared within a tolerance in test_mrc.py
+        pi = mrc.ergodic_projection(chain.qf)
+        closed = (("ΠQsΠ", pi @ (chain.qs @ pi)), ("Π", pi))
         term, slow, fast = kinds("strong", pi @ chain.rho.reshape(-1, 1), closed, None, None, False)(v)
         for (_, x), (_, y) in zip(mrc.conditions(chain, "weak")(v), (term, fast, slow)):
             assert x.shape == y.shape and x.tobytes() == y.tobytes()

@@ -29,7 +29,7 @@ from matbisim.mrc import (
     transition_matrix,
     validate_generator,
 )
-from matbisim.partition import CheckFailed, ModelFormatError, Partition, enumerate_partitions
+from matbisim.partition import CheckFailed, ModelFormatError, Partition, Search, enumerate_partitions
 
 ABSORBING_Q = np.array([[-1.0, 1.0], [0.0, 0.0]])
 SYMMETRIC_Q = np.array([[-2.0, 2.0], [2.0, -2.0]])
@@ -360,6 +360,35 @@ def test_projection_invariants_and_long_horizon_oracle(rng):
             assert np.max(np.abs(pi - transition_matrix(q, horizon))) <= 1e-6
 
 
+def test_projection_is_read_through_its_factors(rng):
+    # every product of the factored operator agrees with the dense Π, on
+    # stacked operands too
+    noise = np.random.default_rng(4)
+    for _ in range(30):
+        chain = generate.random_mrc_fast(rng, n=rng.randint(1, 8), p_fast=0.7)
+        proj = ergodic_projection(chain.qf)
+        pi, n = proj.pi, chain.num_states
+        x, y, z = (noise.uniform(-1.0, 1.0, (n, n)) for _ in range(3))
+        stack = noise.uniform(-1.0, 1.0, (3, n, 2))
+        k = len(proj.recurrent_classes)
+        assert np.allclose(proj.e(x), proj.stationary @ x, rtol=0, atol=1e-12)
+        assert np.allclose(proj.a(x[:k]), proj.trapping @ x[:k], rtol=0, atol=1e-12)
+        assert np.allclose(proj.times_e(x[:, :k]), x[:, :k] @ proj.stationary, rtol=0, atol=1e-12)
+        closed = proj @ (x @ proj)
+        cases = [
+            (proj, pi),
+            (x @ proj, x @ pi),
+            (proj @ proj, pi @ pi),
+            (closed, pi @ x @ pi),
+            (y @ closed, y @ pi @ x @ pi),
+            (closed @ (y @ proj), pi @ x @ pi @ y @ pi),
+            ((z @ closed) @ (y @ closed), z @ pi @ x @ pi @ y @ pi @ x @ pi),
+        ]
+        for factored, dense in cases:
+            assert np.allclose(factored @ z, dense @ z, rtol=0, atol=1e-9)
+            assert np.allclose(factored @ stack, dense @ stack, rtol=0, atol=1e-9)
+
+
 def _candidate_generators(chain, blocks: int) -> np.ndarray:
     """The fast generator restricted to every partition with ``blocks`` blocks, stacked."""
     n = chain.num_states
@@ -517,6 +546,95 @@ def test_distributor_residuals_certify_funnels(rng):
         residuals = tau_distributor_residuals(chain, v, w)
         assert set(residuals) == {"W1 = 1", "WV = I", "ΠVW = ΠVWΠ", "proj(WQfV) = WΠV"}
         assert max(residuals.values()) <= 1e-8
+
+
+def _dense_weak(chain, v, w=None):
+    """The weak rows, the candidate distributor (or ``w``), its residuals
+    and the lumped generators, with ``Π`` formed as the array
+    ``trapping @ stationary``."""
+    fast = as_fast_chain(chain)
+    proj = ergodic_projection(fast.qf)
+    pi = proj.trapping @ proj.stationary
+    rows = [pi @ fast.rho.reshape(-1, 1), pi @ v, pi @ fast.qs @ pi @ v]
+    for (_, x), dense in zip(mrc.conditions(chain, "weak")(v), rows, strict=True):
+        assert _near(x, dense)
+    if w is None:
+        up = mrc.canonical_distributor(v) @ pi
+        w = mrc.solve_linear(up @ v, up)
+    pvw = pi @ v @ w
+    residuals = {
+        "W1 = 1": mrc.max_abs_diff(w.sum(axis=1), np.ones(len(w))),
+        "WV = I": mrc.max_abs_diff(w @ v, np.eye(v.shape[1])),
+        "ΠVW = ΠVWΠ": mrc.max_abs_diff(pvw, pvw @ pi),
+    }
+    try:
+        residuals["proj(WQfV) = WΠV"] = mrc.max_abs_diff(ergodic_projection(w @ fast.qf @ v).pi, w @ pi @ v)
+    except GeneratorError:
+        residuals["proj(WQfV) = WΠV"] = math.inf
+    return w, residuals, (w @ fast.qs @ v, w @ fast.qf @ v)
+
+
+def _near(x, dense):
+    x, dense = np.asarray(x), np.asarray(dense)
+    return x.shape == dense.shape and bool(np.all(np.abs(x - dense) <= 1e-12 * np.maximum(1.0, np.abs(dense))))
+
+
+def test_factored_projection_matches_dense_evaluation():
+    # the weak rows, the candidate distributor, every certification residual
+    # and the lumped generators read through Π = A E agree with those of
+    # the dense Π = trapping @ stationary
+    rng = random.Random(29)
+    cases = []
+    for _ in range(25):
+        chain = generate.random_mrc_fast(rng, max_states=8, p_fast=0.6)
+        cases.append((chain, Search(chain, "weak").coarsest()))
+        chain, planted = generate.duplicate_states_mrc(rng, generate.random_mrc_fast(rng, max_states=5))
+        cases.append((chain, planted))
+        cases.append(generate.fast_funnel_chain(rng, base_states=rng.randint(2, 30)))
+    plain = generate.random_mrc(rng, n=7)  # Π = I
+    cases.append((plain, Search(plain, "weak").coarsest()))
+    certified = perturbed = singular = 0
+    for chain, part in cases:
+        v = part.collector_real()
+        try:
+            w, residuals, lumped = _dense_weak(chain, v)
+        except mrc.SingularMatrixError:  # UΠV is singular: no candidate either way
+            with pytest.raises(DistributorError, match="singular"):
+                default_tau_distributor(chain, v)
+            singular += 1
+            continue
+        assert _near(default_tau_distributor(chain, v), w)
+        assert all(_near(x, residuals[name]) for name, x in tau_distributor_residuals(chain, v, w).items())
+        quotient = mrc.lump(chain, v, "weak")
+        assert _near(quotient.qs, validate_generator(lumped[0])) and _near(quotient.qf, validate_generator(lumped[1]))
+        certified += 1
+        # a supplied distributor off the candidate: residuals far from zero
+        noisy = w + 1e-3 * np.random.default_rng(certified).uniform(-1.0, 1.0, w.shape)
+        residuals = _dense_weak(chain, v, noisy)[1]
+        factored = tau_distributor_residuals(chain, v, noisy)
+        assert factored.keys() == residuals.keys()
+        assert all(_near(x, residuals[name]) for name, x in factored.items())
+        perturbed += factored["ΠVW = ΠVWΠ"] > 1e-6
+    assert certified > 45 and perturbed > 35 and singular > 10, (certified, perturbed, singular)
+
+
+def test_weak_table_holds_no_dense_projection():
+    # the dense table holds Π and ΠQsΠ, two n x n arrays, at once; read
+    # through Π = A E, building and evaluating it peaks below that
+    import tracemalloc
+
+    chain, _ = generate.fast_funnel_chain(random.Random(0), base_states=260)
+    n = chain.num_states
+    v = Partition.single_block(n).collector_real()
+    assert n >= 400
+    tracemalloc.start()
+    try:
+        rows = mrc.conditions(chain, "weak")(v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [x.shape for _, x in rows] == [(n, 1)] * 3
+    assert peak < 2 * n * n * 8, peak / (n * n * 8)
 
 
 def test_bad_external_distributor_is_rejected(fast_absorbing):
@@ -716,8 +834,56 @@ def test_parsed_generators_are_their_own_validation(rng):
     for text in texts:
         chain = parse_mrc(text)
         for q in (chain.qs, chain.qf) if isinstance(chain, MrcFast) else (chain.q,):
-            assert validate_generator(q).tobytes() == q.tobytes()
             assert not q.flags.writeable
+            # a writable copy takes the whole cleaning path; the stored array is returned as it is
+            assert validate_generator(q.copy()).tobytes() == q.tobytes()
+            assert validate_generator(q) is q
+
+
+def _validation(q, atol=1e-9):
+    """What validate_generator makes of ``q``: the bits it returns, or its refusal."""
+    try:
+        return validate_generator(q, atol=atol).tobytes()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_read_only_generators_need_no_copy_only_when_validation_keeps_them():
+    # a read-only generator is returned as it is exactly when the cleaning
+    # path would return its bits; otherwise it is cleaned or refused as a
+    # writable copy is
+    funnel = generate.fast_funnel_chain(random.Random(5), base_states=150)[0]  # several row blocks
+    assert funnel.num_states > 2**15 // funnel.num_states
+    thirds = np.array([[0.0, 0.1, 0.2], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    np.fill_diagonal(thirds, -thirds.sum(axis=1))
+    thirds = validate_generator(thirds)
+    assert thirds.sum(axis=1)[0] == -2.7755575615628914e-17
+    kept = [(funnel.qs, 1e-9), (funnel.qf, 1e-9), (thirds, 1e-9), (validate_generator(np.zeros((3, 3))), 1e-9)]
+    # each differs from a kept generator in one respect; a zero row's
+    # diagonal is -0.0, as validation writes it
+    changed = [
+        (np.zeros((3, 3)), 1e-9),  # +0.0 diagonals
+        (np.array([[-1.0, 1.0], [-0.0, -0.0]]), 1e-9),  # a -0.0 rate
+        (np.array([[-1.0, 1.0 - 1e-12], [1e-12, -1e-12]]), 1e-9),  # noise that is clamped
+        (np.array([[-1.0, 1.0 + 1e-12], [0.0, -0.0]]), 1e-9),  # a diagonal within tolerance
+        (np.array([[1.0, -1.0], [0.0, -0.0]]), 1e-9),  # a negative rate
+        (np.array([[-1e-10, 1e-9], [0.0, -0.0]]), 1e-9),  # a bad row sum
+        (thirds, 1e-17),  # a row that sums to -2.8e-17, refused below that
+        (np.array([[-np.inf, np.inf], [0.0, -0.0]]), 1e-9),
+        (np.array([[-np.inf, 1e308, 1e308], [0.0, -0.0, 0.0], [0.0, 0.0, -0.0]]), 1e-9),
+        (funnel.qs.T, 1e-9),  # not C-ordered
+        (np.zeros((2, 3)), 1e-9),
+        (np.zeros((2, 2, 2)), 1e-9),
+    ]
+    for i, (q, atol) in enumerate(kept + changed):
+        frozen = np.array(q)
+        frozen.setflags(write=False)
+        assert _validation(frozen, atol) == _validation(np.array(q), atol)
+        if i < len(kept) + 4:  # the first four changed ones are cleaned
+            assert (validate_generator(frozen, atol=atol) is frozen) == (i < len(kept))
+    ints = np.array([[-1, 1], [0, 0]])
+    ints.setflags(write=False)
+    assert validate_generator(ints).dtype == float
 
 
 def _format_by_cells(model) -> str:
@@ -769,6 +935,15 @@ def test_parse_distributor():
     for bad in ("nan", "1e400", "x"):
         with pytest.raises(ModelFormatError, match="^line 2:"):
             parse_distributor(f"dist 1 2\n{bad} 0\n")
+
+
+def test_parse_distributor_refuses_dimensions_below_one():
+    # the header names the fault, as every other distributor fault names its line
+    for text in ("dist 0 2\n", "dist 0 0\n", "dist -1 2\n", "dist 1 0\n", "dist 2 -3\n1 0\n0 1\n"):
+        with pytest.raises(ModelFormatError, match="^line 1: dimensions must be at least 1$"):
+            parse_distributor(text)
+    with pytest.raises(ModelFormatError, match="^line 2: dimensions must be at least 1$"):
+        parse_distributor("# a distributor\ndist 0 2\n")
 
 
 def test_weak_lump_and_diagram_project_twice(monkeypatch, rng):
