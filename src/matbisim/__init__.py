@@ -19,21 +19,17 @@ from .partition import (
     Partition,
     Search,
     Witness,
-    brute_force_coarsest,
     canonical_distributor_real,
-    collector_to_partition,
     enumerate_partitions,
     format_partition,
     parse_partition,
 )
 from .lts import (
     Lts,
-    check_strong_relational,
     format_lts,
     parse_lts,
     tau_closure,
     verify_branching_commutation,
-    verify_closure_identities,
     verify_weak_commutation,
 )
 from .mrc import (
@@ -44,7 +40,6 @@ from .mrc import (
     Mrc,
     MrcFast,
     adapt_diagonal,
-    check_strong_discontinuous,
     default_tau_distributor,
     ergodic_projection,
     format_mrc,

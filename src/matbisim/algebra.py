@@ -316,15 +316,6 @@ def _distinct_planes(planes: np.ndarray) -> np.ndarray:
     return planes.astype(np.float32)
 
 
-def first_difference(a: ActionMatrix, b: ActionMatrix) -> tuple[int, int] | None:
-    """Row-major coordinates of the first differing entry, if any."""
-    a._check_same_shape(b, "compare")
-    differing = np.flatnonzero((a.planes != b.planes).any(axis=0))
-    if not differing.size:
-        return None
-    return divmod(int(differing[0]), a.cols)
-
-
 def rt_closure(m: ActionMatrix) -> ActionMatrix:
     """Least reflexive-transitive 0-1 matrix above ``m``.
 

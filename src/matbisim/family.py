@@ -9,7 +9,8 @@ without branching on the model: ``parse_model``, ``format_model``,
 ``V -> [(name, X)]``: the family's reading of the one statement of every
 kind, :func:`~matbisim.partition.kinds`), ``kernel`` (the block-constancy
 reading of each ``VUX = X``; ``u`` None is the canonical distributor),
-``require_collector`` and ``require_distributor`` (its input checks),
+``require_collector`` (of a model) and ``require_distributor`` (of a
+collector), its input checks, which return the validated matrix,
 ``signature_keys`` (refinement keys from evaluated rows), ``evaluate``,
 ``check``, ``lump``, ``read_distributor``, and ``UNIQUE_COARSEST``.
 Tables, distributors and kernels broadcast over leading stack axes of the

@@ -22,7 +22,6 @@ from .algebra import (
     rt_closure,
 )
 from .partition import (
-    CheckReport,
     ModelFormatError,
     Partition,
     Witness,
@@ -237,10 +236,10 @@ def kernel(v: ActionMatrix, u, atol: float):
     return read
 
 
-def _witness(lhs: ActionMatrix, rhs: ActionMatrix, differs: Callable = np.not_equal) -> Witness:
-    """The first entry where ``differs`` holds on some label plane, with the
+def _witness(lhs: ActionMatrix, rhs: ActionMatrix) -> Witness:
+    """The first entry where the sides differ on some label plane, with the
     label sets of both sides there."""
-    i, j = np.argwhere(differs(lhs.planes, rhs.planes).any(axis=-3))[0].tolist()
+    i, j = np.argwhere((lhs.planes != rhs.planes).any(axis=-3))[0].tolist()
     return Witness(i, j, *(lhs.alphabet.labels_of(m.mask_at(i, j)) for m in (lhs, rhs)))
 
 
@@ -261,23 +260,6 @@ def conditions(lts: Lts, kind: str) -> Callable[[ActionMatrix], list]:
 def branching_closure(internal: ActionMatrix, v: ActionMatrix) -> ActionMatrix:
     """Closure of the internal steps restricted to same-class pairs."""
     return rt_closure(internal.meet(v @ v.transpose()))
-
-
-def check_strong_relational(lts: Lts, v: ActionMatrix) -> CheckReport:
-    """Strong check via the relation ``R = V Vᵀ``; cross-validates the
-    saturation form (``RA ≤ AR`` plus the analogous internal and
-    termination inequalities)."""
-    require_collector(lts, v)
-    r = v @ v.transpose()
-    conditions = (
-        ("Rρ ≤ ρ", r @ lts.terminating, lts.terminating),
-        ("RA ≤ AR", r @ lts.visible, lts.visible @ r),
-        ("RS ≤ SR", r @ lts.internal, lts.internal @ r),
-    )
-    for name, lhs, rhs in conditions:
-        if not lhs <= rhs:
-            return CheckReport("strong-relational", False, name, _witness(lhs, rhs, np.greater))  # in lhs, not in rhs
-    return CheckReport("strong-relational", True)
 
 
 # ---------------------------------------------------------------------------
@@ -326,28 +308,8 @@ def tau_closure(lts: Lts) -> Lts:
 
 
 # ---------------------------------------------------------------------------
-# Identity and diagram verifiers
+# Commutation verifiers
 # ---------------------------------------------------------------------------
-
-
-def verify_closure_identities(lts: Lts, v: ActionMatrix) -> bool:
-    """Check ``VᵀΠV = (VᵀSV)*`` and ``ΠVVᵀ = ΠVVᵀΠ``.
-
-    Both hold whenever the weak check passes.  The first compares the
-    pulled-down closure with the closure of the pulled-down internal
-    matrix.  ``VᵀΠV ≤ (VᵀSV)*`` holds for every collector, since
-    ``VVᵀ ≥ I`` gives ``VᵀSᵏV ≤ (VᵀSV)ᵏ``.  The reverse inclusion needs
-    the weak equality ``VUΠV = ΠV``; for arbitrary collectors it can fail,
-    because the class-level closure may connect classes that no
-    state-level internal path connects.
-    """
-    require_collector(lts, v)
-    u = v.transpose()
-    pi = rt_closure(lts.internal)
-    first = u @ pi @ v == rt_closure(u @ lts.internal @ v)
-    pvv = pi @ v @ u
-    second = pvv == pvv @ pi
-    return first and second
 
 
 def verify_weak_commutation(lts: Lts, v: ActionMatrix) -> bool:

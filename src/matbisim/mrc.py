@@ -40,7 +40,6 @@ from .algebra import (
     solve_linear,
 )
 from .partition import (
-    CheckReport,
     ModelFormatError,
     Partition,
     Witness,
@@ -53,7 +52,6 @@ from .partition import (
     parse_state,
     require_passed,
     require_real_collector,
-    table,
     verdict,
 )
 
@@ -212,14 +210,6 @@ def as_fast_chain(model: Mrc | MrcFast) -> MrcFast:
     qf = np.zeros((n, n))
     np.fill_diagonal(qf, -0.0)  # as validate_generator writes a zero generator
     return _trusted(MrcFast, model.sigma, model.rho, qs=model.q, qf=qf)
-
-
-def as_plain_chain(model: Mrc | MrcFast) -> Mrc:
-    if isinstance(model, Mrc):
-        return model
-    if np.any(model.qf != 0.0):
-        raise ValueError("chain has fast transitions; no plain form")
-    return _trusted(Mrc, model.sigma, model.rho, q=model.qs)
 
 
 # ---------------------------------------------------------------------------
@@ -394,9 +384,11 @@ def _conditions(model: Mrc | MrcFast, kind: str, closure: Callable) -> Callable[
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True, eq=False)
 class ErgodicProjection(Factored):
     """Long-run occupation operator ``Π`` of a fast generator, kept as its
-    factors ``Π = A E`` and read through ``@`` (:class:`~matbisim.algebra.Factored`).
+    factors ``Π = A E`` and read through ``@`` (:class:`~matbisim.algebra.Factored`),
+    with the validated ``generator`` it projects.
 
     ``pi`` is stochastic and idempotent, annihilates the generator on both
     sides, and its rows mix the stationary vectors of the recurrent classes
@@ -409,6 +401,8 @@ class ErgodicProjection(Factored):
     ``stationary``, ``recurrent_classes`` and ``transient`` are built when
     first read.
     """
+
+    generator: np.ndarray | None = None
 
     @cached_property
     def pi(self) -> np.ndarray:
@@ -446,7 +440,8 @@ def ergodic_projection(qf, *, atol: float = DEFAULT_ATOL) -> ErgodicProjection:
     pass, each bitwise equal to this function's ``pi`` of that member.
     Only the factors are computed here.
     """
-    return ErgodicProjection(*map(_freeze, _factors(validate_generator(qf, atol=atol))))
+    q = validate_generator(qf, atol=atol)
+    return ErgodicProjection(*map(_freeze, _factors(q)), generator=_freeze(q))
 
 
 def _strong_components(src, dst, size: int) -> tuple[int, np.ndarray]:
@@ -613,9 +608,9 @@ def tau_distributor_residuals(model: Mrc | MrcFast, v, w, *, atol: float = DEFAU
     return _residuals(fast, v, w, ergodic_projection(fast.qf), atol)[0]
 
 
-def _residuals(fast: MrcFast, v: np.ndarray, w, proj: ErgodicProjection, atol: float) -> tuple[dict[str, float], np.ndarray | None]:
-    """The residuals given ``Π = A E``; also ``proj(WQfV)``, or None when
-    ``WQfV`` is not a generator.
+def _residuals(fast: MrcFast, v: np.ndarray, w, proj: ErgodicProjection, atol: float) -> tuple[dict[str, float], ErgodicProjection | None]:
+    """The residuals given ``Π = A E``; also the projection of ``WQfV``,
+    which holds ``WQfV`` validated, or None when it is not a generator.
 
     ``ΠVW − ΠVWΠ`` is ``A (R − RAE)`` for ``R = (EV) W``, and its largest
     entry is that of ``R − RAE``: each row of ``A`` is a convex combination
@@ -632,23 +627,23 @@ def _residuals(fast: MrcFast, v: np.ndarray, w, proj: ErgodicProjection, atol: f
         "ΠVW = ΠVWΠ": max_abs_diff(r, proj.times_e(r @ proj.trapping)),
     }
     try:
-        proj_hat = ergodic_projection(w @ fast.qf @ v, atol=atol).pi
-        out["proj(WQfV) = WΠV"] = max_abs_diff(proj_hat, (w @ proj.trapping) @ ev)
+        hat = ergodic_projection(w @ fast.qf @ v, atol=atol)
+        out["proj(WQfV) = WΠV"] = max_abs_diff(hat.pi, (w @ proj.trapping) @ ev)
     except GeneratorError:
-        proj_hat = None
+        hat = None
         out["proj(WQfV) = WΠV"] = math.inf
-    return out, proj_hat
+    return out, hat
 
 
 def _certified(
     model: Mrc | MrcFast, v, w, atol: float
-) -> tuple[MrcFast, np.ndarray, np.ndarray, ErgodicProjection, np.ndarray]:
+) -> tuple[MrcFast, np.ndarray, np.ndarray, ErgodicProjection, ErgodicProjection]:
     """Check weak, take the supplied ``w`` or the candidate ``(UΠV)^-1 UΠ``,
     and certify it.  With ``Π = A E`` the candidate is
     ``((UA)(EV))^-1 (UA) · E``.
 
     Returns the fast chain, the collector, ``w``, the projection of ``Qf``
-    and the projection of ``WQfV``; each projection is computed once.
+    and that of ``WQfV``; each generator is validated and projected once.
     """
     fast = as_fast_chain(model)
     v = require_collector(fast, v)
@@ -665,11 +660,11 @@ def _certified(
                 "class-level projection UΠV is singular to tolerance; supply an external distributor"
             ) from exc
     w = real_matrix(w)
-    residuals, proj_hat = _residuals(fast, v, w, proj, atol)
+    residuals, hat = _residuals(fast, v, w, proj, atol)
     name, worst = max(residuals.items(), key=lambda kv: kv[1])
     if worst > atol:
         raise DistributorError(f"{origin} distributor failed certification: {name} residual {worst:g}")
-    return fast, v, w, proj, proj_hat
+    return fast, v, w, proj, hat
 
 
 def default_tau_distributor(model: Mrc | MrcFast, v, atol: float = DEFAULT_ATOL) -> np.ndarray:
@@ -695,13 +690,12 @@ def lump(
     if kind == "branching":
         raise ValueError("no branching quotient is defined for reward chains")
     if kind == "weak":
-        fast, v, w, _, _ = _certified(model, v, distributor, atol)
+        fast, v, w, _, hat = _certified(model, v, distributor, atol)
         try:
             qs_hat = validate_generator(w @ fast.qs @ v, atol=atol)
-            qf_hat = validate_generator(w @ fast.qf @ v, atol=atol)
         except GeneratorError as exc:
             raise DistributorError(f"lumped generator invalid: {exc}") from exc
-        return _trusted(MrcFast, fast.sigma @ v, w @ fast.rho, qs=qs_hat, qf=qf_hat)
+        return _trusted(MrcFast, fast.sigma @ v, w @ fast.rho, qs=qs_hat, qf=hat.generator)
     require_passed(check(model, v, kind, atol=atol, distributor=distributor))
     v = real_matrix(v)
     u = canonical_distributor(v) if distributor is None else real_matrix(distributor)
@@ -726,22 +720,7 @@ class LimitChain:
     """
 
     generator: np.ndarray
-    sigma: np.ndarray
-    rho: np.ndarray
     projection: ErgodicProjection
-
-    @property
-    def pi(self) -> np.ndarray:
-        return self.projection.pi
-
-    @property
-    def num_states(self) -> int:
-        return len(self.sigma)
-
-    @property
-    def slow(self) -> np.ndarray:
-        """The projection-smoothed slow generator ``ΠQsΠ = A G E``."""
-        return self.projection.trapping @ self.generator @ self.projection.stationary
 
     def transition(self, t: float, *, atol: float = DEFAULT_ATOL) -> np.ndarray:
         return next(self.transitions((t,), atol=atol))
@@ -769,18 +748,7 @@ def _limit_chain(fast: MrcFast, proj: ErgodicProjection, atol: float) -> LimitCh
         validate_generator(g, atol=max(atol, 1e-12) * max(1, fast.num_states))
     except GeneratorError as exc:
         raise GeneratorError(f"limit generator restricted to recurrent classes is invalid: {exc}") from exc
-    return LimitChain(_freeze(g), fast.sigma, fast.rho, proj)
-
-
-def check_strong_discontinuous(limit: LimitChain, v, atol: float = DEFAULT_ATOL) -> CheckReport:
-    """Ordinary-lumping check on a discontinuous limit chain.
-
-    The projection itself must be class-saturated, in addition to the
-    smoothed slow part and rewards.
-    """
-    v = require_collector(limit, v)
-    rows = table(("VUΠρ = Πρ", limit.pi @ limit.rho.reshape(-1, 1)), ("VUΠV = ΠV", limit.pi), ("VU(ΠQsΠ)V = (ΠQsΠ)V", limit.slow))
-    return verdict("strong-discontinuous", rows(v), kernel(v, None, atol))
+    return LimitChain(_freeze(g), proj)
 
 
 def verify_limit_commutation(
@@ -804,7 +772,8 @@ def verify_limit_commutation(
     a certified distributor.
     """
     tol = 10.0 * atol if tolerance is None else tolerance
-    fast, v, w, proj, proj_hat = _certified(model, v, w, atol)
+    fast, v, w, proj, hat = _certified(model, v, w, atol)
+    proj_hat = hat.pi
     lumped = transition_matrices(proj_hat @ (w @ fast.qs @ v) @ proj_hat, times, atol=atol, require_generator=False)
     limit = transition_matrices(_limit_chain(fast, proj, atol).generator, times, atol=atol, require_generator=False)
     wa, ev = w @ proj.trapping, proj.e(v)

@@ -13,8 +13,7 @@ import numpy as np
 
 from .algebra import DEFAULT_ATOL, ActionAlphabet, ActionMatrix
 
-#: Bell numbers B(0)..B(12); the oracle refuses anything larger.
-BELL = (1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570, 4213597)
+#: The oracle refuses more states: B(13) is 27,644,437 partitions.
 MAX_ORACLE_STATES = 12
 
 #: Most candidates :attr:`Search.oracle` evaluates in one stack.  At the
@@ -290,18 +289,6 @@ def require_real_collector(v: np.ndarray, *, stacked: bool = False) -> None:
         raise ValueError("not a collector: need exactly one unit entry per row and no empty column")
 
 
-def collector_to_partition(v) -> Partition:
-    """Recover the partition encoded by a collector (boolean or real)."""
-    if isinstance(v, ActionMatrix):
-        require_bool_collector(v)
-        labels = v.support().argmax(axis=1).tolist()
-    else:
-        arr = np.asarray(v, dtype=float)
-        require_real_collector(arr)
-        labels = [int(np.argmax(row)) for row in arr]
-    return Partition.from_assignment(labels)
-
-
 def canonical_distributor_real(v: np.ndarray) -> np.ndarray:
     """Row-normalized transpose: each class row averages its members.
 
@@ -516,31 +503,6 @@ def refinement_fixpoint(n: int, signature_fn: Callable[[Partition], Sequence]) -
     return part
 
 
-def brute_force_coarsest(model, checker: Callable) -> Partition:
-    """Exhaustive oracle: fewest blocks, ties broken by canonical form.
-
-    Candidates come coarsest first from :func:`enumerate_partitions`, so the
-    first that passes is the minimum over ``(num_blocks, blocks)``: every
-    coarser partition, and every one as coarse that sorts before it, has
-    been checked and failed.  The cost is the rank of the answer in checks,
-    not Bell(n).  One candidate is built and checked at a time, from label
-    rows enumerated a batch (at most ``ORACLE_BATCH`` rows) at a time.
-
-    ``checker(model, partition)`` must return a :class:`CheckReport`.
-    """
-    for p in enumerate_partitions(_oracle_states(model)):
-        if checker(model, p).passed:
-            return p
-    raise ValueError("no partition passed the checker")
-
-
-def _oracle_states(model) -> int:
-    n = model.num_states
-    if n > MAX_ORACLE_STATES:
-        raise ValueError(f"state bound exceeded: {n} > {MAX_ORACLE_STATES} (Bell number too large)")
-    return n
-
-
 def _partitions_by_block_count(n: int) -> list[int]:
     """Stirling numbers of the second kind S(n, 1) .. S(n, n): how many
     partitions of ``n`` states have 1 .. n blocks."""
@@ -591,18 +553,23 @@ class Search:
 
     @cached_property
     def oracle(self) -> Partition:
-        """:func:`brute_force_coarsest` with :meth:`checker`, in stacks.
+        """Exhaustive search: the passing partition with the fewest blocks,
+        ties broken by canonical form.
 
-        The candidates are the label rows of :func:`_label_batches`, taken
-        in order, at most ``ORACLE_STACK`` of one block count at a time.
-        Each stack of rows becomes one collector array with a leading stack
-        axis; the kind's table is evaluated on it once, and the family's
-        block-constancy kernel decides every ``VUX = X`` of the stack from
-        labels it finds once.  The first passing row of the first stack with
-        one is the answer, as in the one-at-a-time search, and the only
-        :class:`Partition` built.
+        The candidates are the label rows of :func:`_label_batches`, coarsest
+        first, at most ``ORACLE_STACK`` of one block count at a time, so the
+        first that passes is the minimum over ``(num_blocks, blocks)``, and
+        the cost is the rank of the answer, not Bell(n).  Each stack of rows
+        becomes one collector array with a leading stack axis; the kind's
+        table is evaluated on it once, and the family's block-constancy
+        kernel decides every ``VUX = X`` of the stack from labels it finds
+        once.  The answer is the only :class:`Partition` built.  The tests
+        hold it to a one-at-a-time search with :meth:`checker`.
         """
-        for blocks, rows in _label_batches(_oracle_states(self.model)):
+        n = self.model.num_states
+        if n > MAX_ORACLE_STATES:
+            raise ValueError(f"state bound exceeded: {n} > {MAX_ORACLE_STATES} (Bell number too large)")
+        for blocks, rows in _label_batches(n):
             for start in range(0, len(rows), ORACLE_STACK):
                 stack = rows[start : start + ORACLE_STACK]
                 v = self.family.collectors(self.model, stack[:, :, None] == np.arange(blocks))

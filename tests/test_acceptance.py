@@ -20,7 +20,6 @@ from matbisim import generate, lts, mrc
 from matbisim.algebra import ActionMatrix, rt_closure
 from matbisim.cli import main as cli_main
 from matbisim.lts import (
-    check_strong_relational,
     verify_branching_commutation,
     verify_weak_commutation,
 )
@@ -38,9 +37,9 @@ from matbisim.mrc import (
 from matbisim.partition import (
     Partition,
     Search,
-    brute_force_coarsest,
     parse_partition,
 )
+from references import brute_force_coarsest, check_strong_relational
 
 
 def record(criterion: str, ok: bool, detail: str) -> None:

@@ -9,7 +9,6 @@ from matbisim.algebra import (
     PIVOT_RTOL,
     MatrixShapeError,
     SingularMatrixError,
-    first_difference,
     rt_closure,
     solve_linear,
 )
@@ -206,13 +205,6 @@ def test_closure_properties(s):
     assert rt_closure(star) == star
 
 
-def test_first_difference():
-    m = mat([[("a",), ()], [(), ()]])
-    n = mat([[("a",), ()], [(), ("b",)]])
-    assert first_difference(m, m) is None
-    assert first_difference(m, n) == (1, 1)
-
-
 # -- reference semantics: entries as plain label sets ------------------------
 #
 # Each operation is restated on lists of frozensets of label indices and the
@@ -258,10 +250,6 @@ def ref_closure(s, everything):
     return [[everything if x else frozenset() for x in row] for row in reach]
 
 
-def ref_first_difference(a, b):
-    return next(((i, j) for i in range(len(a)) for j in range(len(a[0])) if a[i][j] != b[i][j]), None)
-
-
 @pytest.mark.parametrize("alphabet", WIDE, ids=lambda a: f"{a.size}-labels")
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
@@ -284,7 +272,6 @@ def test_operations_match_label_set_reference(alphabet, data):
     for x, sx, y, sy in ((ma, a, mb, b), (ms, smaller, ma, a), (ma, a, ms, smaller)):
         assert (x <= y) == all(p <= q for rp, rq in zip(sx, sy) for p, q in zip(rp, rq))
         assert (x == y) == (sx == sy)
-        assert first_difference(x, y) == ref_first_difference(sx, sy)
     assert hash(ma) == hash(as_matrix(alphabet, a))
 
     n = data.draw(shapes)

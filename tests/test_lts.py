@@ -4,15 +4,14 @@ from matbisim import generate, lts
 from matbisim.algebra import ActionAlphabet, ActionMatrix, rt_closure
 from matbisim.lts import (
     Lts,
-    check_strong_relational,
     format_lts,
     parse_lts,
     tau_closure,
     verify_branching_commutation,
-    verify_closure_identities,
     verify_weak_commutation,
 )
 from matbisim.partition import CheckFailed, ModelFormatError, Partition
+from references import check_strong_relational, verify_closure_identities
 
 
 def collector(sys_, *blocks):

@@ -9,18 +9,18 @@ from hypothesis import strategies as st
 from matbisim import lts, partition
 from matbisim.algebra import ActionAlphabet, ActionMatrix
 from matbisim.partition import (
-    BELL,
     ORACLE_BATCH,
     ModelFormatError,
     Partition,
     canonical_distributor_real,
-    collector_to_partition,
     enumerate_partitions,
     format_partition,
     parse_partition,
+    require_bool_collector,
     require_real_collector,
     split_by_keys,
 )
+from references import BELL
 
 AB = ActionAlphabet(("a", "b"))
 
@@ -62,19 +62,13 @@ def test_collector_examples():
     )
 
 
-def test_collector_to_partition_examples():
-    assert collector_to_partition(ActionMatrix.identity(AB, 3)) == Partition.identity(3)
-    assert collector_to_partition(ActionMatrix.from_bits(AB, [[1], [1]])) == Partition.single_block(2)
-    assert collector_to_partition(np.array([[1.0, 0], [0, 1], [1, 0], [0, 1]])) == Partition(4, ((0, 2), (1, 3)))
-
-
-def test_collector_to_partition_rejects_bad_matrices():
-    with pytest.raises(ValueError):
-        collector_to_partition(ActionMatrix.from_bits(AB, [[1, 1], [0, 1]]))  # two entries in a row
-    with pytest.raises(ValueError):
-        collector_to_partition(ActionMatrix.from_bits(AB, [[1, 0], [1, 0]]))  # empty column
-    with pytest.raises(ValueError):
-        collector_to_partition(np.array([[0.5, 0.5], [1.0, 0.0]]))
+def test_collectors_with_bad_entries_are_refused():
+    with pytest.raises(ValueError, match="not a collector"):
+        require_bool_collector(ActionMatrix.from_bits(AB, [[1, 1], [0, 1]]))  # two entries in a row
+    with pytest.raises(ValueError, match="not a collector"):
+        require_bool_collector(ActionMatrix.from_bits(AB, [[1, 0], [1, 0]]))  # empty column
+    with pytest.raises(ValueError, match="not a collector"):
+        require_real_collector(np.array([[0.5, 0.5], [1.0, 0.0]]))
 
 
 def test_real_collector_refusals_on_tall_and_stacked_collectors():
@@ -95,13 +89,6 @@ def test_real_collector_refusals_on_tall_and_stacked_collectors():
                 require_real_collector(bad, stacked=stacked)
     with pytest.raises(ValueError, match="not a collector"):
         require_real_collector(stack)
-
-
-@settings(max_examples=80)
-@given(partitions())
-def test_collector_round_trip(p):
-    assert collector_to_partition(p.collector_bool(AB)) == p
-    assert collector_to_partition(p.collector_real()) == p
 
 
 def test_canonical_distributors():

@@ -12,15 +12,14 @@ from matbisim.mrc import Mrc, parse_mrc
 from matbisim.lts import Lts, parse_lts
 from matbisim.family import family_of
 from matbisim.partition import (
-    BELL,
     CheckReport,
     Partition,
     Search,
-    brute_force_coarsest,
     enumerate_partitions,
     passes,
     refinement_fixpoint,
 )
+from references import BELL, brute_force_coarsest
 
 KINDS = ("strong", "weak", "branching")
 
