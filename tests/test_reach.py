@@ -53,7 +53,9 @@ def test_every_public_name_is_reached_or_documented():
     assert unreached(*_package()) == []
 
 
-@pytest.mark.parametrize("definition", ["def orphan():\n    pass\n", "class orphan:\n    pass\n", "orphan = 1\n"])
+@pytest.mark.parametrize(
+    "definition", ["def orphan():\n    pass\n", "class orphan:\n    pass\n", "orphan = 1\n"], ids=["def", "class", "constant"]
+)
 def test_an_unused_name_is_listed_until_reached_or_documented(definition):
     sources, readme = _package()
     sources["algebra"] += definition
