@@ -448,15 +448,19 @@ def solve_linear(a, b) -> np.ndarray:
     singularity verdict deterministic and independent of elimination
     history.
 
-    Work is done only where the matrix has entries.  A step updates only
-    the rows with an entry in the pivot column (all of them as one slice
-    when every row has one, none when only the pivot is left), since the
-    others have a zero multiplier; and back-substitution divides the rows
-    with nothing above the diagonal in one step, since their dot products
-    are whole zeros.  The pivots, the
-    verdict and the values are those of the textbook loop that updates
-    every row; only the sign of a zero can differ, where an input holds
-    ``-0.0`` that a zero multiplier would have turned into ``+0.0``.
+    Work is done only where the matrix has entries.  The pivots of the
+    columns before the first with an entry below the diagonal are checked
+    in one step, since no step there swaps or updates, and elimination
+    starts at that column; so a triangular matrix takes no step at all.  A
+    step updates only the rows with an entry in the pivot column (all of
+    them as one slice when every row has one, none when only the pivot is
+    left), since the others have a zero multiplier; and back-substitution
+    divides the rows with nothing above the diagonal in one step, since
+    their dot products are whole zeros.  The pivots, the verdict and the
+    values are those of the textbook loop that updates every row
+    (``tests/references.py``); only the sign of a zero can differ, where an
+    input holds ``-0.0`` that a zero multiplier would have turned into
+    ``+0.0``.
     """
     m = real_matrix(a)
     rhs = real_matrix(b)
@@ -468,9 +472,18 @@ def solve_linear(a, b) -> np.ndarray:
         raise MatrixShapeError("right-hand side has the wrong number of rows")
     rhs = rhs.reshape(n, -1)
     col_scale = np.max(np.abs(m), axis=0)
+    # Before the first column whose last entry is below the diagonal (or
+    # that has none), no step swaps or updates, so each pivot is its
+    # diagonal entry.
+    lower = n - 1 - np.argmax(m[::-1] != 0.0, axis=0) > np.arange(n)
+    start = int(np.argmax(lower)) if lower.any() else n
+    if start:
+        small = np.flatnonzero((col_scale[:start] == 0.0) | (np.abs(np.diagonal(m)[:start]) < PIVOT_RTOL * col_scale[:start]))
+        if small.size:
+            raise SingularMatrixError(f"pivot for column {small[0]} below threshold")
     # Column k below the pivot is never read after step k, so no step
     # updates it.
-    for k in range(n):
+    for k in range(start, n):
         column = np.abs(m[k:, k])
         p = k + int(np.argmax(column))
         if col_scale[k] == 0.0 or column[p - k] < PIVOT_RTOL * col_scale[k]:

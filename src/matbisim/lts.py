@@ -31,6 +31,7 @@ from .partition import (
     kinds,
     parse_model_header,
     parse_state,
+    read_edges,
     require_bool_collector,
     require_passed,
     verdict,
@@ -85,21 +86,28 @@ def parse_lts(text: str) -> Lts:
     Header: ``lts <n>``, ``alphabet <a1> ...``, ``init <i>``,
     ``term <i1> ...`` (possibly empty), then one ``<src> <label> <dst>``
     per transition.  The label ``tau`` feeds the internal matrix; repeated
-    transition lines are idempotent.  The text is read whole: every state,
-    headers included, is cast in one array and range-checked at once.  Only
-    a text that fails somewhere is read again line by line, which names its
-    first bad line.
+    transition lines are idempotent.  The header lines are split into
+    tokens, and all edge lines are read at once by NumPy's C reader
+    (:func:`~matbisim.partition.read_edges`); every state, headers
+    included, is range-checked in one array.  Only a text that fails
+    somewhere is read again line by line, which names its first bad line.
+    So is a valid text without edge lines, one that is not ASCII, and one
+    whose edge lines hold a state that the C reader refuses and ``int()``
+    reads, such as ``1_0``.
     """
     try:
-        (head, n), (alpha, *names), (init_kw, init), (term_kw, *term), *edges = content_lines(text, False)
-        src, labels, dst = zip(*edges, strict=True)
+        ((head, n), (alpha, *names), (init_kw, init), (term_kw, *term)), edges = read_edges(text, 4, _EDGE)
         n, alphabet = int(n), ActionAlphabet(tuple(names))
-        states = np.array([init, *term, *src, *dst], dtype=np.intp)
+        states = np.concatenate([np.array([init, *term], dtype=np.intp), edges["src"], edges["dst"]])
         if (head, alpha, init_kw, term_kw) == ("lts", "alphabet", "init", "term") and names and 0 <= states.min() and states.max() < n:
-            return _system(alphabet, n, states[0], states[1 : len(term) + 1], labels, *states[len(term) + 1 :].reshape(2, -1))
-    except (ValueError, KeyError, OverflowError):
+            return _system(alphabet, n, states[0], states[1 : len(term) + 1], edges["label"].tolist(), edges["src"], edges["dst"])
+    except (ValueError, KeyError, OverflowError, Warning):
         pass
     return _system(*_by_line(content_lines(text)))
+
+
+#: The fields of an edge line, as :func:`~matbisim.partition.read_edges` reads them.
+_EDGE = np.dtype([("src", np.intp), ("label", object), ("dst", np.intp)])
 
 
 def _by_line(lines) -> tuple:

@@ -50,6 +50,7 @@ from .partition import (
     kinds,
     parse_model_header,
     parse_state,
+    read_edges,
     require_passed,
     require_real_collector,
     verdict,
@@ -834,29 +835,37 @@ def parse_mrc(text: str) -> Mrc | MrcFast:
     then ``rate <src> <dst> <value>`` (slow) and ``fast <src> <dst> <value>``
     lines.  Diagonals are derived; self-rates are rejected; parallel rate
     lines accumulate.  Without any ``fast`` line the result is a plain chain.
-    The text is read as :func:`~matbisim.lts.parse_lts` reads it: the states
-    and the reals are cast in one array each and checked at once, and only a
-    text that fails is read again line by line, to name its first bad line.
+    The text is read as :func:`~matbisim.lts.parse_lts` reads it: the
+    header lines are split into tokens and the edge lines read at once by
+    NumPy's C reader, the states and the reals are checked at once, and
+    only a text that fails is read again line by line, to name its first
+    bad line.  So is a valid text without edge lines, one that is not
+    ASCII, and one whose edge lines hold a number that the C reader refuses
+    and ``int()`` or ``float()`` reads, such as ``1_0``.
     """
     try:
-        (head, n), (init_kw, *init), (reward_kw, *reward), *edges = content_lines(text, False)
+        ((head, n), (init_kw, *init), (reward_kw, *reward)), edges = read_edges(text, 3, _EDGE)
         at, colons, probs = zip(*(token.partition(":") for token in init))
-        kinds, src, dst, value = zip(*edges, strict=True)
         n, k = int(n), len(at)
-        states = np.array([*at, *src, *dst], dtype=np.intp)
-        reals = np.array([*reward, *probs, *value], dtype=float)  # the rewards, then what must be nonnegative
-        src, dst = states[k:].reshape(2, -1)
-        valid = (head, init_kw, reward_kw, len(reward), {*colons}) == ("mrc", "init", "reward", n, {":"}) and {*kinds} <= {"rate", "fast"}
-        valid = valid and 0 <= states.min() and states.max() < n and np.bincount(states[:k]).max() == 1 and (src != dst).all()
+        start, src, dst, value = np.array(at, dtype=np.intp), edges["src"], edges["dst"], edges["value"]
+        states = np.concatenate([start, src, dst])
+        reals = np.concatenate([np.array([*reward, *probs], dtype=float), value])  # the rewards, then what must be nonnegative
+        fast = edges["kind"] == "fast"
+        valid = (head, init_kw, reward_kw, len(reward), {*colons}) == ("mrc", "init", "reward", n, {":"}) and (fast | (edges["kind"] == "rate")).all()
+        valid = valid and 0 <= states.min() and states.max() < n and np.bincount(start).max() == 1 and (src != dst).all()
         if valid and np.isfinite(reals).all() and (reals[n:] >= 0).all():
             sigma = np.zeros(n)
-            sigma[states[:k]] = reals[n : n + k]
-            chain, finite = _chain(n, sigma, reals[:n], np.array(kinds) == "fast", src, dst, reals[n + k :])
+            sigma[start] = reals[n : n + k]
+            chain, finite = _chain(n, sigma, reals[:n], fast, src, dst, value)
             if finite.all():  # and the chain held the init sum to DEFAULT_ATOL
                 return chain
-    except (ValueError, OverflowError):
+    except (ValueError, OverflowError, Warning):
         pass
     return _by_line(content_lines(text))
+
+
+#: The fields of an edge line, as :func:`~matbisim.partition.read_edges` reads them.
+_EDGE = np.dtype([("kind", object), ("src", np.intp), ("dst", np.intp), ("value", float)])
 
 
 def _by_line(lines) -> Mrc | MrcFast:

@@ -5,6 +5,7 @@ for coarsest bisimulations (iterated refinement plus an exhaustive oracle).
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterator, Sequence
@@ -307,21 +308,46 @@ def canonical_distributor_real(v: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def content_lines(text: str, numbered: bool = True):
-    """Token lists of non-empty lines, with 1-based line numbers in a list if
-    ``numbered``, else lazily; '#' starts a comment."""
-    lines = text.splitlines()
-    if "#" in text:
-        lines = (raw.split("#", 1)[0] for raw in lines)
-    rows = map(str.split, lines)
-    if not numbered:
-        return filter(None, rows)
-    return [(lineno, tokens) for lineno, tokens in enumerate(rows, start=1) if tokens]
+def _tokens(lines):
+    """The tokens of each line; '#' starts a comment."""
+    return (raw.split("#", 1)[0].split() for raw in lines)
+
+
+def content_lines(text: str):
+    """Token lists of non-empty lines, with 1-based line numbers."""
+    return [(lineno, tokens) for lineno, tokens in enumerate(_tokens(text.splitlines()), start=1) if tokens]
 
 
 def first_token(text: str) -> str | None:
     """First token of :func:`content_lines`, without tokenizing the rest."""
-    return next(content_lines(text, False), [None])[0]
+    return next((tokens[0] for tokens in _tokens(text.splitlines()) if tokens), None)
+
+
+def read_edges(text: str, heads: int, fields: np.dtype):
+    """The token lists of the first ``heads`` lines of :func:`content_lines`,
+    and every later line read by NumPy's C reader into one structured array
+    of dtype ``fields``, skipping blank and comment lines as that function
+    does.  Give string fields as ``object``: a fixed-width string drops
+    trailing NULs and cuts longer tokens short.
+
+    Raised, for the caller to read the text line by line: a
+    :class:`ValueError` for a line with another number of fields, a field
+    that does not convert, or a text that is not ASCII, since the C reader
+    reads some non-ASCII tokens into numbers that ``int()`` refuses; and
+    any warning of the C reader, as an error.  It warns on a file without
+    edge lines, and some NumPy versions read ``1.0`` as an integer with only
+    a warning.
+    """
+    lines = text.splitlines() if text.isascii() else []  # one that is not ASCII has no header lines
+    header = []
+    for at, tokens in enumerate(_tokens(lines)):
+        if tokens:
+            header.append(tokens)
+            if len(header) == heads:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    return header, np.loadtxt(lines[at + 1 :], fields, ndmin=1)
+    raise ValueError("too few header lines, or not ASCII")
 
 
 def _parse_int(token: str, lineno: int, what: str) -> int:

@@ -13,6 +13,8 @@ from matbisim.algebra import (
     solve_linear,
 )
 
+from references import textbook_solve
+
 AB = ActionAlphabet(("a", "b"))
 ABC = ActionAlphabet(("a", "b", "c"))
 
@@ -337,32 +339,6 @@ def test_solve_residuals_on_well_conditioned_systems(rng):
 # -- the solver against the textbook loop ------------------------------------
 
 
-def _textbook_solve(a, b):
-    """Gaussian elimination with partial pivoting that updates the whole
-    trailing matrix at every step and substitutes every row by a dot product:
-    the reference :func:`solve_linear` must equal, entry for entry."""
-    m = np.array(a, dtype=float)
-    rhs = np.array(b, dtype=float)
-    n = m.shape[0]
-    vector = rhs.ndim == 1
-    rhs = rhs.reshape(n, -1)
-    col_scale = np.max(np.abs(m), axis=0)
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(m[k:, k])))
-        if col_scale[k] == 0.0 or abs(m[p, k]) < PIVOT_RTOL * col_scale[k]:
-            raise SingularMatrixError(f"pivot for column {k} below threshold")
-        if p != k:
-            m[[k, p]] = m[[p, k]]
-            rhs[[k, p]] = rhs[[p, k]]
-        factors = m[k + 1 :, k] / m[k, k]
-        m[k + 1 :, k:] -= np.outer(factors, m[k, k:])
-        rhs[k + 1 :] -= np.outer(factors, rhs[k])
-    x = np.empty_like(rhs)
-    for k in range(n - 1, -1, -1):
-        x[k] = (rhs[k] - m[k, k + 1 :] @ x[k + 1 :]) / m[k, k]
-    return x[:, 0] if vector else x
-
-
 def _structured_systems(gen, n):
     """Diagonal, permuted triangular, block-diagonal, sparse and dense
     matrices of ``n`` states."""
@@ -398,7 +374,7 @@ def _right_hand_sides(gen, n):
 
 def _assert_solves_as_the_textbook_loop(a, b, label):
     try:
-        expected = _textbook_solve(a, b)
+        expected = textbook_solve(a, b)
     except SingularMatrixError as exc:
         with pytest.raises(SingularMatrixError) as got:
             solve_linear(a, b)
@@ -417,6 +393,45 @@ def test_solver_equals_the_textbook_loop_on_structured_systems():
             for b in _right_hand_sides(gen, n):
                 _assert_solves_as_the_textbook_loop(a, b, (name, n, b.shape))
     assert swaps  # the row-permuted systems do pivot
+
+
+def _seeded_systems(gen, n):
+    """Diagonal, upper-triangular, general and near-singular matrices of
+    ``n`` states, with no ``-0.0`` entry.  The near-singular ones put a
+    pivot about ``PIVOT_RTOL`` times its column's largest entry, on either
+    side: one triangular (its pivot is checked before any step) and one
+    with a column close to a combination of the others."""
+    diagonal = np.diag(gen.uniform(0.5, 2.0, n) * gen.choice([-1.0, 1.0], n))
+    upper = np.triu(gen.standard_normal((n, n)))
+    general = gen.standard_normal((n, n))
+    k = int(gen.integers(n))
+    tiny_pivot = upper + diagonal
+    tiny_pivot[k, k] = gen.uniform(0.5, 2.0) * PIVOT_RTOL * np.abs(tiny_pivot[:, k]).max()
+    dependent = general.copy()
+    dependent[:, k] = np.delete(general, k, axis=1) @ gen.standard_normal(n - 1) + 10.0 ** gen.uniform(-16, -8) * gen.standard_normal(n)
+    return {"diagonal": diagonal, "upper": upper + diagonal, "general": general, "tiny pivot": tiny_pivot, "dependent": dependent}
+
+
+def test_solver_matches_the_plain_loop_bitwise():
+    """Without ``-0.0`` in the input, the values are bitwise those of the
+    plain loop, and a refusal names the same column."""
+    gen = np.random.default_rng(20)
+    refused = dict.fromkeys(("tiny pivot", "dependent"), 0)
+    for case in range(1500):
+        n = int(gen.integers(1, 11))
+        b = gen.standard_normal(n) if case % 2 else gen.standard_normal((n, 3))
+        for name, a in _seeded_systems(gen, n).items():
+            try:
+                expected = textbook_solve(a, b)
+            except SingularMatrixError as exc:
+                refused[name] += 1
+                with pytest.raises(SingularMatrixError) as got:
+                    solve_linear(a, b)
+                assert str(got.value) == str(exc), (name, case)
+                continue
+            got = solve_linear(a, b)
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), (name, case)
+    assert set(refused) == {"tiny pivot", "dependent"} and min(refused.values()) > 100, refused
 
 
 def test_solver_equals_the_textbook_loop_on_chain_systems(monkeypatch):

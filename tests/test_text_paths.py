@@ -12,7 +12,7 @@ from matbisim import lts, mrc
 from matbisim.partition import ModelFormatError, content_lines
 
 # tokens that int() or float() read in surprising ways, or refuse
-ODD = ["٣", "1_0", "+3", "1.0", "-1", "-0.5", "zz", "tau", "99999999999999999999", "nan", "inf", "-0.0", "1e400", "0", "2:0.5", "3:"]
+ODD = ["٣", "1_0", "+3", "1.0", "-1", "-0.5", "zz", "tau", "99999999999999999999", "nan", "inf", "-0.0", "1e400", "0", "2:0.5", "3:", "tau\0", "fast\0"]
 SEPARATORS = ["\t", "\f", "\v", "  ", " \t "]
 
 
@@ -140,8 +140,22 @@ def test_each_check_of_the_whole_text_agrees():
         "lts 2\nalphabet a\ninit 0\nterm\n0 a 1 1\n",
         "lts 0\nalphabet a\ninit 0\nterm\n0 a 0\n",
         "lts 1000000\nalphabet a\ninit 0\nterm\n0 a 1\n1 b 2\n",  # the label is refused before 2·10¹² planes are allocated
+        # the edge lines go to NumPy's C reader, which refuses "1_0" and "٣" and reads some other non-ASCII tokens as numbers
+        "lts 11\nalphabet a\ninit 0\nterm\n1_0 a 3\n",
+        "lts 11\nalphabet a\ninit 0\nterm\n1_0 a ٣\n",
+        "lts 500\nalphabet a\ninit 0\nterm\n1\u01ff a 1\n",  # the C reader reads "1ǿ" as 473
+        # a NUL stays in its token
+        "lts 2\nalphabet a\ninit 0\nterm\n0 tau\0 1\n",
+        "lts 2\nalphabet a\ninit 0\nterm\n0 a\0 1\n",
+        "lts 2\nalphabet a\ninit 0\nterm\n0 a 1\0\n",
+        "lts 2\nalphabet a\ninit 0\nterm\n0\0 a 1\n",
+        "lts 2\nalphabet a bb\ninit 0\nterm\n0 bbbbbbbbbbbbbbbbbbbbbbb 1\n",  # longer than any name
+        "lts 2\nalphabet a\ninit 0\nterm 1\n",  # no edge lines
+        "lts 2\nalphabet a\ninit 0\nterm 1\n# none\n\n",
+        "# a system\n\n  \nlts 2\nalphabet a # one label\n\ninit 0\nterm\n0 a 1 # an edge\n",
     ):
         agree_lts(text)
+    assert lts.parse_lts("lts 11\nalphabet a\ninit 0\nterm\n1_0 a 3\n").visible.planes[0, 10, 3]
     for text in (
         "mrc 2\ninit 0:1_0e-1 1:0.0\nreward ٣ 1\nrate 0 1 1_0\n",
         "mrc 2\ninit 0:1\nreward 0 0\nrate 0 1 -0.0\nfast 1 0 1e400\n",
@@ -157,6 +171,16 @@ def test_each_check_of_the_whole_text_agrees():
         "mrc 2\ninit 0:1\nreward 0 nan\nrate 0 1 1\n",
         "mrc 2\ninit 0:1\nreward 0\nrate 0 1 1\n",
         "mrc 2\ninit 0:1\nreward 0 0\nrate 0 1\n",
+        "mrc 11\ninit 0:1\nreward" + " 0" * 11 + "\nrate 1_0 3 1_0\n",
+        "mrc 11\ninit 0:1\nreward" + " 0" * 11 + "\nfast 1_0 ٣ 1_0\n",
+        "mrc 500\ninit 0:1\nreward" + " 0" * 500 + "\nrate 0 1\u01ff 1\n",  # the C reader reads "1ǿ" as 473
+        "mrc 2\ninit 0:1\nreward 0 0\nrate\0 0 1 1\n",
+        "mrc 2\ninit 0:1\nreward 0 0\nfast\0 0 1 1\n",
+        "mrc 2\ninit 0:1\nreward 0 0\nrate 0 1 1\0\n",
+        "mrc 2\ninit 0:1\nreward 0 0\nrate 0\0 1 1\n",
+        "mrc 2\ninit 0:1\nreward 0 0\n# none\n\n",  # no edge lines
+        "# a chain\n\n\t\nmrc 2\ninit 0:1 # all mass\n\nreward 0 0\nrate 0 1 1 # slow\n",
     ):
         agree_mrc(text)
+    assert mrc.parse_mrc("mrc 11\ninit 0:1\nreward" + " 0" * 11 + "\nrate 1_0 3 1_0\n").q[10, 3] == 10.0
     assert np.array_equal(mrc.parse_mrc("mrc 2\ninit 0:1_0e-1 1:0.0\nreward ٣ 1\nrate 0 1 1_0\n").rho, [3.0, 1.0])
