@@ -91,9 +91,9 @@ def parse_lts(text: str) -> Lts:
     (:func:`~matbisim.partition.read_edges`); every state, headers
     included, is range-checked in one array.  Only a text that fails
     somewhere is read again line by line, which names its first bad line.
-    So is a valid text without edge lines, one that is not ASCII, and one
-    whose edge lines hold a state that the C reader refuses and ``int()``
-    reads, such as ``1_0``.
+    So is a valid text without edge lines, one that is not ASCII or holds
+    a NUL (in a comment), and one whose edge lines hold a state that the C
+    reader refuses and ``int()`` reads, such as ``1_0``.
     """
     try:
         ((head, n), (alpha, *names), (init_kw, init), (term_kw, *term)), edges = read_edges(text, 4, _EDGE)

@@ -840,8 +840,9 @@ def parse_mrc(text: str) -> Mrc | MrcFast:
     NumPy's C reader, the states and the reals are checked at once, and
     only a text that fails is read again line by line, to name its first
     bad line.  So is a valid text without edge lines, one that is not
-    ASCII, and one whose edge lines hold a number that the C reader refuses
-    and ``int()`` or ``float()`` reads, such as ``1_0``.
+    ASCII or holds a NUL (in a comment), and one whose edge lines hold a
+    number that the C reader refuses and ``int()`` or ``float()`` reads,
+    such as ``1_0``.
     """
     try:
         ((head, n), (init_kw, *init), (reward_kw, *reward)), edges = read_edges(text, 3, _EDGE)
@@ -864,8 +865,9 @@ def parse_mrc(text: str) -> Mrc | MrcFast:
     return _by_line(content_lines(text))
 
 
-#: The fields of an edge line, as :func:`~matbisim.partition.read_edges` reads them.
-_EDGE = np.dtype([("kind", object), ("src", np.intp), ("dst", np.intp), ("value", float)])
+#: The fields of an edge line, as :func:`~matbisim.partition.read_edges` reads
+#: them; ``rate`` and ``fast`` fit in the kind's five characters with one to spare.
+_EDGE = np.dtype([("kind", "U5"), ("src", np.intp), ("dst", np.intp), ("value", float)])
 
 
 def _by_line(lines) -> Mrc | MrcFast:

@@ -327,8 +327,10 @@ def read_edges(text: str, heads: int, fields: np.dtype):
     """The token lists of the first ``heads`` lines of :func:`content_lines`,
     and every later line read by NumPy's C reader into one structured array
     of dtype ``fields``, skipping blank and comment lines as that function
-    does.  Give string fields as ``object``: a fixed-width string drops
-    trailing NULs and cuts longer tokens short.
+    does.  A fixed-width string field drops trailing NULs, so a text that
+    holds a NUL is refused, and cuts longer tokens short, so such a field
+    must be wider than every token it accepts; give an ``object`` field
+    where no width bounds them.
 
     Raised, for the caller to read the text line by line: a
     :class:`ValueError` for a line with another number of fields, a field
@@ -338,7 +340,7 @@ def read_edges(text: str, heads: int, fields: np.dtype):
     edge lines, and some NumPy versions read ``1.0`` as an integer with only
     a warning.
     """
-    lines = text.splitlines() if text.isascii() else []  # one that is not ASCII has no header lines
+    lines = text.splitlines() if text.isascii() and "\0" not in text else []  # no header lines
     header = []
     for at, tokens in enumerate(_tokens(lines)):
         if tokens:
@@ -347,7 +349,7 @@ def read_edges(text: str, heads: int, fields: np.dtype):
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
                     return header, np.loadtxt(lines[at + 1 :], fields, ndmin=1)
-    raise ValueError("too few header lines, or not ASCII")
+    raise ValueError("too few header lines, or not ASCII, or a NUL")
 
 
 def _parse_int(token: str, lineno: int, what: str) -> int:

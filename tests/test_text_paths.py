@@ -150,6 +150,7 @@ def test_each_check_of_the_whole_text_agrees():
         "lts 2\nalphabet a\ninit 0\nterm\n0 a 1\0\n",
         "lts 2\nalphabet a\ninit 0\nterm\n0\0 a 1\n",
         "lts 2\nalphabet a bb\ninit 0\nterm\n0 bbbbbbbbbbbbbbbbbbbbbbb 1\n",  # longer than any name
+        "lts 2\nalphabet a\ninit 0\nterm\n0 a 1 # a NUL \0 in a comment\n",
         "lts 2\nalphabet a\ninit 0\nterm 1\n",  # no edge lines
         "lts 2\nalphabet a\ninit 0\nterm 1\n# none\n\n",
         "# a system\n\n  \nlts 2\nalphabet a # one label\n\ninit 0\nterm\n0 a 1 # an edge\n",
@@ -178,6 +179,7 @@ def test_each_check_of_the_whole_text_agrees():
         "mrc 2\ninit 0:1\nreward 0 0\nfast\0 0 1 1\n",
         "mrc 2\ninit 0:1\nreward 0 0\nrate 0 1 1\0\n",
         "mrc 2\ninit 0:1\nreward 0 0\nrate 0\0 1 1\n",
+        "mrc 2\ninit 0:1\nreward 0 0\nfast 0 1 1 # a NUL \0 in a comment\n",
         "mrc 2\ninit 0:1\nreward 0 0\n# none\n\n",  # no edge lines
         "# a chain\n\n\t\nmrc 2\ninit 0:1 # all mass\n\nreward 0 0\nrate 0 1 1 # slow\n",
     ):
