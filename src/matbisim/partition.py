@@ -310,7 +310,7 @@ def canonical_distributor_real(v: np.ndarray) -> np.ndarray:
 
 def _tokens(lines):
     """The tokens of each line; '#' starts a comment."""
-    return (raw.split("#", 1)[0].split() for raw in lines)
+    return (raw.split("#", 1)[0].split() if "#" in raw else raw.split() for raw in lines)
 
 
 def content_lines(text: str):
@@ -349,7 +349,7 @@ def read_edges(text: str, heads: int, fields: np.dtype):
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
                     return header, np.loadtxt(lines[at + 1 :], fields, ndmin=1)
-    raise ValueError("too few header lines, or not ASCII, or a NUL")
+    raise ValueError  # too few header lines, or not ASCII, or a NUL
 
 
 def _parse_int(token: str, lineno: int, what: str) -> int:
