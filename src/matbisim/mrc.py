@@ -338,7 +338,7 @@ def kernel(v: np.ndarray, u, atol: float):
     """
     lead = v.shape[:-1]
     block, rep = block_labels(v)
-    size = np.bincount(block)[:, None]
+    size = np.maximum(np.bincount(block), 1)[:, None]  # a padded block of an oracle stack is empty: its mean is 0, not 0/0
 
     def read(x):
         c = x.shape[-1]
@@ -377,7 +377,23 @@ def _conditions(model: Mrc | MrcFast, kind: str, closure: Callable) -> Callable[
     """:func:`conditions` with ``Π`` taken from ``closure(Qf)``."""
     fast = as_fast_chain(model)
     generators = (("Q", model.q),) if kind == "strong" and isinstance(model, Mrc) else (("Qs", fast.qs), ("Qf", fast.qf))
-    return kinds(kind, fast.rho.reshape(-1, 1), generators, closure, lambda q, v: project_stack(_restrict(q, v))[0], False)
+    return kinds(kind, fast.rho.reshape(-1, 1), generators, closure, _in_class, False)
+
+
+def _in_class(q: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``Π_V``, the projection of ``q`` restricted to the classes of ``v``,
+    for a collector or a stack of them.  Candidates of an oracle stack often
+    share their restriction, so each distinct one is projected once and its
+    ``Π`` given to every member that has it: the same generator gives the
+    same bits."""
+    keep = _restrict(q, v)
+    if keep.ndim == 2:  # one collector: nothing to share, and no copy of a large generator
+        return project_stack(keep)[0]
+    # Each member as one bytes scalar: NumPy sorts those about ten times
+    # faster than it sorts rows with np.unique(axis=0).
+    members = keep.reshape(-1, q.size).view(np.dtype((np.void, keep.itemsize * q.size)))
+    distinct, which = np.unique(members, return_inverse=True)
+    return project_stack(distinct.view(keep.dtype).reshape(-1, *q.shape))[0][which.reshape(keep.shape[:-2])]
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,11 @@ from .algebra import DEFAULT_ATOL, ActionAlphabet, ActionMatrix
 #: The oracle refuses more states: B(13) is 27,644,437 partitions.
 MAX_ORACLE_STATES = 12
 
-#: Most candidates :attr:`Search.oracle` evaluates in one stack.  At the
-#: 12-state bound a stacked array holds at most 256·12·12 entries per label
-#: plane: 0.15 MB per plane as ``float32``, 0.3 MB as ``float64``.
+#: Most candidates :attr:`Search.oracle` evaluates in one stack, consecutive
+#: in its order whatever their block counts.  A stack is as wide as its
+#: largest block count, so at the 12-state bound a stacked array still holds
+#: at most 256·12·12 entries per label plane: 0.15 MB per plane as
+#: ``float32``, 0.3 MB as ``float64``.
 ORACLE_STACK = 256
 
 #: Most partitions the oracle's enumerator grows and sorts at once
@@ -389,7 +391,7 @@ def parse_partition(text: str) -> Partition:
     n = _parse_int(header[1], lineno, "state count")
     blocks = [tuple(_parse_int(t, lineno, "state index") for t in tokens) for lineno, tokens in lines[1:]]
     try:
-        return Partition(n, tuple(blocks))
+        return Partition(n, blocks)
     except ValueError as exc:
         raise ModelFormatError(f"invalid partition: {exc}") from exc
 
@@ -459,51 +461,57 @@ def _block_count_pieces(n: int, k: int) -> Iterator[np.ndarray]:
     if _partitions_by_block_count(n)[k - 1] <= ORACLE_BATCH:
         yield _sorted_rows(n, k, k)
         return
-    outside_rows: dict[int, np.ndarray] = {}
+    outside_rows = {}
     for first in _sorted_rows(n, 2, 2):  # label 1 marks the states outside the first block
         outside = np.flatnonzero(first)
-        if len(outside) < k - 1:
+        m = len(outside)
+        if m < k - 1:
             continue
-        if len(outside) not in outside_rows:
-            outside_rows[len(outside)] = np.concatenate(list(_block_count_pieces(len(outside), k - 1)))
-        rest = outside_rows[len(outside)]
+        if m not in outside_rows:
+            outside_rows[m] = np.concatenate(list(_block_count_pieces(m, k - 1)))
+        rest = outside_rows[m]
         piece = np.zeros((len(rest), n), np.int8)
         piece[:, outside] = rest + 1
         yield piece
 
 
-def _label_batches(n: int) -> Iterator[tuple[int, np.ndarray]]:
+def _label_batches(n: int, k: int = 1) -> Iterator[tuple[int, np.ndarray]]:
     """Every partition of ``n`` states as an ``int8`` label row, in the
     oracle's order: runs ``(k, rows)`` of rows with ``k`` blocks each, in
     increasing ``(num_blocks, blocks)`` within and across runs.
 
-    Consecutive block counts with at most ``ORACLE_BATCH`` partitions
-    together are grown and sorted in one batch, so up to 9 states the whole
-    lattice is one.  A larger block count comes from
-    :func:`_block_count_pieces`, its pieces joined until a run has
-    ``ORACLE_BATCH`` rows or more.  Nothing is kept between calls.
+    The runs start at ``k`` blocks.  Consecutive block counts with at most
+    ``ORACLE_BATCH`` partitions together are grown and sorted in one batch,
+    so up to 9 states the whole lattice is one.  A larger block count comes
+    from :func:`_block_count_pieces`, each piece a run.  Nothing is kept
+    between calls.
     """
     counts = _partitions_by_block_count(n)
-    k = 1
     while k <= n:
         hi = k
         while hi < n and sum(counts[k - 1 : hi + 1]) <= ORACLE_BATCH:
             hi += 1
         if counts[k - 1] <= ORACLE_BATCH:
-            rows = _sorted_rows(n, k, hi)
-            yield from zip(range(k, hi + 1), np.split(rows, np.cumsum(counts[k - 1 : hi - 1])))
+            yield from zip(range(k, hi + 1), np.split(_sorted_rows(n, k, hi), np.cumsum(counts[k - 1 : hi - 1])))
         else:
-            held: list[np.ndarray] = []
-            size = 0
-            for piece in _block_count_pieces(n, k):
-                held.append(piece)
-                size += len(piece)
-                if size >= ORACLE_BATCH:
-                    yield k, np.concatenate(held)
-                    held, size = [], 0
-            if held:
-                yield k, np.concatenate(held)
+            yield from ((k, piece) for piece in _block_count_pieces(n, k))
         k = hi + 1
+
+
+def _stacks(n: int) -> Iterator[np.ndarray]:
+    """The oracle's candidates in stacks, in its order: first the one-block
+    row alone, before :func:`_label_batches` grows the lattice, then the
+    other rows ``ORACLE_STACK`` at a time, consecutive across block counts,
+    and what is left."""
+    yield np.zeros((1, n), np.int8)
+    held = np.zeros((0, n), np.int8)
+    for _, rows in _label_batches(n, 2):
+        held = np.concatenate((held, rows))
+        while len(held) >= ORACLE_STACK:
+            yield held[:ORACLE_STACK]
+            held = held[ORACLE_STACK:]
+    if len(held):
+        yield held
 
 
 def enumerate_partitions(n: int) -> Iterator[Partition]:
@@ -585,25 +593,27 @@ class Search:
         ties broken by canonical form.
 
         The candidates are the label rows of :func:`_label_batches`, coarsest
-        first, at most ``ORACLE_STACK`` of one block count at a time, so the
-        first that passes is the minimum over ``(num_blocks, blocks)``, and
-        the cost is the rank of the answer, not Bell(n).  Each stack of rows
-        becomes one collector array with a leading stack axis; the kind's
-        table is evaluated on it once, and the family's block-constancy
-        kernel decides every ``VUX = X`` of the stack from labels it finds
-        once.  The answer is the only :class:`Partition` built.  The tests
+        first, in the stacks of :func:`_stacks`: the one-block row alone,
+        then ``ORACLE_STACK`` consecutive rows at a time across block counts.
+        So the first that passes is the minimum over ``(num_blocks,
+        blocks)``, and the cost is the rank of the answer, not Bell(n).  Each
+        stack becomes one collector array with a leading stack axis, as wide
+        as its widest candidate: a candidate with fewer blocks gets empty
+        padded blocks, whose all-zero (or all-empty) columns of every ``X``
+        are constant on every block.  The kind's table is evaluated on the
+        stack once, and the family's block-constancy kernel decides every
+        ``VUX = X`` of the stack from labels it finds once.  The answer, the
+        first passing row, is the only :class:`Partition` built.  The tests
         hold it to a one-at-a-time search with :meth:`checker`.
         """
         n = self.model.num_states
         if n > MAX_ORACLE_STATES:
             raise ValueError(f"state bound exceeded: {n} > {MAX_ORACLE_STATES} (Bell number too large)")
-        for blocks, rows in _label_batches(n):
-            for start in range(0, len(rows), ORACLE_STACK):
-                stack = rows[start : start + ORACLE_STACK]
-                v = self.family.collectors(self.model, stack[:, :, None] == np.arange(blocks))
-                passed = passes(self.table(v), self.family.kernel(v, None, self.atol))
-                if passed.any():
-                    return Partition._canonical(tuple(stack[int(np.argmax(passed))].tolist()), blocks)
+        for stack in _stacks(n):
+            v = self.family.collectors(self.model, stack[..., None] == np.arange(stack.max() + 1))
+            passed = passes(self.table(v), self.family.kernel(v, None, self.atol))
+            if passed.any():
+                return Partition.from_assignment(stack[passed.argmax()].tolist())
         raise ValueError("no partition passed the checker")
 
     def coarsest(self) -> Partition:

@@ -283,43 +283,69 @@ def _planted_models(rng):
     return models
 
 
-def test_stacked_oracle_matches_the_one_at_a_time_search(branching_witness):
+def test_stacked_oracle_matches_the_one_at_a_time_search(branching_witness, monkeypatch):
+    # stacks of 5 cut inside a block count and straddle several, and stacks
+    # of 1 hold every candidate alone; padded blocks raise no warning
     import random
+    import warnings
+
+    from matbisim import partition
 
     models = _planted_models(random.Random(13)) + [branching_witness[0]]
     assert max(model.num_states for model in models) == 7
     for model in models:
         for kind in KINDS:
-            stacked = _outcome(lambda: Search(model, kind).oracle)
             search = Search(model, kind)
             single = _outcome(lambda: brute_force_coarsest(model, search.checker))
-            assert stacked == single, (kind, model)
+            for size in (1, 5, 256):
+                monkeypatch.setattr(partition, "ORACLE_STACK", size)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    stacked = _outcome(lambda: Search(model, kind).oracle)
+                assert stacked == single, (kind, size, model)
 
 
 def test_stacked_rows_are_the_per_candidate_rows():
-    # one stack per model: every partition with about half as many blocks
-    # as states; each stacked row and pass flag is the candidate's own
+    # two stacks per model: every partition with about half as many blocks
+    # as states, read under the canonical distributor; and every partition
+    # with that many blocks or one more, each padded with empty blocks to
+    # the wider count, read under the default one, as the oracle reads its
+    # stacks (the canonical distributor refuses an empty column).  Each
+    # stacked row and pass flag is the candidate's own, and a padded column
+    # holds exact zeros or empty sets.
     import random
+    import warnings
 
     for model in _planted_models(random.Random(4)):
         n, family = model.num_states, family_of(model)
         blocks = (n + 1) // 2
-        stack = [p for p in enumerate_partitions(n) if p.num_blocks == blocks]
-        v = family.collectors(model, np.array([p.assignment for p in stack])[:, :, None] == np.arange(blocks))
-        for kind in KINDS:
-            search = Search(model, kind)
-            rows = search.table(v)
-            passed = passes(rows, family.kernel(v, family.canonical_distributor(v), search.atol))
-            assert passed.shape == (len(stack),)
-            for s, p in enumerate(stack):
-                single = search.table(family.collector(model, p))
-                assert [name for name, _ in rows] == [name for name, _ in single]
-                for (_, x), (_, y) in zip(rows, single):
-                    if isinstance(model, Lts):
-                        assert np.array_equal(np.broadcast_to(x.planes, (len(stack), *y.planes.shape))[s], y.planes)
-                    else:
-                        np.testing.assert_allclose(np.broadcast_to(x, (len(stack), *y.shape))[s], y, rtol=0, atol=1e-12)
-                assert bool(passed[s]) == search.checker(model, p).passed, (kind, p)
+        for counts, padded in (((blocks,), False), ((blocks, blocks + 1), True)):
+            stack = [p for p in enumerate_partitions(n) if p.num_blocks in counts]
+            width = max(p.num_blocks for p in stack)
+            assert width == max(counts) or n == 1  # one-state models have no second count
+            v = family.collectors(model, np.array([p.assignment for p in stack])[:, :, None] == np.arange(width))
+            for kind in KINDS:
+                search = Search(model, kind)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    rows = search.table(v)
+                    u = None if padded else family.canonical_distributor(v)
+                    passed = passes(rows, family.kernel(v, u, search.atol))
+                assert passed.shape == (len(stack),)
+                for s, p in enumerate(stack):
+                    single = search.table(family.collector(model, p))
+                    assert [name for name, _ in rows] == [name for name, _ in single]
+                    for (_, x), (_, y) in zip(rows, single):
+                        if isinstance(model, Lts):
+                            x, y = x.planes, y.planes
+                        x = np.broadcast_to(x, (len(stack), *x.shape[-y.ndim :]))[s]
+                        own = y.shape[-1]
+                        if isinstance(model, Lts):
+                            assert np.array_equal(x[..., :own], y)
+                        else:
+                            np.testing.assert_allclose(x[..., :own], y, rtol=0, atol=1e-12)
+                        assert not x[..., own:].any()
+                    assert bool(passed[s]) == search.checker(model, p).passed, (kind, p)
 
 
 def _counting(monkeypatch, module, name):
@@ -366,12 +392,12 @@ def test_branching_oracle_projects_each_stack_once(monkeypatch):
     singles = _counting(monkeypatch, mrc, "ergodic_projection")
     candidates = _counting(monkeypatch, Search, "checker")
     answer = Search(chain, "branching").oracle
-    # every block count up to the answer's is one stack of at most 90 candidates
+    # the one-block candidate alone, then one stack of the other 202
     assert answer.num_blocks == 4
-    assert len(stacks) == 4 and not singles and not candidates
+    assert len(stacks) == 2 and not singles and not candidates
     # the one-at-a-time reference projects once per candidate it checks
     assert brute_force_coarsest(chain, Search(chain, "branching").checker) == answer
-    assert len(stacks) - 4 == len(candidates) > 1 + 31 + 90
+    assert len(stacks) - 2 == len(candidates) > 1 + 31 + 90
 
 
 def test_each_refine_command_builds_the_kind_table_once(monkeypatch, tmp_path, capsys):
