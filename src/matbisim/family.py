@@ -12,7 +12,8 @@ reading of each ``VUX = X``; ``u`` None is the canonical distributor),
 ``require_collector`` (of a model) and ``require_distributor`` (of a
 collector), its input checks, which return the validated matrix,
 ``signature_keys`` (refinement keys from evaluated rows), ``evaluate``,
-``check``, ``lump``, ``read_distributor``, and ``UNIQUE_COARSEST``.
+``check``, ``lump``, ``read_distributor``, ``UNIQUE_COARSEST`` and
+``STACKS_BY_RANK``.
 Tables, distributors and kernels broadcast over leading stack axes of the
 collector.  ``evaluate`` and ``check`` are stated once, in
 :mod:`~matbisim.partition`, which also turns a family's kernel into a

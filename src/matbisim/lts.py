@@ -365,6 +365,10 @@ def verify_branching_commutation(lts: Lts, v: ActionMatrix) -> bool:
 #: Kinds whose coarsest bisimulation is unique, so refinement finds it.
 UNIQUE_COARSEST = ("strong", "weak", "branching")
 
+#: Kinds whose oracle stacks grow with the rank of the answer: none, since
+#: every table here costs by the stack (:func:`~matbisim.partition._stacks`).
+STACKS_BY_RANK = ()
+
 
 def signature_keys(p: Partition, rows, atol: float = DEFAULT_ATOL) -> list:
     """Per-state rows of every evaluated ``X``.  Blocks split where these

@@ -1070,6 +1070,12 @@ def _cluster_keys(p: Partition, rows: np.ndarray, atol: float) -> list:
 #: Kinds whose coarsest lumping is unique, so refinement finds it.
 UNIQUE_COARSEST = ("strong", "weak")
 
+#: Kinds whose table costs by the candidate, not by the stack: branching
+#: projects each distinct restriction of an oracle stack on its own
+#: (:func:`_in_class`), so the oracle grows their stacks with the rank of
+#: the answer instead of filling them (:func:`~matbisim.partition._stacks`).
+STACKS_BY_RANK = ("branching",)
+
 
 def signature_keys(p: Partition, rows, atol: float = DEFAULT_ATOL) -> list:
     """Per-state rows of every evaluated ``X``, clustered to tolerance inside

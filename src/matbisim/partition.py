@@ -128,20 +128,20 @@ class Partition:
 
     @classmethod
     def identity(cls, n: int) -> "Partition":
-        return cls(n, tuple((i,) for i in range(n)))
+        return cls.from_assignment(range(n))
 
     @classmethod
     def single_block(cls, n: int) -> "Partition":
-        return cls(n, (tuple(range(n)),))
+        return cls.from_assignment([0] * n)
 
     @classmethod
     def from_assignment(cls, labels: Sequence) -> "Partition":
         """Group states by equal (hashable) labels; blocks are numbered in
         order of first appearance, which is canonical."""
-        if len(labels) == 0:
-            raise ValueError("partitions need at least one state")
-        number: dict = {}
+        number = {}
         assignment = tuple(number.setdefault(lab, len(number)) for lab in labels)
+        if not number:
+            raise ValueError("partitions need at least one state")
         return cls._canonical(assignment, len(number))
 
     @property
@@ -397,9 +397,7 @@ def parse_partition(text: str) -> Partition:
 
 
 def format_partition(p: Partition) -> str:
-    lines = [f"partition {p.n}"]
-    lines.extend(" ".join(str(s) for s in block) for block in p.blocks)
-    return "\n".join(lines) + "\n"
+    return f"partition {p.n}\n" + "".join(" ".join(map(str, block)) + "\n" for block in p.blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -475,18 +473,21 @@ def _block_count_pieces(n: int, k: int) -> Iterator[np.ndarray]:
         yield piece
 
 
-def _label_batches(n: int, k: int = 1) -> Iterator[tuple[int, np.ndarray]]:
+def _label_batches(n: int) -> Iterator[tuple[int, np.ndarray]]:
     """Every partition of ``n`` states as an ``int8`` label row, in the
     oracle's order: runs ``(k, rows)`` of rows with ``k`` blocks each, in
     increasing ``(num_blocks, blocks)`` within and across runs.
 
-    The runs start at ``k`` blocks.  Consecutive block counts with at most
-    ``ORACLE_BATCH`` partitions together are grown and sorted in one batch,
-    so up to 9 states the whole lattice is one.  A larger block count comes
-    from :func:`_block_count_pieces`, each piece a run.  Nothing is kept
-    between calls.
+    The one-block row comes first, before any row is grown.  Consecutive
+    block counts with at most ``ORACLE_BATCH`` partitions together are
+    grown and sorted in one batch, so up to 9 states the rest of the
+    lattice is one.  A larger block count comes from
+    :func:`_block_count_pieces`, each piece a run.  Nothing is kept between
+    calls.
     """
     counts = _partitions_by_block_count(n)
+    yield 1, np.zeros((1, n), np.int8)
+    k = 2
     while k <= n:
         hi = k
         while hi < n and sum(counts[k - 1 : hi + 1]) <= ORACLE_BATCH:
@@ -498,18 +499,26 @@ def _label_batches(n: int, k: int = 1) -> Iterator[tuple[int, np.ndarray]]:
         k = hi + 1
 
 
-def _stacks(n: int) -> Iterator[np.ndarray]:
-    """The oracle's candidates in stacks, in its order: first the one-block
-    row alone, before :func:`_label_batches` grows the lattice, then the
-    other rows ``ORACLE_STACK`` at a time, consecutive across block counts,
-    and what is left."""
-    yield np.zeros((1, n), np.int8)
-    held = np.zeros((0, n), np.int8)
-    for _, rows in _label_batches(n, 2):
+def _stacks(n: int, by_rank: bool) -> Iterator[np.ndarray]:
+    """The oracle's candidates in its order, in stacks of up to
+    ``ORACLE_STACK`` consecutive rows across block counts.
+
+    A stack closes when it is full, or at the end of a run of
+    :func:`_label_batches` once it holds more rows than all earlier stacks
+    (``by_rank``) or ``ORACLE_STACK`` times more (otherwise).  Either way
+    the first stack is the one-block row alone, checked before the lattice
+    is grown.  After it, a stack ``by_rank`` closes at the first run end
+    where it outgrows the rows before it, so a search checks few rows past
+    its answer's block count; any other stack fills up, so a search takes
+    few stacks.
+    """
+    held, done = np.zeros((0, n), np.int8), 0
+    for _, rows in _label_batches(n):
         held = np.concatenate((held, rows))
-        while len(held) >= ORACLE_STACK:
-            yield held[:ORACLE_STACK]
-            held = held[ORACLE_STACK:]
+        while len(held) > min(done if by_rank else done * ORACLE_STACK, ORACLE_STACK - 1):
+            stack, held = held[:ORACLE_STACK], held[ORACLE_STACK:]
+            done += len(stack)
+            yield stack
     if len(held):
         yield held
 
@@ -594,9 +603,12 @@ class Search:
 
         The candidates are the label rows of :func:`_label_batches`, coarsest
         first, in the stacks of :func:`_stacks`: the one-block row alone,
-        then ``ORACLE_STACK`` consecutive rows at a time across block counts.
-        So the first that passes is the minimum over ``(num_blocks,
-        blocks)``, and the cost is the rank of the answer, not Bell(n).  Each
+        then up to ``ORACLE_STACK`` consecutive rows at a time across block
+        counts.  Stacks fill up, except for the kinds in the family's
+        ``STACKS_BY_RANK``, whose table costs by the candidate; theirs grow
+        with the rows checked before them.  So the first that passes is the
+        minimum over ``(num_blocks, blocks)``, and the cost is the rank of
+        the answer, not Bell(n).  Each
         stack becomes one collector array with a leading stack axis, as wide
         as its widest candidate: a candidate with fewer blocks gets empty
         padded blocks, whose all-zero (or all-empty) columns of every ``X``
@@ -609,7 +621,7 @@ class Search:
         n = self.model.num_states
         if n > MAX_ORACLE_STATES:
             raise ValueError(f"state bound exceeded: {n} > {MAX_ORACLE_STATES} (Bell number too large)")
-        for stack in _stacks(n):
+        for stack in _stacks(n, self.kind in self.family.STACKS_BY_RANK):
             v = self.family.collectors(self.model, stack[..., None] == np.arange(stack.max() + 1))
             passed = passes(self.table(v), self.family.kernel(v, None, self.atol))
             if passed.any():

@@ -167,6 +167,26 @@ def test_label_batches_split_large_block_counts_on_the_first_block(monkeypatch):
     assert list(map(tuple, _lattice_in_batches(8).tolist())) == expected
 
 
+def test_oracle_stacks_fill_up_or_grow_with_the_rank(monkeypatch):
+    # both schedules hold the lattice in order, the one-block row alone and
+    # before any row is grown; a stack by rank closes at the end of a run
+    # once it holds more rows than all stacks before it
+    grown = []
+    real = partition._sorted_rows
+    monkeypatch.setattr(partition, "_sorted_rows", lambda *args: grown.append(args) or real(*args))
+    lattice = np.concatenate([rows for _, rows in partition._label_batches(7)])
+    for by_rank, sizes in ((False, [1, 256, 256, 256, 108]), (True, [1, 63, 256, 256, 256, 45])):
+        grown.clear()
+        stacks = partition._stacks(7, by_rank)
+        first = next(stacks)
+        assert first.tolist() == [[0] * 7] and not grown
+        stacks = [first, *stacks]
+        assert [len(s) for s in stacks] == sizes
+        assert np.array_equal(np.concatenate(stacks), lattice)
+    assert [len(s) for s in partition._stacks(6, True)] == [1, 31, 90, 81]
+    assert [len(s) for s in partition._stacks(1, True)] == [1]
+
+
 def test_enumerating_twelve_states_through_six_blocks_stays_small():
     # S(12, 5) = 1,379,400 rows; grown and sorted at once they need hundreds of MB
     rows = 0

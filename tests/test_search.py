@@ -392,12 +392,13 @@ def test_branching_oracle_projects_each_stack_once(monkeypatch):
     singles = _counting(monkeypatch, mrc, "ergodic_projection")
     candidates = _counting(monkeypatch, Search, "checker")
     answer = Search(chain, "branching").oracle
-    # the one-block candidate alone, then one stack of the other 202
+    # stacks by rank: the one-block candidate, the 31 and the 90 with two
+    # and three blocks, then the other 81
     assert answer.num_blocks == 4
-    assert len(stacks) == 2 and not singles and not candidates
+    assert len(stacks) == 4 and not singles and not candidates
     # the one-at-a-time reference projects once per candidate it checks
     assert brute_force_coarsest(chain, Search(chain, "branching").checker) == answer
-    assert len(stacks) - 2 == len(candidates) > 1 + 31 + 90
+    assert len(stacks) - 4 == len(candidates) > 1 + 31 + 90
 
 
 def test_each_refine_command_builds_the_kind_table_once(monkeypatch, tmp_path, capsys):
