@@ -8,9 +8,7 @@ from .algebra import (
     ActionAlphabet,
     ActionMatrix,
     MatrixShapeError,
-    SingularMatrixError,
     rt_closure,
-    solve_linear,
 )
 from .partition import (
     CheckFailed,

@@ -10,9 +10,10 @@ indicator vectors); all their planes are equal.  Bit masks (bit ``l`` for
 label ``l``) remain the exchange format for single entries and for
 ``ActionMatrix.data``.
 
-Real side: plain numpy arrays, a finiteness-checking constructor, a
-small pivoted solver with a deterministic singularity threshold, and the
-[13/13] Padé approximant of the matrix exponential.
+Real side: plain numpy arrays, a finiteness-checking constructor, the
+factored matrix ``L A M E`` through which ergodic projections are read, and
+the [13/13] Padé approximant of the matrix exponential.  Linear systems,
+here and in :mod:`~matbisim.mrc`, are solved by LAPACK (``np.linalg.solve``).
 """
 
 from __future__ import annotations
@@ -24,9 +25,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 DEFAULT_ATOL = 1e-9
-
-#: Relative pivot threshold of :func:`solve_linear`.
-PIVOT_RTOL = 1e-12
 
 #: Largest 1-norm at which the [13/13] Padé approximant of the exponential
 #: meets double precision in backward error (Higham 2005, Table 2.3).
@@ -45,10 +43,6 @@ TAU_LABEL = "tau"
 
 class MatrixShapeError(ValueError):
     """Operand dimensions (or alphabets) do not line up."""
-
-
-class SingularMatrixError(ValueError):
-    """Elimination met a pivot below the singularity threshold."""
 
 
 @dataclass(frozen=True)
@@ -438,75 +432,6 @@ class Factored:
 
     def __rmatmul__(self, x):
         return Factored(self.trapping, self.classes, self.weights, self.middle, x if self.left is None else x @ self.left)
-
-
-def solve_linear(a, b) -> np.ndarray:
-    """Solve ``a @ x = b`` by Gaussian elimination with partial pivoting.
-
-    A pivot smaller than ``PIVOT_RTOL`` times the largest initial magnitude
-    of its column raises :class:`SingularMatrixError`; this makes the
-    singularity verdict deterministic and independent of elimination
-    history.
-
-    Work is done only where the matrix has entries.  The pivots of the
-    columns before the first with an entry below the diagonal are checked
-    in one step, since no step there swaps or updates, and elimination
-    starts at that column; so a triangular matrix takes no step at all.  A
-    step updates only the rows with an entry in the pivot column (all of
-    them as one slice when every row has one, none when only the pivot is
-    left), since the others have a zero multiplier; and back-substitution
-    divides the rows with nothing above the diagonal in one step, since
-    their dot products are whole zeros.  The pivots, the verdict and the
-    values are those of the textbook loop that updates every row
-    (``tests/references.py``); only the sign of a zero can differ, where an
-    input holds ``-0.0`` that a zero multiplier would have turned into
-    ``+0.0``.
-    """
-    m = real_matrix(a)
-    rhs = real_matrix(b)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise MatrixShapeError("solver needs a square coefficient matrix")
-    n = m.shape[0]
-    vector = rhs.ndim == 1
-    if rhs.shape[0] != n or rhs.ndim > 2:
-        raise MatrixShapeError("right-hand side has the wrong number of rows")
-    rhs = rhs.reshape(n, -1)
-    col_scale = np.max(np.abs(m), axis=0)
-    # Before the first column whose last entry is below the diagonal (or
-    # that has none), no step swaps or updates, so each pivot is its
-    # diagonal entry.
-    lower = n - 1 - np.argmax(m[::-1] != 0.0, axis=0) > np.arange(n)
-    start = int(np.argmax(lower)) if lower.any() else n
-    if start:
-        small = np.flatnonzero((col_scale[:start] == 0.0) | (np.abs(np.diagonal(m)[:start]) < PIVOT_RTOL * col_scale[:start]))
-        if small.size:
-            raise SingularMatrixError(f"pivot for column {small[0]} below threshold")
-    # Column k below the pivot is never read after step k, so no step
-    # updates it.
-    for k in range(start, n):
-        column = np.abs(m[k:, k])
-        p = k + int(np.argmax(column))
-        if col_scale[k] == 0.0 or column[p - k] < PIVOT_RTOL * col_scale[k]:
-            raise SingularMatrixError(f"pivot for column {k} below threshold")
-        if p != k:
-            m[[k, p]] = m[[p, k]]
-            rhs[[k, p]] = rhs[[p, k]]
-        entries = np.count_nonzero(column)
-        if entries == n - k:
-            factors = m[k + 1 :, k] / m[k, k]
-            m[k + 1 :, k + 1 :] -= np.outer(factors, m[k, k + 1 :])
-            rhs[k + 1 :] -= np.outer(factors, rhs[k])
-        elif entries > 1:
-            rows = k + 1 + np.flatnonzero(m[k + 1 :, k])
-            factors = m[rows, k] / m[k, k]
-            m[rows, k + 1 :] -= np.outer(factors, m[k, k + 1 :])
-            rhs[rows] -= np.outer(factors, rhs[k])
-    # a row's last entry is on or above the diagonal, whose pivot is nonzero
-    coupled = n - 1 - np.argmax(m[:, ::-1] != 0.0, axis=1) > np.arange(n)
-    x = np.divide(rhs, np.diagonal(m)[:, None], out=np.empty_like(rhs), where=~coupled[:, None])
-    for k in np.flatnonzero(coupled)[::-1].tolist():
-        x[k] = (rhs[k] - m[k, k + 1 :] @ x[k + 1 :]) / m[k, k]
-    return x[:, 0] if vector else x
 
 
 def pade_quotient(a: np.ndarray) -> np.ndarray:

@@ -32,12 +32,10 @@ from .algebra import (
     DEFAULT_ATOL,
     PADE_THETA,
     Factored,
-    SingularMatrixError,
     block_labels,
     max_abs_diff,
     pade_quotient,
     real_matrix,
-    solve_linear,
 )
 from .partition import (
     ModelFormatError,
@@ -554,8 +552,10 @@ def _factors(q: np.ndarray):
     algorithm (:func:`_strong_components`), linear in the states and fast
     edges of the stack.
     Singleton recurrent classes have weight 1.  Each larger class and each
-    member's transient block is solved on its own submatrix, so every
-    member gets the bits it would get alone.
+    member's transient block is solved by LAPACK on its own submatrix, so
+    every member gets the bits it would get alone.  These systems are
+    nonsingular for a generator; an exactly singular one raises
+    ``np.linalg.LinAlgError``.
     """
     lead, n = q.shape[:-2], q.shape[-1]
     stack = math.prod(lead)
@@ -585,11 +585,11 @@ def _factors(q: np.ndarray):
     for c in recurrent[sizes[recurrent] > 1].tolist():
         states = order[starts[c] : starts[c] + sizes[c]]
         s, idx = divmod(states, n)
-        a = q[s[0]][np.ix_(idx, idx)].T.copy()
+        a = q[s[0]][np.ix_(idx, idx)].T
         a[-1, :] = 1.0
         b = np.zeros(len(idx))
         b[-1] = 1.0
-        mu = np.clip(solve_linear(a, b), 0.0, None)
+        mu = np.clip(np.linalg.solve(a, b), 0.0, None)
         mu /= mu.sum()
         weights[states] = mu
 
@@ -601,7 +601,7 @@ def _factors(q: np.ndarray):
     owners, first = np.unique(transient // n, return_index=True)
     for s, tr in zip(owners.tolist(), np.split(transient % n, first[1:])):
         k = counts[s]
-        trap = solve_linear(q[s][np.ix_(tr, tr)], -(q[s][tr] @ trapping[s, :, :k])).reshape(len(tr), k)
+        trap = np.linalg.solve(q[s][np.ix_(tr, tr)], -(q[s][tr] @ trapping[s, :, :k]))
         trap = np.clip(trap, 0.0, None)
         trap /= trap.sum(axis=1, keepdims=True)
         trapping[s, tr, :k] = trap
@@ -657,7 +657,8 @@ def _certified(
 ) -> tuple[MrcFast, np.ndarray, np.ndarray, ErgodicProjection, ErgodicProjection]:
     """Check weak, take the supplied ``w`` or the candidate ``(UΠV)^-1 UΠ``,
     and certify it.  With ``Π = A E`` the candidate is
-    ``((UA)(EV))^-1 (UA) · E``.
+    ``((UA)(EV))^-1 (UA) · E``, refused when ``(UA)(EV)`` is exactly
+    singular, or by its residuals: a near-singular one misses ``WV = I``.
 
     Returns the fast chain, the collector, ``w``, the projection of ``Qf``
     and that of ``WQfV``; each generator is validated and projected once.
@@ -671,8 +672,8 @@ def _certified(
         origin = "candidate"
         ua = canonical_distributor(v) @ proj.trapping
         try:
-            w = proj.times_e(solve_linear(ua @ proj.e(v), ua))
-        except SingularMatrixError as exc:
+            w = proj.times_e(np.linalg.solve(ua @ proj.e(v), ua))
+        except np.linalg.LinAlgError as exc:
             raise DistributorError(
                 "class-level projection UΠV is singular to tolerance; supply an external distributor"
             ) from exc
@@ -688,9 +689,9 @@ def default_tau_distributor(model: Mrc | MrcFast, v, atol: float = DEFAULT_ATOL)
     """Distributor candidate ``(UΠV)^-1 UΠ`` with mandatory certification.
 
     Requires a passing weak check.  Raises :class:`DistributorError` when
-    the class-level projection ``UΠV`` is singular to tolerance or when any
-    certification identity misses; callers may then supply an external
-    distributor instead.
+    the class-level projection ``UΠV`` is exactly singular, or refused by
+    its residuals: when any certification identity misses.  Callers may then
+    supply an external distributor instead.
     """
     return _certified(model, v, None, atol)[2]
 

@@ -5,7 +5,7 @@ checks.  Each imports from ``matbisim`` only what builds its inputs."""
 
 import numpy as np
 
-from matbisim.algebra import PIVOT_RTOL, SingularMatrixError, rt_closure
+from matbisim.algebra import rt_closure
 from matbisim.partition import MAX_ORACLE_STATES, CheckReport, Witness, enumerate_partitions
 
 #: Bell numbers B(0)..B(12): how many partitions the oracle may check.
@@ -52,31 +52,3 @@ def verify_closure_identities(lts, v):
     pi = rt_closure(lts.internal)
     pvv = pi @ v @ u
     return u @ pi @ v == rt_closure(u @ lts.internal @ v) and pvv == pvv @ pi
-
-
-def textbook_solve(a, b):
-    """Gaussian elimination with partial pivoting as a plain loop, the
-    textbook loop that :func:`matbisim.algebra.solve_linear` names: every
-    step takes the first largest entry of its column as the pivot and
-    updates every row below it, zero multipliers included, and every row is
-    substituted by a dot product.  A pivot smaller than ``PIVOT_RTOL``
-    times the largest initial magnitude of its column is refused."""
-    m = np.array(a, dtype=float)
-    rhs = np.array(b, dtype=float)
-    n = m.shape[0]
-    vector = rhs.ndim == 1
-    rhs = rhs.reshape(n, -1)
-    scale = np.max(np.abs(m), axis=0)
-    for k in range(n):
-        p = max(range(k, n), key=lambda i: abs(m[i, k]))
-        if scale[k] == 0.0 or abs(m[p, k]) < PIVOT_RTOL * scale[k]:
-            raise SingularMatrixError(f"pivot for column {k} below threshold")
-        m[[k, p]], rhs[[k, p]] = m[[p, k]], rhs[[p, k]]
-        for i in range(k + 1, n):
-            factor = m[i, k] / m[k, k]
-            m[i, k:] -= factor * m[k, k:]
-            rhs[i] -= factor * rhs[k]
-    x = np.empty_like(rhs)
-    for k in reversed(range(n)):
-        x[k] = (rhs[k] - m[k, k + 1 :] @ x[k + 1 :]) / m[k, k]
-    return x[:, 0] if vector else x

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,14 +5,9 @@ from hypothesis import strategies as st
 from matbisim.algebra import (
     ActionAlphabet,
     ActionMatrix,
-    PIVOT_RTOL,
     MatrixShapeError,
-    SingularMatrixError,
     rt_closure,
-    solve_linear,
 )
-
-from references import textbook_solve
 
 AB = ActionAlphabet(("a", "b"))
 ABC = ActionAlphabet(("a", "b", "c"))
@@ -280,209 +274,3 @@ def test_operations_match_label_set_reference(alphabet, data):
     s = data.draw(label_sets(alphabet, n, n, zero_one=True))
     everything = frozenset(range(alphabet.size))
     assert rt_closure(as_matrix(alphabet, s)).data == masks(ref_closure(s, everything))
-
-
-# -- real solver ---------------------------------------------------------------
-
-
-def test_solve_trivial_cases():
-    eye = np.eye(3)
-    b = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-    assert np.allclose(solve_linear(eye, b), b)
-    assert np.allclose(solve_linear(2.0 * np.eye(2), np.eye(2)), 0.5 * np.eye(2))
-
-
-def test_solve_back_substitution_example():
-    a = np.array([[1.0, 1.0], [0.0, 1.0]])
-    assert np.allclose(solve_linear(a, np.array([1.0, 0.0])), [1.0, 0.0])
-
-
-def test_solve_singular_raises():
-    with pytest.raises(SingularMatrixError):
-        solve_linear(np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([1.0, 0.0]))
-    with pytest.raises(SingularMatrixError):
-        solve_linear(np.array([[1.0, 0.0], [1.0, 0.0]]), np.array([1.0, 0.0]))
-
-
-def test_solve_pivot_threshold_is_relative_to_the_column():
-    # the second pivot is the 2e-13 or 1e-11 left after eliminating the first
-    # column, against PIVOT_RTOL = 1e-12 of the column's largest entry
-    with pytest.raises(SingularMatrixError):
-        solve_linear(np.array([[1.0, 1.0], [1.0, 1.0 + 2e-13]]), np.array([1.0, 0.0]))
-    a = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-11]])
-    b = np.array([2.0, 2.0 + 1e-11])
-    assert np.allclose(a @ solve_linear(a, b), b, rtol=0.0, atol=1e-12)
-
-
-def test_solve_rejects_non_finite_and_bad_shapes():
-    with pytest.raises(ValueError):
-        solve_linear(np.array([[np.nan, 0.0], [0.0, 1.0]]), np.array([1.0, 0.0]))
-    with pytest.raises(MatrixShapeError):
-        solve_linear(np.ones((2, 3)), np.ones(2))
-    with pytest.raises(MatrixShapeError):
-        solve_linear(np.eye(2), np.ones(3))
-
-
-def test_solve_residuals_on_well_conditioned_systems(rng):
-    for _ in range(50):
-        n = rng.randint(1, 8)
-        a = np.array([[rng.uniform(-1, 1) for _ in range(n)] for _ in range(n)])
-        a += n * np.eye(n)  # diagonally dominant, hence well conditioned
-        if np.linalg.cond(a) >= 1e8:
-            continue
-        b = np.array([rng.uniform(-5, 5) for _ in range(n)])
-        x = solve_linear(a, b)
-        assert np.max(np.abs(a @ x - b)) <= 1e-9
-        assert np.allclose(x, np.linalg.solve(a, b), atol=1e-9)
-
-
-# -- the solver against the textbook loop ------------------------------------
-
-
-def _structured_systems(gen, n):
-    """Diagonal, permuted triangular, block-diagonal, sparse and dense
-    matrices of ``n`` states."""
-    diagonal = np.diag(gen.uniform(0.5, 2.0, n) * gen.choice([-1.0, 1.0], n))
-    upper = np.triu(gen.standard_normal((n, n))) + diagonal
-    rows, cols = np.eye(n)[gen.permutation(n)], np.eye(n)[gen.permutation(n)]
-    blocks = np.zeros((n, n))
-    start = 0
-    while start < n:
-        end = min(n, start + int(gen.integers(1, 5)))
-        blocks[start:end, start:end] = gen.standard_normal((end - start, end - start))
-        start = end
-    sparse = gen.standard_normal((n, n)) * (gen.random((n, n)) < 3.0 / n) + diagonal
-    return {
-        "diagonal": diagonal,
-        "upper": upper,
-        "lower": upper.T,
-        "row-permuted upper": rows @ upper,
-        "column-permuted lower": upper.T @ cols,
-        "permuted both ways": rows @ upper @ cols,
-        "block-diagonal": blocks + 1e-3 * diagonal,
-        "permuted block-diagonal": rows @ blocks @ rows.T + 1e-3 * diagonal,
-        "sparse": sparse,
-        "dense": gen.standard_normal((n, n)),
-    }
-
-
-def _right_hand_sides(gen, n):
-    zeros = gen.random((n, 3)) < 0.5
-    # generator right-hand sides -(Q 1_C) hold -0.0 where a row has no rate
-    return gen.standard_normal(n), gen.standard_normal((n, 4)), -np.where(zeros, 0.0, gen.random((n, 3)))
-
-
-def _assert_solves_as_the_textbook_loop(a, b, label):
-    try:
-        expected = textbook_solve(a, b)
-    except SingularMatrixError as exc:
-        with pytest.raises(SingularMatrixError) as got:
-            solve_linear(a, b)
-        assert str(got.value) == str(exc), label
-        return
-    got = solve_linear(a, b)
-    assert got.shape == expected.shape and np.array_equal(got, expected), label
-
-
-def test_solver_equals_the_textbook_loop_on_structured_systems():
-    gen = np.random.default_rng(7)
-    swaps = 0
-    for n in (1, 2, 3, 5, 8, 13, 40, 90):
-        for name, a in _structured_systems(gen, n).items():
-            swaps += name.startswith("row") and not np.array_equal(np.argmax(np.abs(a), axis=0), np.arange(n))
-            for b in _right_hand_sides(gen, n):
-                _assert_solves_as_the_textbook_loop(a, b, (name, n, b.shape))
-    assert swaps  # the row-permuted systems do pivot
-
-
-def _seeded_systems(gen, n):
-    """Diagonal, upper-triangular, general and near-singular matrices of
-    ``n`` states, with no ``-0.0`` entry.  The near-singular ones put a
-    pivot about ``PIVOT_RTOL`` times its column's largest entry, on either
-    side: one triangular (its pivot is checked before any step) and one
-    with a column close to a combination of the others."""
-    diagonal = np.diag(gen.uniform(0.5, 2.0, n) * gen.choice([-1.0, 1.0], n))
-    upper = np.triu(gen.standard_normal((n, n)))
-    general = gen.standard_normal((n, n))
-    k = int(gen.integers(n))
-    tiny_pivot = upper + diagonal
-    tiny_pivot[k, k] = gen.uniform(0.5, 2.0) * PIVOT_RTOL * np.abs(tiny_pivot[:, k]).max()
-    dependent = general.copy()
-    dependent[:, k] = np.delete(general, k, axis=1) @ gen.standard_normal(n - 1) + 10.0 ** gen.uniform(-16, -8) * gen.standard_normal(n)
-    return {"diagonal": diagonal, "upper": upper + diagonal, "general": general, "tiny pivot": tiny_pivot, "dependent": dependent}
-
-
-def test_solver_matches_the_plain_loop_bitwise():
-    """Without ``-0.0`` in the input, the values are bitwise those of the
-    plain loop, and a refusal names the same column."""
-    gen = np.random.default_rng(20)
-    refused = dict.fromkeys(("tiny pivot", "dependent"), 0)
-    for case in range(1500):
-        n = int(gen.integers(1, 11))
-        b = gen.standard_normal(n) if case % 2 else gen.standard_normal((n, 3))
-        for name, a in _seeded_systems(gen, n).items():
-            try:
-                expected = textbook_solve(a, b)
-            except SingularMatrixError as exc:
-                refused[name] += 1
-                with pytest.raises(SingularMatrixError) as got:
-                    solve_linear(a, b)
-                assert str(got.value) == str(exc), (name, case)
-                continue
-            got = solve_linear(a, b)
-            assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), (name, case)
-    assert set(refused) == {"tiny pivot", "dependent"} and min(refused.values()) > 100, refused
-
-
-def test_solver_equals_the_textbook_loop_on_chain_systems(monkeypatch):
-    """The transient blocks, recurrent-class systems and ``UΠV`` that the
-    projection and the candidate distributor solve."""
-    import random
-
-    from matbisim import generate, mrc
-
-    systems = []
-
-    def recorded(a, b):
-        systems.append((np.array(a), np.array(b)))
-        return solve_linear(a, b)
-
-    monkeypatch.setattr(mrc, "solve_linear", recorded)
-    rng = random.Random(3)
-    for base in (2, 3, 4, 12, 40):
-        chain, part = generate.fast_funnel_chain(rng, base_states=base)
-        mrc.default_tau_distributor(chain, part.collector_real())
-    for _ in range(60):
-        chain = generate.random_mrc_fast(rng, n=rng.randint(2, 30), p_fast=rng.choice((0.1, 0.3, 0.6)))
-        mrc.ergodic_projection(chain.qf)
-    assert len(systems) > 60
-    assert any(np.count_nonzero(np.tril(a, -1)) for a, _ in systems)  # some need elimination
-    for a, b in systems:
-        _assert_solves_as_the_textbook_loop(a, b, a.shape)
-        _assert_solves_as_the_textbook_loop(a, b[:, 0] if b.ndim == 2 else b, a.shape)
-
-
-def test_solver_refuses_as_the_textbook_loop_does():
-    gen = np.random.default_rng(11)
-    for n in (2, 3, 6, 20):
-        k = n // 2
-        zero_column = gen.standard_normal((n, n))
-        zero_column[:, k] = 0.0
-        # nothing below the diagonal in column k, and nothing on it
-        zero_pivot = np.triu(gen.standard_normal((n, n))) + 3.0 * np.eye(n)
-        zero_pivot[k, k] = 0.0
-        # a pivot just under PIVOT_RTOL times its column's largest entry,
-        # alone in its column, and after a step of elimination
-        tiny = np.diag(gen.uniform(1.0, 2.0, n))
-        tiny[0, k] = 1.0
-        tiny[k, k] = 0.99 * PIVOT_RTOL
-        eliminated = np.eye(n)
-        eliminated[k - 1 : k + 2, k - 1] = 1.0
-        eliminated[k - 1 : k + 2, k] = 1.0 + np.array([0.0, 0.5, 0.9])[: n - k + 1] * PIVOT_RTOL
-        for a in (zero_column, zero_pivot, tiny, eliminated):
-            for b in (np.ones(n), np.ones((n, 2))):
-                with pytest.raises(SingularMatrixError, match=f"^pivot for column {k} below threshold$"):
-                    solve_linear(a, b)
-                _assert_solves_as_the_textbook_loop(a, b, n)
-    with pytest.raises(SingularMatrixError, match="^pivot for column 0 below threshold$"):
-        solve_linear(np.zeros((3, 3)), np.ones(3))
