@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Scale ladder: time the coarsest-partition search on large seeded models
-and append one record to ``BENCH_scale.json``.
+"""Scale ladder: time the coarsest-partition search, and whole commands, on
+large seeded models and append one record to ``BENCH_scale.json``.
 
     python3 scripts/scale.py
     python3 scripts/scale.py --root /tmp/old --out BENCH_scale.json
@@ -10,6 +10,10 @@ benchmark's own generators, ``perfbench/workloads.py`` ``planted_lts`` and
 ``funnel_mrc``, seeded with ``random.Random(f"size/{base}")``, so the
 program cannot choose its inputs.  Each point runs in a fresh process that
 builds and parses the model, then times ``Search(model, kind).coarsest()``.
+Each command point (``commands`` in the record) runs one whole
+``matbisim.cli.main`` instead, parse and checksums included: ``lump`` and
+``diagram`` with ``--kind weak`` on the funnel and its planted blocks,
+written as files first; it records the exit code.
 The process limits itself: a wall-clock alarm of ``--cap-s`` seconds
 (``signal.setitimer``) and an address space of ``--memory-mb``
 (``resource.setrlimit``).  A point that hits either limit is recorded as
@@ -22,7 +26,8 @@ its ``src`` as measured (``src_tree``, equal to ``git rev-parse <commit>:src``
 of the commit that holds that source), the limits, each point's status,
 seconds, peak RSS in MB, states, blocks and refinement rounds (the calls of
 ``partition.split_by_keys``, counted by wrapping it in the point's process;
-0 where the search is the exhaustive oracle), and the line counts of
+0 where the search is the exhaustive oracle), each command point's status,
+seconds, peak RSS, states and exit code, and the line counts of
 ``src/matbisim/*.py`` (as ``wc -l`` prints them), the net-lines metric.
 Points run one at a time.
 """
@@ -40,6 +45,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 FAMILIES = ("planted_lts", "funnel_mrc")
 KINDS = ("strong", "weak", "branching")
+#: Whole commands timed on ``funnel_mrc`` with its planted weak blocks.
+COMMANDS = ("lump", "diagram")
 OUT_OF_MEMORY = (
     "MemoryError",
     "Unable to allocate",
@@ -48,11 +55,12 @@ OUT_OF_MEMORY = (
     "pthread_create failed",
 )
 
-# A point's process: argv is root, family, base, kind, cap seconds, memory MB.
-# It prints one JSON line with its status.
+# A point's process: argv is root, family, base, kind, cap seconds, memory MB
+# and, for a command point, the command.  It prints one JSON line with its
+# status.
 CHILD = r"""
-import json, random, resource, signal, sys, time
-root, family, base, kind, cap_s, memory_mb = sys.argv[1:7]
+import contextlib, io, json, os, random, resource, signal, sys, tempfile, time
+root, family, base, kind, cap_s, memory_mb, *command = sys.argv[1:]
 limit = int(memory_mb) * 2**20
 resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 sys.path[:0] = [root + "/perfbench", root + "/src"]
@@ -86,14 +94,35 @@ try:
     partition.split_by_keys = counted_split
 
     rng = random.Random(f"size/{base}")
-    if family == "planted_lts":
-        model = parse_lts(workloads.format_lts(workloads.planted_lts(rng, int(base))[0]))
+    if command:
+        from matbisim import cli
+
+        model, planted = workloads.funnel_mrc(rng, int(base))
+        out["states"] = model.n
+        with tempfile.TemporaryDirectory() as work:
+            path, part = os.path.join(work, "model.mrc"), os.path.join(work, "model.partition")
+            with open(path, "w") as f:
+                f.write(workloads.format_mrc(model))
+            with open(part, "w") as f:
+                f.write(workloads.format_partition(model.n, planted))
+            del model, planted
+            stdout, stderr = io.StringIO(), io.StringIO()
+            t0 = time.perf_counter()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = cli.main([command[0], path, "--partition", part, "--kind", kind])
+            seconds = round(time.perf_counter() - t0, 3)
+        if "not enough memory" in stderr.getvalue():
+            raise MemoryError
+        out.update(status="ok", seconds=seconds, exit=code)
     else:
-        model = parse_mrc(workloads.format_mrc(workloads.funnel_mrc(rng, int(base))[0]))
-    out["states"] = model.num_states
-    t0 = time.perf_counter()
-    blocks = Search(model, kind).coarsest().num_blocks
-    out.update(status="ok", seconds=round(time.perf_counter() - t0, 3), blocks=blocks, rounds=rounds)
+        if family == "planted_lts":
+            model = parse_lts(workloads.format_lts(workloads.planted_lts(rng, int(base))[0]))
+        else:
+            model = parse_mrc(workloads.format_mrc(workloads.funnel_mrc(rng, int(base))[0]))
+        out["states"] = model.num_states
+        t0 = time.perf_counter()
+        blocks = Search(model, kind).coarsest().num_blocks
+        out.update(status="ok", seconds=round(time.perf_counter() - t0, 3), blocks=blocks, rounds=rounds)
 except Timeout:
     out["status"] = "timeout"
 except MemoryError:
@@ -104,9 +133,9 @@ print(json.dumps(out))
 """
 
 
-def run_point(root: Path, family: str, base: int, kind: str, cap_s: float, memory_mb: int) -> dict:
-    point = {"family": family, "base": base, "kind": kind}
-    argv = [sys.executable, "-c", CHILD, str(root), family, str(base), kind, str(cap_s), str(memory_mb)]
+def run_point(root: Path, family: str, base: int, kind: str, cap_s: float, memory_mb: int, command: str | None = None) -> dict:
+    point = {"family": family, "base": base, "kind": kind, **({"command": command} if command else {})}
+    argv = [sys.executable, "-c", CHILD, str(root), family, str(base), kind, str(cap_s), str(memory_mb), *([command] if command else [])]
     try:
         # The alarm fires between bytecodes; one long array operation can
         # outlast it, so the process is also killed a little later.
@@ -188,6 +217,7 @@ def main() -> int:
         "memory_mb": args.memory_mb,
         "cpus": os.cpu_count(),
         "points": [],
+        "commands": [],
         "source_lines": source_lines(root),
     }
     for family in FAMILIES:
@@ -196,10 +226,15 @@ def main() -> int:
                 point = run_point(root, family, base, kind, args.cap_s, args.memory_mb)
                 record["points"].append(point)
                 print(json.dumps(point), flush=True)
+    for base in args.bases:
+        for command in COMMANDS:
+            point = run_point(root, "funnel_mrc", base, "weak", args.cap_s, args.memory_mb, command)
+            record["commands"].append(point)
+            print(json.dumps(point), flush=True)
     history = json.loads(args.out.read_text()) if args.out.exists() else []
     history.append(record)
     args.out.write_text(json.dumps(history, indent=1) + "\n")
-    print(f"appended a record of {len(record['points'])} points to {args.out}")
+    print(f"appended a record of {len(record['points'])} points and {len(record['commands'])} command points to {args.out}")
     return 0
 
 

@@ -12,8 +12,10 @@ label ``l``) remain the exchange format for single entries and for
 
 Real side: plain numpy arrays, a finiteness-checking constructor, the
 factored matrix ``L A M E`` through which ergodic projections are read, and
-the [13/13] Padé approximant of the matrix exponential.  Linear systems,
-here and in :mod:`~matbisim.mrc`, are solved by LAPACK (``np.linalg.solve``).
+the [13/13] Padé approximant of the matrix exponential.  Every linear
+system, here and in :mod:`~matbisim.mrc`, goes through :func:`solve`: a
+diagonal one is divided by its diagonal, any other is solved by LAPACK
+(``np.linalg.solve``).
 """
 
 from __future__ import annotations
@@ -357,6 +359,20 @@ def real_matrix(entries) -> np.ndarray:
     return arr
 
 
+def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a⁻¹ b`` for a square ``a`` and one or more right-hand sides ``b``.
+
+    Where ``a`` has nothing off its diagonal and no zero on it, ``b`` is
+    divided by that diagonal; any other ``a``, an exactly singular diagonal
+    among them, goes to LAPACK's LU (``np.linalg.solve``), which raises
+    ``np.linalg.LinAlgError`` on an exactly singular matrix.
+    """
+    d = a.diagonal()
+    if d.all() and np.count_nonzero(a) == len(d):
+        return b / (d if b.ndim == 1 else d[:, None])
+    return np.linalg.solve(a, b)
+
+
 def max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -438,8 +454,8 @@ def pade_quotient(a: np.ndarray) -> np.ndarray:
     """The [13/13] Padé approximant ``R = (V - U)^-1 (V + U)`` of ``e^a``
     (Higham 2005), within double precision where ``a`` has 1-norm at most
     ``PADE_THETA``.  It is evaluated from the even powers ``A², A⁴, A⁶``:
-    six products and one solve.  The powers and ``a`` are released before
-    the solve, so a caller passes ``a`` as a temporary."""
+    six products and one :func:`solve`.  The powers and ``a`` are released
+    before the solve, so a caller passes ``a`` as a temporary."""
     n = a.shape[0]
     a2 = a @ a
     a4 = a2 @ a2
@@ -463,4 +479,4 @@ def pade_quotient(a: np.ndarray) -> np.ndarray:
     v -= u  # V - U
     u *= 2.0
     u += v  # V + U
-    return np.linalg.solve(v, u)
+    return solve(v, u)

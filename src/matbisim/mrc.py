@@ -9,7 +9,10 @@ The ergodic projection ``Π`` of the fast generator is kept as its factors
 (:class:`~matbisim.algebra.Factored`); the ``n x n`` array is built only on
 request.  So the weak rows are ``A (E ρ)``, ``A (E V)`` and ``A (G (E V))``
 for the class generator ``G = E Qs A``, and no weak chain command forms
-``Π`` or ``ΠQsΠ``.
+``Π`` or ``ΠQsΠ``.  The weak distributor candidate ``(UΠV)^-1 UΠ`` is kept
+as its class part ``C = ((UA)(EV))^-1 (UA)``, with ``W = C E``, so weak
+``lump`` and ``diagram`` form neither ``W`` nor its products over all
+states.
 
 Transient analysis takes the matrix exponential by scaling and squaring
 with the [13/13] Padé approximant (Higham 2005).  The limit chain is
@@ -36,6 +39,7 @@ from .algebra import (
     max_abs_diff,
     pade_quotient,
     real_matrix,
+    solve,
 )
 from .partition import (
     ModelFormatError,
@@ -552,8 +556,11 @@ def _factors(q: np.ndarray):
     algorithm (:func:`_strong_components`), linear in the states and fast
     edges of the stack.
     Singleton recurrent classes have weight 1.  Each larger class and each
-    member's transient block is solved by LAPACK on its own submatrix, so
-    every member gets the bits it would get alone.  These systems are
+    member's transient block is solved on its own submatrix by
+    :func:`~matbisim.algebra.solve`, so every member gets the bits it would
+    get alone: a transient block with nothing off its diagonal, as where
+    every transient state steps straight into a class, is divided by its
+    diagonal, and every other system goes to LAPACK.  These systems are
     nonsingular for a generator; an exactly singular one raises
     ``np.linalg.LinAlgError``.
     """
@@ -589,7 +596,7 @@ def _factors(q: np.ndarray):
         a[-1, :] = 1.0
         b = np.zeros(len(idx))
         b[-1] = 1.0
-        mu = np.clip(np.linalg.solve(a, b), 0.0, None)
+        mu = np.clip(solve(a, b), 0.0, None)
         mu /= mu.sum()
         weights[states] = mu
 
@@ -601,7 +608,7 @@ def _factors(q: np.ndarray):
     owners, first = np.unique(transient // n, return_index=True)
     for s, tr in zip(owners.tolist(), np.split(transient % n, first[1:])):
         k = counts[s]
-        trap = np.linalg.solve(q[s][np.ix_(tr, tr)], -(q[s][tr] @ trapping[s, :, :k]))
+        trap = solve(q[s][np.ix_(tr, tr)], -(q[s][tr] @ trapping[s, :, :k]))
         trap = np.clip(trap, 0.0, None)
         trap /= trap.sum(axis=1, keepdims=True)
         trapping[s, tr, :k] = trap
@@ -625,75 +632,88 @@ def tau_distributor_residuals(model: Mrc | MrcFast, v, w, *, atol: float = DEFAU
     return _residuals(fast, v, w, ergodic_projection(fast.qf), atol)[0]
 
 
-def _residuals(fast: MrcFast, v: np.ndarray, w, proj: ErgodicProjection, atol: float) -> tuple[dict[str, float], ErgodicProjection | None]:
-    """The residuals given ``Π = A E``; also the projection of ``WQfV``,
-    which holds ``WQfV`` validated, or None when it is not a generator.
+def _residuals(fast: MrcFast, v: np.ndarray, w, proj: ErgodicProjection, atol: float) -> tuple[dict[str, float], np.ndarray, Factored, ErgodicProjection | None]:
+    """The residuals of the supplied ``w``, or of the candidate
+    ``(UΠV)^-1 UΠ`` when it is None, given ``Π = A E``; also that
+    distributor, as ``W = C E`` by ``C`` and the factors that give ``E``,
+    and the projection of ``WQfV``, which holds ``WQfV`` validated, or None
+    when it is not a generator.
+
+    The candidate is kept as its class part ``C = ((UA)(EV))^-1 (UA)``
+    (blocks x classes) over ``E`` of ``Π`` (``f`` is ``proj``), refused
+    when ``(UA)(EV)`` is exactly singular; a near-singular one misses
+    ``WV = I``.  A supplied ``W`` is ``C`` itself, over the factors of the
+    identity, where each state is its own class.  So ``W x = C (E x)``,
+    ``x W = (x C) E`` and ``W x V = C ((E x) V)``: the candidate's ``W`` is
+    never formed, and no product runs over its ``n`` columns.
 
     ``ΠVW − ΠVWΠ`` is ``A (R − RAE)`` for ``R = (EV) W``, and its largest
     entry is that of ``R − RAE``: each row of ``A`` is a convex combination
-    of unit rows, and each class has a unit row.  ``WΠV`` is ``(WA)(EV)``.
+    of unit rows, and each class has a unit row.  ``RA`` is ``(EV)(WA)``,
+    and ``WΠV`` is ``(WA)(EV)``.  ``W1`` is read as ``WV1``, the row sums
+    of ``WV``, since ``V1 = 1``.
     """
-    w = real_matrix(w)
-    if w.shape != (v.shape[1], v.shape[0]):
-        raise ValueError("distributor shape must be collector transposed")
-    ev = proj.e(v)
-    r = ev @ w
+    ev, f = proj.e(v), proj
+    if w is None:
+        ua = canonical_distributor(v) @ proj.trapping
+        try:
+            c = solve(ua @ ev, ua)
+        except np.linalg.LinAlgError as exc:
+            raise DistributorError(
+                "class-level projection UΠV is singular to tolerance; supply an external distributor"
+            ) from exc
+    else:
+        # E = I: each state is its own class, of weight 1; A is never read
+        c, f = real_matrix(w), Factored(None, np.arange(len(v)), np.ones(len(v)))
+        if c.shape != (v.shape[1], v.shape[0]):
+            raise ValueError("distributor shape must be collector transposed")
+    wa, wv = c @ f.e(proj.trapping), c @ f.e(v)
     out = {
-        "W1 = 1": max_abs_diff(w.sum(axis=1), np.ones(len(w))),
-        "WV = I": max_abs_diff(w @ v, np.eye(v.shape[1])),
-        "ΠVW = ΠVWΠ": max_abs_diff(r, proj.times_e(r @ proj.trapping)),
+        "W1 = 1": max_abs_diff(wv.sum(axis=1), np.ones(len(wv))),
+        "WV = I": max_abs_diff(wv, np.eye(len(wv))),
+        "ΠVW = ΠVWΠ": max_abs_diff(f.times_e(ev @ c), proj.times_e(ev @ wa)),
     }
     try:
-        hat = ergodic_projection(w @ fast.qf @ v, atol=atol)
-        out["proj(WQfV) = WΠV"] = max_abs_diff(hat.pi, (w @ proj.trapping) @ ev)
+        hat = ergodic_projection(c @ (f.e(fast.qf) @ v), atol=atol)
+        out["proj(WQfV) = WΠV"] = max_abs_diff(hat.pi, wa @ ev)
     except GeneratorError:
         hat = None
         out["proj(WQfV) = WΠV"] = math.inf
-    return out, hat
+    return out, c, f, hat
 
 
 def _certified(
     model: Mrc | MrcFast, v, w, atol: float
-) -> tuple[MrcFast, np.ndarray, np.ndarray, ErgodicProjection, ErgodicProjection]:
-    """Check weak, take the supplied ``w`` or the candidate ``(UΠV)^-1 UΠ``,
-    and certify it.  With ``Π = A E`` the candidate is
-    ``((UA)(EV))^-1 (UA) · E``, refused when ``(UA)(EV)`` is exactly
-    singular, or by its residuals: a near-singular one misses ``WV = I``.
+) -> tuple[MrcFast, np.ndarray, np.ndarray, Factored, ErgodicProjection, ErgodicProjection]:
+    """Check weak, take the supplied ``w`` or the candidate ``(UΠV)^-1 UΠ``
+    (:func:`_residuals`), and certify it.
 
-    Returns the fast chain, the collector, ``w``, the projection of ``Qf``
-    and that of ``WQfV``; each generator is validated and projected once.
+    Returns the fast chain, the collector, the distributor as ``C`` and the
+    factors of ``E``, the projection of ``Qf`` and that of ``WQfV``; each
+    generator is validated and projected once.
     """
     fast = as_fast_chain(model)
     v = require_collector(fast, v)
     proj = ergodic_projection(fast.qf)
     require_passed(verdict("weak", _conditions(fast, "weak", lambda _: proj)(v), kernel(v, None, atol)))
-    origin = "supplied"
-    if w is None:
-        origin = "candidate"
-        ua = canonical_distributor(v) @ proj.trapping
-        try:
-            w = proj.times_e(np.linalg.solve(ua @ proj.e(v), ua))
-        except np.linalg.LinAlgError as exc:
-            raise DistributorError(
-                "class-level projection UΠV is singular to tolerance; supply an external distributor"
-            ) from exc
-    w = real_matrix(w)
-    residuals, hat = _residuals(fast, v, w, proj, atol)
+    residuals, c, f, hat = _residuals(fast, v, w, proj, atol)
     name, worst = max(residuals.items(), key=lambda kv: kv[1])
     if worst > atol:
-        raise DistributorError(f"{origin} distributor failed certification: {name} residual {worst:g}")
-    return fast, v, w, proj, hat
+        raise DistributorError(f"{'candidate' if f is proj else 'supplied'} distributor failed certification: {name} residual {worst:g}")
+    return fast, v, c, f, proj, hat
 
 
 def default_tau_distributor(model: Mrc | MrcFast, v, atol: float = DEFAULT_ATOL) -> np.ndarray:
-    """Distributor candidate ``(UΠV)^-1 UΠ`` with mandatory certification.
+    """Distributor candidate ``(UΠV)^-1 UΠ`` with mandatory certification,
+    as the dense ``W = C E`` of its class part ``C`` (:func:`_certified`).
 
     Requires a passing weak check.  Raises :class:`DistributorError` when
     the class-level projection ``UΠV`` is exactly singular, or refused by
     its residuals: when any certification identity misses.  Callers may then
     supply an external distributor instead.
     """
-    return _certified(model, v, None, atol)[2]
+    c, f = _certified(model, v, None, atol)[2:4]
+    return f.times_e(c)
 
 
 def lump(
@@ -703,17 +723,19 @@ def lump(
 
     Ordinary (``"strong"``) lumping does not depend on the distributor.
     Weak lumping takes ``distributor`` or the candidate ``(UΠV)^-1 UΠ`` and
-    certifies it.  No branching quotient is defined for reward chains.
+    certifies it.  The candidate's quotient is read through its class part:
+    ``W Qs V = C ((E Qs) V)``, and ``W Qf V`` likewise.  No branching
+    quotient is defined for reward chains.
     """
     if kind == "branching":
         raise ValueError("no branching quotient is defined for reward chains")
     if kind == "weak":
-        fast, v, w, _, hat = _certified(model, v, distributor, atol)
+        fast, v, c, f, _, hat = _certified(model, v, distributor, atol)
         try:
-            qs_hat = validate_generator(w @ fast.qs @ v, atol=atol)
+            qs_hat = validate_generator(c @ (f.e(fast.qs) @ v), atol=atol)
         except GeneratorError as exc:
             raise DistributorError(f"lumped generator invalid: {exc}") from exc
-        return _trusted(MrcFast, fast.sigma @ v, w @ fast.rho, qs=qs_hat, qf=hat.generator)
+        return _trusted(MrcFast, fast.sigma @ v, c @ f.e(fast.rho[:, None]), qs=qs_hat, qf=hat.generator)
     require_passed(check(model, v, kind, atol=atol, distributor=distributor))
     v = real_matrix(v)
     u = canonical_distributor(v) if distributor is None else real_matrix(distributor)
@@ -744,9 +766,12 @@ class LimitChain:
         return next(self.transitions((t,), atol=atol))
 
     def transitions(self, times: Sequence[float], *, atol: float = DEFAULT_ATOL):
-        """:meth:`transition` at each of ``times``, as :func:`transition_matrices` yields them."""
-        a, e = self.projection.trapping, self.projection.stationary
-        return map(lambda p: a @ p @ e, transition_matrices(self.generator, times, atol=atol, require_generator=False))
+        """:meth:`transition` at each of ``times``, as :func:`transition_matrices`
+        yields them, each ``A e^(G t) E`` read through the factors: the rows
+        of ``e^(G t)`` copied onto the states with a class and only the
+        others multiplied, then each column scaled by its state's weight."""
+        proj = self.projection
+        return map(lambda p: proj.times_e(proj.a(p)), transition_matrices(self.generator, times, atol=atol, require_generator=False))
 
 
 def limit_chain(model: Mrc | MrcFast, *, atol: float = DEFAULT_ATOL) -> LimitChain:
@@ -781,22 +806,25 @@ def verify_limit_commutation(
     """Taking the fast-speed limit and lumping commute.
 
     Compares, at each sample time, the limit transition matrix of the
-    lumped chain against the lumped limit transition matrix of the original
-    chain, ``W Π e^(ΠQsΠ t) V``.  Both are class-level: the second is read
-    as ``(WA) e^(G t) (EV)`` through the limit generator ``G`` and the
-    factors ``Π = A E``, with no ``n x n`` product.  Each side's times come
-    from one :func:`transition_matrices`, which powers the default times
-    from 0.5: one Padé quotient per side.  Requires a passing weak check and
-    a certified distributor.
+    lumped chain, ``Π̂ e^(Π̂Q̂sΠ̂ t)``, against the lumped limit transition
+    matrix of the original chain, ``W Π e^(ΠQsΠ t) V``.  Both are read on
+    classes, as :class:`LimitChain` reads a limit: the first as
+    ``Â e^(Ĝ t) Ê`` through the factors ``Π̂ = Â Ê`` of the lumped fast
+    part and ``Ĝ = Ê Q̂s Â``, with ``Q̂s = W Qs V`` read through the
+    candidate's class part; the second as ``(WA) e^(G t) (EV)``.  No ``n x
+    n`` product is formed.  Each side's times come from one
+    :func:`transition_matrices`, which powers the default times from 0.5:
+    one Padé quotient per side.  Requires a passing weak check and a
+    certified distributor.
     """
     tol = 10.0 * atol if tolerance is None else tolerance
-    fast, v, w, proj, hat = _certified(model, v, w, atol)
-    proj_hat = hat.pi
-    lumped = transition_matrices(proj_hat @ (w @ fast.qs @ v) @ proj_hat, times, atol=atol, require_generator=False)
+    fast, v, c, f, proj, hat = _certified(model, v, w, atol)
+    lumped = LimitChain(hat.e(c @ (f.e(fast.qs) @ v)) @ hat.trapping, hat).transitions(times, atol=atol)
     limit = transition_matrices(_limit_chain(fast, proj, atol).generator, times, atol=atol, require_generator=False)
-    wa, ev = w @ proj.trapping, proj.e(v)
-    del w, proj  # only these products of them are read below: free them before the exponentials
-    return all(max_abs_diff(proj_hat @ p_hat, wa @ p @ ev) <= tol for p_hat, p in zip(lumped, limit))
+    wa, ev = c @ f.e(proj.trapping), proj.e(v)
+    del c, f, proj  # only these products of them are read below: free them before the exponentials
+    # zip pulls the limit side first, so that no lumped Â p̂ Ê is held through the limit side's Padé quotient
+    return all(max_abs_diff(p_hat, wa @ p @ ev) <= tol for p, p_hat in zip(limit, lumped))
 
 
 # ---------------------------------------------------------------------------

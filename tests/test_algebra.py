@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +8,7 @@ from matbisim.algebra import (
     ActionMatrix,
     MatrixShapeError,
     rt_closure,
+    solve,
 )
 
 AB = ActionAlphabet(("a", "b"))
@@ -274,3 +276,31 @@ def test_operations_match_label_set_reference(alphabet, data):
     s = data.draw(label_sets(alphabet, n, n, zero_one=True))
     everything = frozenset(range(alphabet.size))
     assert rt_closure(as_matrix(alphabet, s)).data == masks(ref_closure(s, everything))
+
+
+# -- real linear systems --------------------------------------------------------
+
+
+def test_solve_divides_a_diagonal_system():
+    rng = np.random.default_rng(41)
+    d = rng.uniform(0.5, 3.0, 60) * rng.choice([-1.0, 1.0], 60)
+    a = np.diag(d)
+    for b in (rng.normal(size=(60, 7)), rng.normal(size=60)):
+        x = solve(a, b)
+        assert x.tobytes() == (b / (d[:, None] if b.ndim == 2 else d)).tobytes()
+        lapack = np.linalg.solve(a, b)
+        assert np.all(np.abs(x - lapack) <= 1e-15 * np.abs(lapack))
+
+
+def test_solve_refuses_a_diagonal_with_an_exact_zero():
+    a = np.diag([2.0, 0.0, -1.5])
+    with pytest.raises(np.linalg.LinAlgError):
+        solve(a, np.ones((3, 2)))
+
+
+def test_solve_sends_any_other_system_to_lapack():
+    rng = np.random.default_rng(43)
+    a = np.diag(rng.uniform(0.5, 3.0, 40))
+    a[7, 23] = -0.25  # one nonzero off the diagonal
+    b = rng.normal(size=(40, 5))
+    assert solve(a, b).tobytes() == np.linalg.solve(a, b).tobytes()

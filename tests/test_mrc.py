@@ -399,9 +399,16 @@ def _candidate_generators(chain, blocks: int) -> np.ndarray:
     return adapt_diagonal(chain.qf, (labels[:, :, None] == np.arange(blocks)).astype(float))
 
 
+def _divides(q, transient) -> bool:
+    """Whether the transient block of ``q`` is solved by division: nothing
+    off its diagonal, no zero on it."""
+    block = q[np.ix_(transient, transient)]
+    return bool(transient) and np.count_nonzero(block) == len(transient) and bool(block.diagonal().all())
+
+
 def test_stacked_projection_is_each_members_projection_bitwise():
     rng = random.Random(14)
-    transient = multi_state = 0
+    transient = multi_state = divided = 0
     for n in range(2, 8):
         for _ in range(2 if n < 7 else 1):
             chain = generate.random_mrc_fast(rng, n=n, p_fast=rng.uniform(0.3, 0.8))
@@ -414,7 +421,11 @@ def test_stacked_projection_is_each_members_projection_bitwise():
                     assert np.array_equal(member, alone.pi)
                     transient += bool(alone.transient)
                     multi_state += any(len(c) > 1 for c in alone.recurrent_classes)
+                    divided += _divides(q, alone.transient)
     assert transient > 100 and multi_state > 100
+    # the transient blocks that are divided by their diagonal give the
+    # stacked and the single projection the same bits too
+    assert divided > 0
     # all-zero stacks, with more than one leading axis: every state is its own class
     for shape in ((1, 1, 1), (5, 4, 4), (2, 3, 6, 6)):
         pi = project_stack(np.zeros(shape))[0]
@@ -619,6 +630,123 @@ def test_factored_projection_matches_dense_evaluation():
         assert all(_near(x, residuals[name]) for name, x in factored.items())
         perturbed += factored["ΠVW = ΠVWΠ"] > 1e-6
     assert certified > 45 and perturbed > 35 and singular > 10, (certified, perturbed, singular)
+
+
+def test_singular_class_projection_refuses_the_candidate():
+    # a transient state alone in its block: its block holds no stationary
+    # mass, so (UA)(EV) has a zero column and no candidate exists, whether
+    # the transient block is solved by division (the first chain) or not
+    chains = [
+        MrcFast([1.0, 0.0], np.zeros((2, 2)), validate_generator(np.array([[-1.0, 1.0], [0.0, 0.0]])), [1.0, 2.0]),
+        MrcFast([1.0, 0.0, 0.0], np.zeros((3, 3)), validate_generator(np.array(
+            [[-2.0, 1.0, 1.0], [1.0, -1.5, 0.5], [0.0, 0.0, 0.0]]
+        )), [1.0, 2.0, 3.0]),
+    ]
+    for chain, diagonal in zip(chains, (True, False), strict=True):
+        v = np.eye(chain.num_states)
+        proj = ergodic_projection(chain.qf)
+        assert _divides(chain.qf, proj.transient) == diagonal
+        assert mrc.check(chain, v, "weak").passed
+        ua = mrc.canonical_distributor(v) @ proj.trapping
+        assert np.linalg.matrix_rank(ua @ proj.e(v)) < v.shape[1]
+        with pytest.raises(DistributorError, match="singular to tolerance"):
+            default_tau_distributor(chain, v)
+        with pytest.raises(DistributorError, match="singular to tolerance"):
+            mrc.lump(chain, v, "weak")
+
+
+def fan_chain(rng):
+    """A cloned plain chain whose clone groups are weak blocks, each group
+    of two or more clones joined by a transient entry that fans out by fast
+    steps into every clone, or by a fast cycle through its clones.
+
+    An entry traps into as many recurrent classes as its group has clones,
+    so ``A`` has rows with more than one nonzero; the group is a weak block
+    with recurrent mass, so the candidate distributor is certified."""
+    base, part = generate.duplicate_states_mrc(rng, generate.random_mrc(rng, n=rng.randint(2, 5)), p_clone=0.7)
+    n0 = base.num_states
+    groups = [list(b) for b in part.blocks]
+    fans = [g for g in groups if len(g) > 1 and rng.random() < 0.7]
+    n = n0 + len(fans)
+    qs, qf = np.zeros((n, n)), np.zeros((n, n))
+    qs[:n0, :n0] = base.q
+    np.fill_diagonal(qs, 0.0)
+    sigma, rho = np.zeros(n), np.zeros(n)
+    sigma[:n0], rho[:n0] = base.sigma, base.rho
+    for entry, group in enumerate(fans, start=n0):
+        qf[entry, group] = [rng.uniform(0.5, 3.0) for _ in group]
+        qs[entry, rng.randrange(n0)] = rng.uniform(0.3, 3.0)
+        rho[entry] = rng.uniform(0.0, 5.0)  # invisible behind the fast steps
+        group.append(entry)
+    for group in groups:
+        if len(group) > 1 and group[-1] < n0:
+            for x, y in zip(group, group[1:] + group[:1]):
+                qf[x, y] = rng.uniform(0.5, 3.0)
+    np.fill_diagonal(qs, -qs.sum(axis=1))
+    np.fill_diagonal(qf, -qf.sum(axis=1))
+    return MrcFast(sigma, qs, qf, rho), Partition(n, tuple(tuple(sorted(g)) for g in groups))
+
+
+def _dense_commutation_gap(chain, v, w, times):
+    """``max |Π̂ e^(Π̂Q̂sΠ̂t) − W Π e^(ΠQsΠt) V|`` over ``times``, from dense
+    projections and SciPy's exponential."""
+    pi = ergodic_projection(chain.qf).pi
+    pi_hat = ergodic_projection(w @ chain.qf @ v).pi
+    slow, slow_hat = pi @ chain.qs @ pi, pi_hat @ (w @ chain.qs @ v) @ pi_hat
+    return max(
+        np.max(np.abs(pi_hat @ scipy.linalg.expm(slow_hat * t) - w @ pi @ scipy.linalg.expm(slow * t) @ v)) for t in times
+    )
+
+
+def test_weak_lumping_through_the_class_part_matches_dense_evaluation():
+    # chains whose transient states trap into two or more classes: the
+    # candidate, read through its class part, and a supplied distributor
+    # give the residuals, quotient and commutation verdict of dense W
+    from matbisim.mrc import verify_limit_commutation
+
+    rng = random.Random(37)
+    times = (0.0, 0.5, 1.0, 2.0)
+    split_rows = supplied = refused = redrawn = 0
+    for _ in range(40):
+        chain, part = fan_chain(rng)
+        v = part.collector_real()
+        proj = ergodic_projection(chain.qf)
+        split_rows += int(np.count_nonzero((proj.trapping > 0).sum(axis=1) > 1))
+        w, residuals, lumped = _dense_weak(chain, v)
+        candidate = default_tau_distributor(chain, v)
+        assert _near(candidate, w)
+        # another certified distributor: each clone group's weights on its
+        # recurrent singletons drawn afresh
+        other = candidate.copy()
+        for j, block in enumerate(part.blocks):
+            single = [x for x in block if (proj.classes[x] >= 0) and proj.weights[x] == 1.0]
+            if len(single) == len(block) - 1 > 1:
+                other[j, single] = np.random.default_rng(j).dirichlet(np.ones(len(single)))
+        redrawn += not np.array_equal(other, candidate)
+        noisy = w + 1e-3 * np.random.default_rng(supplied).uniform(-1.0, 1.0, w.shape)
+        for given in (None, other, noisy):
+            dense_w = w if given is None else given
+            residuals = _dense_weak(chain, v, dense_w)[1]
+            factored = tau_distributor_residuals(chain, v, dense_w)
+            assert factored.keys() == residuals.keys()
+            assert all(_near(x, residuals[name]) for name, x in factored.items())
+            if max(residuals.values()) > 1e-9:
+                refused += 1
+                with pytest.raises(DistributorError, match="failed certification"):
+                    mrc.lump(chain, v, "weak", distributor=given)
+                with pytest.raises(DistributorError, match="failed certification"):
+                    verify_limit_commutation(chain, v, given)
+                continue
+            supplied += given is not None
+            quotient = mrc.lump(chain, v, "weak", distributor=given)
+            dense_qs, dense_qf = dense_w @ chain.qs @ v, dense_w @ chain.qf @ v
+            assert _near(quotient.qs, validate_generator(dense_qs)) and _near(quotient.qf, validate_generator(dense_qf))
+            assert _near(quotient.rho, dense_w @ chain.rho) and _near(quotient.sigma, chain.sigma @ v)
+            gap = _dense_commutation_gap(chain, v, dense_w, times)
+            assert gap <= 1e-12
+            assert verify_limit_commutation(chain, v, given, times)
+            assert not verify_limit_commutation(chain, v, given, times, tolerance=-1.0)
+    assert split_rows > 40 and supplied > 20 and refused >= 40 and redrawn > 10, (split_rows, supplied, refused, redrawn)
 
 
 def test_weak_table_holds_no_dense_projection():

@@ -61,6 +61,21 @@ def test_scale_ladder_records_the_points_over_its_limits(tmp_path):
     assert len(funnels) == 3 and all(p["status"] == "out_of_memory" for p in funnels), funnels
 
 
+def test_scale_ladder_times_whole_weak_commands_on_the_funnel(tmp_path):
+    out = tmp_path / "BENCH_scale.json"
+    argv = [sys.executable, "scripts/scale.py", "--bases", "24", "--out", str(out)]
+    done = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    record = json.loads(out.read_text())[-1]
+    funnel = next(p for p in record["points"] if p["family"] == "funnel_mrc")
+    commands = {p["command"]: p for p in record["commands"]}
+    assert set(commands) == {"lump", "diagram"}
+    for point in commands.values():
+        assert point["status"] == "ok" and point["exit"] == 0, point
+        assert (point["family"], point["base"], point["kind"]) == ("funnel_mrc", 24, "weak")
+        assert point["states"] == funnel["states"] and point["seconds"] >= 0 and point["peak_rss_mb"] > 0
+
+
 def test_source_size_lists_every_module_with_its_step(tmp_path):
     package = tmp_path / "pkg"
     package.mkdir()
